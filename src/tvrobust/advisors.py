@@ -96,15 +96,7 @@ def _merged_levels(levels, group):
         raise DomainError(
             f"group {list(group)} is not a consecutive run of {list(levels)}"
         )
-    merged_name = "+".join(group)
-    new_levels = levels[:start] + (merged_name,) + levels[start + len(group):]
-    to_new = {}
-    for i, lv in enumerate(levels):
-        if start <= i < start + len(group):
-            to_new[lv] = merged_name
-        else:
-            to_new[lv] = lv
-    return new_levels, to_new
+    return _merged_levels_any(levels, group)
 
 
 def counterpart_cost(original: Cpt, merged: Cpt, variable: str, group) -> float:
@@ -116,15 +108,7 @@ def counterpart_cost(original: Cpt, merged: Cpt, variable: str, group) -> float:
     """
     j = parent_index(original, variable)
     _, to_new = _merged_levels(original.parent_levels[j], group)
-    cost = 0.0
-    for i, row in enumerate(original.rows):
-        config = list(original.parent_config(i))
-        config[j] = to_new[config[j]]
-        counterpart = merged.rows[merged.row_index(config)]
-        if row.levels != counterpart.levels:
-            raise DomainError("child levels differ between the tables")
-        cost = max(cost, tv_distance(row, counterpart))
-    return cost
+    return counterpart_cost_from_map(original, merged, j, to_new)
 
 
 def amalgamate_levels(net: BayesNet, variable: str, group,
@@ -177,6 +161,8 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
 
 
 def _merged_levels_any(levels, group):
+    """New level tuple with a group fused at its first member, plus the
+    mapping from old to new levels."""
     merged_name = "+".join(group)
     first = min(levels.index(lv) for lv in group)
     new_levels = []
@@ -212,11 +198,14 @@ def _merge_parent_rows(t: Cpt, j: int, new_levels, to_new) -> Cpt:
 
 def counterpart_cost_from_map(original: Cpt, merged: Cpt, j: int,
                               to_new) -> float:
+    """Row-matched TV with parent ``j``'s levels mapped through ``to_new``."""
     cost = 0.0
     for i, row in enumerate(original.rows):
         config = list(original.parent_config(i))
         config[j] = to_new[config[j]]
         counterpart = merged.rows[merged.row_index(config)]
+        if row.levels != counterpart.levels:
+            raise DomainError("child levels differ between the tables")
         cost = max(cost, tv_distance(row, counterpart))
     return cost
 
@@ -269,7 +258,7 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     diameters alone.  Families sharing the target clique score 1;
     disconnected families score 0; a family whose path cannot be priced
     without fresh elicitation gets a note instead of a score, as does
-    one the reduction itself rejects.  Records are sorted by descending
+    one the path search itself rejects.  Records are sorted by descending
     score, declaration order on ties; scoreless entries sort last.
     """
     problems = validate(net)

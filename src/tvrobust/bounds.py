@@ -1,9 +1,9 @@
 """Propagation and composition bounds built on TV diameters.
 
-Two ways to price a clique path: the exact mode computes each factor
-table with the oracle and takes its true diameter; the bound mode never
-touches the oracle and assembles an upper bound for each factor from
-the diameters of the model's own CPTs.  The exact value never exceeds
+Two ways to price a clique path: the exact mode reads each factor
+table off one oracle joint and takes its true diameter; the bound mode
+never touches the oracle and assembles an upper bound for each factor
+from the diameters of the model's own CPTs.  The exact value never exceeds
 the assembled bound, and both are certified factor by factor.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .bn_model import BayesNet, descendants_map, topological_order
 from .errors import DomainError
-from .exact_oracle import transition_table
+from .exact_oracle import _ancestral_joint, _factor_table
 from .jtree import CliquePath, path_factor_specs
 from .tv_core import (
     Cpt,
@@ -175,40 +175,41 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
                 limit: int | None = None) -> BoundResult:
     """Impact product along a clique path.
 
-    ``mode`` is "exact" (oracle factor tables, true diameters) or
-    "bound" (assembled from model CPT diameters, no oracle).  The value
-    is the product of the factor values; a single-clique path carries
-    no attenuation and has value 1.  An empty separator on the path
-    means the endpoints live in disconnected components, so the factor
-    and the whole product are 0.
+    ``mode`` is "exact" (factor tables read off the joint of the path's
+    ancestral set, true diameters) or "bound" (assembled from model CPT
+    diameters, no oracle).  The value is the product of the factor
+    values; a single-clique path carries no attenuation and has value 1.
+    An empty separator on the path means the endpoints live in
+    disconnected components, so the factor and the whole product are 0.
+    ``limit`` caps the states of that joint, which exact mode builds
+    even for a single-clique path; bound mode ignores it.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
     specs = path_factor_specs(path)
+    if mode == "exact":
+        joint = _ancestral_joint(net, {v for c in path.cliques for v in c},
+                                 limit)
     if not specs:
         return BoundResult(
             1.0, mode,
             (Factor("(donor and target share a clique)", 1.0, "convention"),),
         )
-    factors = []
     if mode == "exact":
-        for outputs, given in specs:
-            if not outputs:
-                factors.append(Factor(_factor_name(outputs, given), 0.0,
-                                      "empty separator"))
-                continue
-            t = transition_table(net, outputs, given, limit)
-            factors.append(Factor(_factor_name(outputs, given),
-                                  diameter(t), "oracle"))
+        def price(outputs, given) -> Factor:
+            t = _factor_table(net, joint, outputs, given)
+            return Factor(_factor_name(outputs, given), diameter(t), "oracle")
     else:
         topo_rank = {n: i for i, n in enumerate(topological_order(net))}
         desc = descendants_map(net)
-        for outputs, given in specs:
-            if not outputs:
-                factors.append(Factor(_factor_name(outputs, given), 0.0,
-                                      "empty separator"))
-                continue
-            factors.append(_bound_factor(net, outputs, given, topo_rank, desc))
+
+        def price(outputs, given) -> Factor:
+            return _bound_factor(net, outputs, given, topo_rank, desc)
+    factors = [
+        price(outputs, given) if outputs
+        else Factor(_factor_name(outputs, given), 0.0, "empty separator")
+        for outputs, given in specs
+    ]
     value = 1.0
     for f in factors:
         value *= f.value

@@ -38,7 +38,6 @@ from .jtree import (
     JunctionTree,
     build_junction_tree,
     donor_target_path,
-    donor_target_reduction,
     moralize,
     triangulate,
 )
@@ -382,13 +381,8 @@ def _cmd_impact(args) -> tuple[str, int]:
     net = _load(args.model)
     donor = _split_names(args.donor)
     target = _split_names(args.target)
-    if args.mode == "exact":
-        reduced, _, path = donor_target_reduction(net, donor, target,
-                                                  args.limit)
-        result = path_impact(reduced, path, "exact", args.limit)
-    else:
-        _, path = donor_target_path(net, donor, target)
-        result = path_impact(net, path, "bound")
+    _, path = donor_target_path(net, donor, target)
+    result = path_impact(net, path, args.mode, args.limit)
     if args.json:
         doc = {
             "command": "impact",

@@ -12,12 +12,13 @@ memory; exceeding it is a hard error, never a silent truncation.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, validate
+from .bn_model import BayesNet, ancestral_set, validate
 from .errors import DomainError, ResourceLimitError
 from .tv_core import Cpt, ProbVec
 
@@ -134,77 +135,77 @@ def _config_labels(net: BayesNet, names) -> list[tuple[str, ...]]:
     return configs
 
 
-def transition_table(net: BayesNet, outputs, given,
-                     limit: int | None = None) -> Cpt:
-    """Stochastic table P(outputs | given), both in declaration order.
+def _ancestral_joint(net: BayesNet, names,
+                     limit: int | None = None) -> JointTable:
+    """Joint of the ancestral set of ``names``.
 
-    Unlike :func:`conditional_table` the two sets may overlap; a column
-    whose values disagree with the row on shared variables gets mass 0.
-    ``given`` may be empty, producing a single-row table of the marginal.
-    Rows conditioned on a zero-probability configuration are an error.
+    Its margin over any subset of the set equals the full net's margin,
+    and the state cap counts only the set's own configurations.
+    """
+    keep = ancestral_set(net, names)
+    pairs = [(v, t) for v, t in zip(net.variables, net.cpts)
+             if v.name in keep]
+    sub = BayesNet(tuple(v for v, _ in pairs), tuple(t for _, t in pairs))
+    return joint_mass(sub, limit)
+
+
+def _factor_table(net: BayesNet, joint: JointTable, outputs, given) -> Cpt:
+    """P(outputs | given) read off ``joint``, whose scope holds both sets.
+
+    The layout is that of :func:`transition_table`.
     """
     outs = net.sorted_by_position(set(outputs))
     conds = net.sorted_by_position(set(given))
     if not outs:
         raise DomainError("empty output set")
-    union = net.sorted_by_position(set(outs) | set(conds))
-    m = marginal(net, union, limit)
-    upos = {name: i for i, name in enumerate(union)}
-    grid = m.grid()
-
-    out_configs = _config_labels(net, outs)
-    cond_configs = _config_labels(net, conds)
-    out_idx = {name: outs.index(name) for name in outs}
-
-    rows = []
-    col_labels = tuple(",".join(c) for c in out_configs)
-    for cond in cond_configs:
-        fixed = dict(zip(conds, cond))
-        sel: list[object] = [slice(None)] * len(union)
-        for name, lv in fixed.items():
-            sel[upos[name]] = net.variable(name).levels.index(lv)
-        block = grid[tuple(sel)]
-        denom = float(block.sum())
-        if denom <= 0.0:
-            raise DomainError(
-                "conditioning configuration has zero probability: "
-                + ", ".join(f"{n}={v}" for n, v in zip(conds, cond))
-            )
-        mass = []
-        free = [name for name in union if name not in fixed]
-        for oc in out_configs:
-            want = dict(zip(outs, oc))
-            if any(want[n] != fixed[n] for n in want if n in fixed):
-                mass.append(0.0)
-                continue
-            pick: list[object] = [slice(None)] * len(free)
-            for k, name in enumerate(free):
-                if name in want:
-                    pick[k] = net.variable(name).levels.index(want[name])
-            mass.append(float(np.asarray(block[tuple(pick)]).sum()) / denom)
-        rows.append(ProbVec(col_labels, tuple(mass)))
+    free = tuple(n for n in outs if n not in conds)
+    m = marginal_of(joint, conds + free)
+    card = dict(zip(m.scope, m.cards))
+    cond_cards = [card[n] for n in conds]
+    grid = m.grid().transpose([m.scope.index(n) for n in conds + free])
+    block = grid.reshape(math.prod(cond_cards), -1)
+    denom = block.sum(axis=1)
+    zero = np.flatnonzero(denom <= 0.0)
+    if zero.size:
+        config = np.unravel_index(zero[0], cond_cards)
+        raise DomainError(
+            "conditioning configuration has zero probability: "
+            + ", ".join(f"{n}={net.variable(n).levels[i]}"
+                        for n, i in zip(conds, config))
+        )
+    # columns of outputs fixed by the row hold the indicator of agreement
+    table = (block / denom[:, None]).reshape(
+        cond_cards + [1 if n in conds else card[n] for n in outs])
+    for n in outs:
+        if n in conds:
+            shape = [1] * table.ndim
+            shape[conds.index(n)] = card[n]
+            shape[len(conds) + outs.index(n)] = card[n]
+            table = table * np.eye(card[n]).reshape(shape)
     if len(outs) == 1:
         col_labels = net.variable(outs[0]).levels
-        rows = [ProbVec(col_labels, r.mass) for r in rows]
+    else:
+        col_labels = tuple(",".join(c) for c in _config_labels(net, outs))
+    rows = table.reshape(len(block), len(col_labels))
     return Cpt(
         child=",".join(outs),
         child_levels=col_labels,
         parents=conds,
         parent_levels=tuple(net.variable(n).levels for n in conds),
-        rows=tuple(rows),
+        rows=tuple(ProbVec(col_labels, r) for r in rows.tolist()),
     )
 
 
-def conditional_table(net: BayesNet, A, B, limit: int | None = None) -> Cpt:
-    """Conditional table of X_A given X_B for disjoint nonempty sets."""
-    a, b = set(A), set(B)
-    if not a:
-        raise DomainError("empty output set")
-    if not b:
-        raise DomainError("empty conditioning set")
-    if a & b:
-        raise DomainError(
-            "output and conditioning sets overlap: "
-            + ", ".join(sorted(a & b))
-        )
-    return transition_table(net, a, b, limit)
+def transition_table(net: BayesNet, outputs, given,
+                     limit: int | None = None) -> Cpt:
+    """Stochastic table P(outputs | given), both in declaration order.
+
+    The two sets may overlap; a column whose values disagree with the
+    row on shared variables gets mass 0.  ``given`` may be empty,
+    producing a single-row table of the marginal.  Rows conditioned on
+    a zero-probability configuration are an error.  The table is read
+    off the joint of the ancestral set of both sets, so ``limit`` caps
+    that set's states.
+    """
+    joint = _ancestral_joint(net, set(outputs) | set(given), limit)
+    return _factor_table(net, joint, outputs, given)

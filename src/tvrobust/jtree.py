@@ -10,10 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bn_model import BayesNet, Variable, ancestral_set
+from .bn_model import BayesNet, ancestral_set
 from .errors import DomainError
-from .exact_oracle import transition_table
-from .tv_core import Cpt
 
 
 @dataclass(frozen=True)
@@ -158,51 +156,46 @@ def triangulate(g: UGraph, order_hint=None) -> UGraph:
     return UGraph(g.vertices, g.edges + tuple(fill))
 
 
-def _mcs_order(g: UGraph) -> list[str]:
-    """Maximum cardinality search visit order, lowest position on ties."""
+def _mcs_cliques(g: UGraph) -> list[frozenset[str]] | None:
+    """Candidate cliques along a maximum cardinality search, or None.
+
+    Visits vertices by most visited neighbours, lowest position on ties.
+    Each visited vertex with its visited neighbours is a candidate; if
+    some such neighbourhood is not complete the graph is not chordal and
+    the result is None.
+    """
     adj = g.neighbors()
     weight = {v: 0 for v in g.vertices}
-    visited: list[str] = []
-    seen = set()
+    earlier: set[str] = set()
+    candidates: list[frozenset[str]] = []
     for _ in range(len(g.vertices)):
         best = None
         for v in g.vertices:
-            if v in seen:
+            if v in earlier:
                 continue
             if best is None or weight[v] > weight[best]:
                 best = v
-        visited.append(best)
-        seen.add(best)
+        madj = adj[best] & earlier
+        for a, b in itertools.combinations(madj, 2):
+            if b not in adj[a]:
+                return None
+        candidates.append(frozenset({best} | madj))
+        earlier.add(best)
         for u in adj[best]:
-            if u not in seen:
+            if u not in earlier:
                 weight[u] += 1
-    return visited
+    return candidates
 
 
 def is_chordal(g: UGraph) -> bool:
-    adj = g.neighbors()
-    order = _mcs_order(g)
-    earlier: set[str] = set()
-    for v in order:
-        madj = adj[v] & earlier
-        for a, b in itertools.combinations(sorted(madj, key=g.position), 2):
-            if b not in adj[a]:
-                return False
-        earlier.add(v)
-    return True
+    return _mcs_cliques(g) is not None
 
 
 def maximal_cliques(g: UGraph) -> tuple[tuple[str, ...], ...]:
     """Maximal cliques of a chordal graph, in canonical order."""
-    if not is_chordal(g):
+    candidates = _mcs_cliques(g)
+    if candidates is None:
         raise DomainError("graph is not chordal")
-    adj = g.neighbors()
-    order = _mcs_order(g)
-    earlier: set[str] = set()
-    candidates: list[frozenset[str]] = []
-    for v in order:
-        candidates.append(frozenset({v} | (adj[v] & earlier)))
-        earlier.add(v)
     keep: list[frozenset[str]] = []
     for c in candidates:
         if not any(c < other for other in candidates):
@@ -388,33 +381,6 @@ def donor_target_path(net: BayesNet, donor, target):
     return jt, path
 
 
-def donor_target_reduction(net: BayesNet, donor, target,
-                           limit: int | None = None):
-    """Ancestral-graph recipe from a donor variable set to a target set.
-
-    Takes the clique path from donor_target_path and rebuilds a reduced
-    net over the path variables whose joint equals the original margin
-    over those variables exactly.  Returns (reduced net, junction tree,
-    clique path).
-    """
-    jt, path = donor_target_path(net, donor, target)
-    keep = ancestral_set(net, set(donor) | set(target))
-    sub_vars = tuple(v for v in net.variables if v.name in keep)
-    sub_cpts = tuple(net.cpt(v.name) for v in sub_vars)
-    subnet = BayesNet(sub_vars, sub_cpts)
-
-    kept = sorted({v for c in path.cliques for v in c}, key=net.position)
-    variables = []
-    cpts = []
-    for k, name in enumerate(kept):
-        var = net.variable(name)
-        variables.append(Variable(var.name, var.levels))
-        t = transition_table(subnet, [name], kept[:k], limit)
-        cpts.append(Cpt(name, var.levels, t.parents, t.parent_levels, t.rows))
-    reduced = BayesNet(tuple(variables), tuple(cpts))
-    return reduced, jt, path
-
-
 def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """(outputs, given) pairs of the Markov-chain factors along a path.
 
@@ -434,27 +400,3 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
     last = tuple(v for v in path.cliques[-1] if v not in set(path.separators[-1]))
     specs.append((last, path.separators[-1]))
     return specs
-
-
-def path_tables(net: BayesNet, path: CliquePath,
-                limit: int | None = None) -> list[Cpt]:
-    """Markov-chain factor tables along a clique path.
-
-    For a path C1..Ck the tables are P(S2 | C1 minus S2), then
-    P(S_{i+1} | S_i) for the interior steps, then P(Ck minus Sk | Sk),
-    all computed with the exact oracle.  A single-clique path has no
-    tables.  Shared variables between consecutive separators stay in
-    the conditioning set; their columns are consistency indicators.
-    An empty separator (a path crossing disconnected components) has
-    no factor table and is an error here; the bound machinery treats
-    such factors as zero influence without calling the oracle.
-    """
-    tables = []
-    for outputs, given in path_factor_specs(path):
-        if not outputs:
-            raise DomainError(
-                "path crosses an empty separator; the factorization "
-                "does not apply across disconnected components"
-            )
-        tables.append(transition_table(net, outputs, given, limit))
-    return tables

@@ -9,6 +9,7 @@ reason.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -43,8 +44,12 @@ class ProbVec:
             problems.append("duplicate level labels")
         if any(x < 0 for x in self.mass):
             problems.append("negative mass")
-        if self.mass and abs(sum(self.mass) - 1.0) > ROW_SUM_TOLERANCE:
-            problems.append(f"mass sums to {sum(self.mass)!r}")
+        if self.mass:
+            total = sum(self.mass)
+            if not math.isfinite(total):
+                problems.append("non-finite mass")
+            elif abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                problems.append(f"mass sums to {total!r}")
         return problems
 
     @classmethod

@@ -5,7 +5,8 @@ import pytest
 
 from tvrobust import BayesNet, Cpt, ProbVec, Variable
 from tvrobust.cli_io import parse_model
-from tvrobust.exact_oracle import JointTable
+from tvrobust.errors import DomainError
+from tvrobust.exact_oracle import JointTable, marginal
 
 TESTS_DIR = pathlib.Path(__file__).parent
 MODELS_DIR = TESTS_DIR / "models"
@@ -119,3 +120,60 @@ def reweight_joint(joint: JointTable, sub: JointTable,
     ratio = (fresh / sub.mass).reshape(shape)
     grid = joint.grid() * ratio
     return JointTable(joint.scope, joint.cards, grid.reshape(-1))
+
+
+def reference_transition_table(net: BayesNet, outputs, given) -> Cpt:
+    """P(outputs | given) one configuration at a time, off the full joint.
+
+    The plain definition the vectorized oracle kernel replaced: for each
+    conditioning configuration, slice the margin over both sets, divide
+    by the slice's mass, and read each output column, with mass 0 where
+    the column disagrees with the row on a shared variable.
+    """
+    outs = net.sorted_by_position(set(outputs))
+    conds = net.sorted_by_position(set(given))
+    union = net.sorted_by_position(set(outs) | set(conds))
+    grid = marginal(net, union).grid()
+    upos = {name: i for i, name in enumerate(union)}
+
+    def configs(names):
+        out = [()]
+        for n in names:
+            out = [c + (lv,) for c in out for lv in net.variable(n).levels]
+        return out
+
+    out_configs = configs(outs)
+    rows = []
+    for cond in configs(conds):
+        fixed = dict(zip(conds, cond))
+        sel = [slice(None)] * len(union)
+        for name, lv in fixed.items():
+            sel[upos[name]] = net.variable(name).levels.index(lv)
+        block = grid[tuple(sel)]
+        denom = float(block.sum())
+        if denom <= 0.0:
+            raise DomainError("conditioning configuration has zero probability")
+        free = [name for name in union if name not in fixed]
+        mass = []
+        for oc in out_configs:
+            want = dict(zip(outs, oc))
+            if any(want[n] != fixed[n] for n in want if n in fixed):
+                mass.append(0.0)
+                continue
+            pick = tuple(net.variable(n).levels.index(want[n]) for n in free)
+            mass.append(float(block[pick]) / denom)
+        rows.append(mass)
+    if len(outs) == 1:
+        labels = net.variable(outs[0]).levels
+    else:
+        labels = tuple(",".join(c) for c in out_configs)
+    return Cpt(",".join(outs), labels, conds,
+               tuple(net.variable(n).levels for n in conds),
+               tuple(ProbVec(labels, r) for r in rows))
+
+
+def reference_diameter(rows) -> float:
+    """Largest half-L1 distance between two rows of a 2-d array."""
+    rows = np.asarray(rows, dtype=np.float64)
+    gaps = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+    return 0.5 * float(gaps.max())

@@ -7,23 +7,33 @@ from tvrobust import (
     Cpt,
     DomainError,
     ProbVec,
+    ResourceLimitError,
     chain_diameter_bound,
     diameter,
     diameter_sum_bound,
     donor_target_path,
-    donor_target_reduction,
     joint_perturb_bound,
     joint_tv_bound,
     marginal,
     mix,
     overlap_decompose,
+    path_factor_specs,
     path_impact,
     propagate_bound,
+    run_cli,
     table_tv,
     tv_distance,
 )
 
-from conftest import Q_ROWS, random_vector, tree_cpt
+from conftest import (
+    Q_ROWS,
+    TESTS_DIR,
+    random_net,
+    random_vector,
+    reference_diameter,
+    reference_transition_table,
+    tree_cpt,
+)
 
 # masses over the six (Drought, Rainfall) parent configurations in the
 # fragment and in the variant elicitation
@@ -180,14 +190,60 @@ def test_path_impact_demo_bound_factors(ten_node):
 
 
 def test_path_impact_exact_below_bound(ten_node):
-    reduced, _, path = donor_target_reduction(ten_node, {"X1", "X2"},
-                                              {"X7", "X9"})
-    exact = path_impact(reduced, path, mode="exact")
+    _, path = donor_target_path(ten_node, {"X1", "X2"}, {"X7", "X9"})
+    exact = path_impact(ten_node, path, mode="exact")
     bound = path_impact(ten_node, path, mode="bound")
     assert exact.value <= bound.value + 1e-12
     for f in exact.certificate:
         assert f.provenance == "oracle"
         assert 0.0 <= f.value <= 1.0
+
+
+def _assert_exact_matches_reference(net, donor, target):
+    """Exact factors equal the diameters of the per-configuration
+    reference tables built on the full-net joint."""
+    _, path = donor_target_path(net, donor, target)
+    r = path_impact(net, path, mode="exact")
+    specs = path_factor_specs(path)
+    if not specs:
+        assert r.value == 1.0
+        return
+    assert len(r.certificate) == len(specs)
+    want = 1.0
+    for f, (outputs, given) in zip(r.certificate, specs):
+        d = 0.0
+        if outputs:
+            t = reference_transition_table(net, outputs, given)
+            d = reference_diameter([row.mass for row in t.rows])
+        assert abs(f.value - d) <= 1e-12
+        want *= d
+    assert abs(r.value - want) <= 1e-12
+
+
+def test_exact_impact_matches_full_joint_reference(ten_node):
+    for donor, target in (({"X1"}, {"X9"}), ({"X1", "X2"}, {"X7", "X9"}),
+                          ({"X10"}, {"X8"}), ({"X9"}, {"X1"})):
+        _assert_exact_matches_reference(ten_node, donor, target)
+
+
+def test_exact_impact_matches_reference_on_random_nets():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        net = random_net(rng)
+        names = [v.name for v in net.variables]
+        donor, target = str(rng.choice(names)), str(rng.choice(names))
+        _assert_exact_matches_reference(net, {donor}, {target})
+
+
+def test_exact_impact_respects_limit(ten_node, capsys, monkeypatch):
+    _, path = donor_target_path(ten_node, {"X1"}, {"X9"})
+    with pytest.raises(ResourceLimitError):
+        path_impact(ten_node, path, mode="exact", limit=2)
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["impact", "models/ten_node_demo.json", "--from", "X1",
+            "--to", "X9", "--mode", "exact", "--limit", "2"]
+    assert run_cli(argv) == 1
+    assert "limit is 2" in capsys.readouterr().err
 
 
 def test_bound_mode_conditioning_on_descendant_is_a_gap(ten_node):
@@ -218,8 +274,8 @@ def test_impact_certifies_donor_to_target_attenuation(ten_node):
     """
     rng = np.random.default_rng(29)
     donor, target = {"X1"}, {"X9"}
-    reduced, _, path = donor_target_reduction(ten_node, donor, target)
-    impact = path_impact(reduced, path, mode="exact").value
+    _, path = donor_target_path(ten_node, donor, target)
+    impact = path_impact(ten_node, path, mode="exact").value
     for _ in range(20):
         t0 = ten_node.cpt("X1")
         new_rows = tuple(ProbVec(t0.child_levels, random_vector(rng, 2).mass)

@@ -166,6 +166,8 @@ def test_emit_dot_rejects_mismatched_annotations(fragment, ten_node):
 GOLDEN_COMMANDS = [
     ("validate_broken.txt", 1,
      ["validate", "models/broken_model.json"]),
+    ("validate_nonfinite.txt", 1,
+     ["validate", "models/nonfinite_model.json"]),
     ("diameters_fragment.txt", 0,
      ["diameters", "models/native_fish_fragment.json"]),
     ("edges_fragment.txt", 0,

@@ -8,7 +8,6 @@ from tvrobust import (
     ProbVec,
     ResourceLimitError,
     Variable,
-    conditional_table,
     joint_mass,
     marginal,
     marginal_of,
@@ -18,7 +17,7 @@ from tvrobust import (
     tv_distance,
 )
 
-from conftest import P_ROWS, random_net
+from conftest import P_ROWS, random_net, reference_transition_table
 
 RHO1 = (0.65375, 0.28875, 0.0575)
 
@@ -108,22 +107,13 @@ def test_transition_table_rejects_zero_mass_row():
          Cpt.of("B", ("t", "f"), ("A",), (("t", "f"),),
                 (ProbVec(("t", "f"), (0.3, 0.7)),
                  ProbVec(("t", "f"), (0.6, 0.4))))))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="zero probability: A=f"):
         transition_table(net, ("B",), ("A",))
 
 
 def test_transition_table_rejects_empty_outputs(fragment):
     with pytest.raises(DomainError):
         transition_table(fragment, (), ("Drought",))
-
-
-def test_conditional_table_rejects_overlap_and_empty(fragment):
-    with pytest.raises(DomainError):
-        conditional_table(fragment, ("Drought",), ("Drought", "Rainfall"))
-    with pytest.raises(DomainError):
-        conditional_table(fragment, ("Drought",), ())
-    t = conditional_table(fragment, ("TreeCondition",), ("Drought",))
-    assert t.parents == ("Drought",)
 
 
 def test_state_limit_resolution(monkeypatch):
@@ -193,3 +183,40 @@ def test_transition_rows_are_stochastic_on_random_nets():
         for row in t.rows:
             assert abs(sum(row.mass) - 1.0) <= 1e-9
             assert min(row.mass) >= -1e-15
+
+
+def test_transition_table_limit_counts_ancestral_states(ten_node):
+    # the ancestral set of {X1, X2} has 4 states; the full net has 1024
+    t = transition_table(ten_node, ("X2",), ("X1",), limit=4)
+    assert np.allclose([r.mass for r in t.rows],
+                       [r.mass for r in ten_node.cpt("X2").rows], atol=1e-12)
+    with pytest.raises(ResourceLimitError):
+        transition_table(ten_node, ("X2",), ("X1",), limit=3)
+
+
+def _assert_matches_reference(net, outs, given):
+    got = transition_table(net, outs, given)
+    want = reference_transition_table(net, outs, given)
+    assert (got.child, got.child_levels, got.parents, got.parent_levels) == (
+        want.child, want.child_levels, want.parents, want.parent_levels)
+    gap = np.abs(np.array([r.mass for r in got.rows])
+                 - np.array([r.mass for r in want.rows]))
+    assert gap.max() <= 1e-12
+
+
+def test_transition_table_matches_scalar_reference_on_random_nets():
+    """The vectorized kernel equals the per-configuration definition for
+    disjoint, overlapping and nested sets, empty ``given`` and outputs
+    of one to three variables."""
+    rng = np.random.default_rng(43)
+    for _ in range(25):
+        net = random_net(rng)
+        names = [v.name for v in net.variables]
+        pick = [str(x) for x in rng.permutation(names)]
+        _assert_matches_reference(net, pick[:1], ())
+        _assert_matches_reference(net, pick[:2], ())
+        _assert_matches_reference(net, pick[:1], pick[1:3])
+        _assert_matches_reference(net, pick[:3], pick[3:5])
+        _assert_matches_reference(net, pick[:2], pick[1:3])
+        _assert_matches_reference(net, pick[:1], pick[:3])
+        _assert_matches_reference(net, pick[:3], pick[:1])

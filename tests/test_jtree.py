@@ -6,22 +6,17 @@ from tvrobust import (
     UGraph,
     build_junction_tree,
     donor_target_path,
-    donor_target_reduction,
     is_chordal,
     junction_property_holds,
-    marginal,
     maximal_cliques,
     moralize,
     path_factor_specs,
-    path_tables,
+    path_impact,
     simple_path,
-    table_tv,
     triangulate,
     verify_running_intersection,
 )
 from tvrobust.jtree import subgraph
-
-from conftest import random_net
 
 DEMO_CLIQUES = {
     ("X1", "X2"),
@@ -187,7 +182,7 @@ def test_path_factor_specs_shapes(ten_node):
     assert path_factor_specs(single) == []
 
 
-def test_path_tables_on_chain_recover_model_cpts():
+def test_exact_factors_on_chain_equal_cpt_diameters():
     rng = np.random.default_rng(3)
     # a pure chain V0 -> V1 -> ... -> V4
     from tvrobust import BayesNet, Cpt, ProbVec, Variable
@@ -207,45 +202,10 @@ def test_path_tables_on_chain_recover_model_cpts():
             cpts.append(Cpt.of(name, levels, (f"V{i-1}",), (levels,), rows))
     chain = BayesNet.of(variables, cpts)
     _, path = donor_target_path(chain, {"V0"}, {"V4"})
-    tables = path_tables(chain, path)
-    assert [t.child for t in tables] == ["V1", "V2", "V3", "V4"]
+    r = path_impact(chain, path, mode="exact")
+    assert [f.table for f in r.certificate] == [
+        f"P(V{i} | V{i - 1})" for i in range(1, 5)]
     # on a chain every factor P(V_{i+1} | V_i) is the chain's own CPT
-    for t in tables:
-        model = chain.cpt(t.child)
-        for got, want in zip(t.rows, model.rows):
-            assert np.allclose(got.mass, want.mass, atol=1e-12)
-
-
-def test_reduction_preserves_path_margins(ten_node):
-    reduced, jt, path = donor_target_reduction(ten_node, {"X1"}, {"X9"})
-    kept = {v.name for v in reduced.variables}
-    assert kept == {v for c in path.cliques for v in c}
-    for sub in ({"X1"}, {"X9"}, {"X1", "X9"}, kept):
-        a = marginal(ten_node, sub)
-        b = marginal(reduced, sub)
-        assert a.scope == b.scope
-        assert table_tv(a, b) <= 1e-12
-
-
-def test_reduction_preserves_margins_on_random_nets():
-    rng = np.random.default_rng(5)
-    tried = 0
-    for _ in range(30):
-        net = random_net(rng)
-        names = [v.name for v in net.variables]
-        donor, target = {names[0]}, {names[-1]}
-        try:
-            reduced, _, _ = donor_target_reduction(net, donor, target)
-        except DomainError:
-            continue
-        tried += 1
-        a = marginal(net, donor | target)
-        b = marginal(reduced, donor | target)
-        assert table_tv(a, b) <= 1e-10
-    assert tried >= 20
-
-
-def test_reduction_respects_limit(ten_node):
-    from tvrobust import ResourceLimitError
-    with pytest.raises(ResourceLimitError):
-        donor_target_reduction(ten_node, {"X1"}, {"X9"}, limit=2)
+    for f, i in zip(r.certificate, range(1, 5)):
+        m = chain.cpt(f"V{i}")
+        assert abs(f.value - abs(m.rows[0].mass[0] - m.rows[1].mass[0])) <= 1e-12

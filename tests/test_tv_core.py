@@ -41,6 +41,8 @@ def test_probvec_of_accepts_valid():
     (("a", "a"), (0.5, 0.5)),
     ((), ()),
     (("a", "b"), (1.0,)),
+    (("a", "b"), (float("nan"), 1.0)),
+    (("a", "b"), (float("inf"), 0.0)),
 ])
 def test_probvec_of_rejects_invalid(levels, mass):
     with pytest.raises(DomainError):
