@@ -186,6 +186,17 @@ GOLDEN_COMMANDS = [
     ("delete_edge_fragment.txt", 0,
      ["delete-edge", "--from", "Rainfall", "--to", "TreeCondition",
       "models/native_fish_fragment.json"]),
+    # a ten-level child: sums over 8+ terms must keep their order
+    ("diameters_wide_child.json", 0,
+     ["diameters", "--json", "models/wide_child.json"]),
+    ("edges_wide_child.json", 0,
+     ["edges", "--json", "models/wide_child.json"]),
+    ("delete_edge_wide_child.json", 0,
+     ["delete-edge", "--from", "A", "--to", "C", "--json",
+      "models/wide_child.json"]),
+    ("amalgamate_wide_child.json", 0,
+     ["amalgamate", "--group", "c0,c1,c2,c3,c4,c5,c6,c7,c8", "--json",
+      "models/wide_child.json", "C"]),
 ]
 
 
