@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bn_model import BayesNet, Variable, validate
 from .bounds import path_impact
 from .errors import DomainError
@@ -16,11 +18,13 @@ from .jtree import donor_target_path
 from .tv_core import (
     Cpt,
     ProbVec,
+    _convex_sum,
+    _grid_rows,
+    _max,
+    _tv,
     collapse_parent,
-    mix,
     parent_diameter,
     parent_index,
-    tv_distance,
 )
 
 
@@ -51,15 +55,12 @@ def edge_deletion_report(net: BayesNet) -> EdgeReport:
     problems = validate(net)
     if problems:
         raise DomainError("invalid network: " + "; ".join(problems))
-    records = []
-    order = []
-    for v, t in zip(net.variables, net.cpts):
-        for j, p in enumerate(t.parents):
-            records.append(EdgeRecord(p, v.name, parent_diameter(t, j)))
-            order.append(len(order))
-    ranked = sorted(zip(records, order),
-                    key=lambda ro: (-_rank_key(ro[0].delta), ro[1]))
-    return EdgeReport(tuple(r for r, _ in ranked))
+    records = [EdgeRecord(p, v.name, parent_diameter(t, j))
+               for v, t in zip(net.variables, net.cpts)
+               for j, p in enumerate(t.parents)]
+    # a stable sort keeps declaration order on ties
+    records.sort(key=lambda r: -_rank_key(r.delta))
+    return EdgeReport(tuple(records))
 
 
 def delete_edge(net: BayesNet, parent: str, child: str):
@@ -71,14 +72,7 @@ def delete_edge(net: BayesNet, parent: str, child: str):
     t = net.cpt(child)
     j = parent_index(t, parent)
     merged = collapse_parent(t, j)
-    cost = 0.0
-    for i, row in enumerate(t.rows):
-        config = t.parent_config(i)
-        reduced_config = tuple(
-            label for k, label in enumerate(config) if k != j
-        )
-        counterpart = merged.rows[merged.row_index(reduced_config)]
-        cost = max(cost, tv_distance(row, counterpart))
+    cost = _max(_tv(np.moveaxis(t.grid(), j, -2), merged.grid()[..., None, :]))
     cpts = tuple(merged if x.child == child else x for x in net.cpts)
     return BayesNet(net.variables, cpts), cost
 
@@ -128,8 +122,7 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
         ordered = tuple(lv for lv in var.levels if lv in set(group))
         if set(ordered) != set(group) or len(ordered) != len(group):
             raise DomainError("group contains unknown or repeated levels")
-        reordered = ordered
-        new_levels, to_new = _merged_levels_any(var.levels, reordered)
+        new_levels, to_new = _merged_levels_any(var.levels, ordered)
     else:
         new_levels, to_new = _merged_levels(var.levels, group)
 
@@ -137,26 +130,25 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
         Variable(v.name, new_levels) if v.name == variable else v
         for v in net.variables
     )
+    groups = [[i for i, lv in enumerate(var.levels) if to_new[lv] == new]
+              for new in new_levels]
     costs: dict[str, float] = {}
     new_cpts = []
     for v, t in zip(net.variables, net.cpts):
         if v.name == variable:
-            rows = []
-            for row in t.rows:
-                acc: dict[str, float] = {lv: 0.0 for lv in new_levels}
-                for lv, x in zip(row.levels, row.mass):
-                    acc[to_new[lv]] += x
-                rows.append(ProbVec(new_levels,
-                                    tuple(acc[lv] for lv in new_levels)))
-            new_cpts.append(Cpt(t.child, new_levels, t.parents,
-                                t.parent_levels, tuple(rows)))
+            G = _fuse(t.grid(), -1, groups, uniform=False)
+            t = Cpt(t.child, new_levels, t.parents, t.parent_levels,
+                    _grid_rows(G, new_levels))
         elif variable in t.parents:
             j = parent_index(t, variable)
-            merged = _merge_parent_rows(t, j, new_levels, to_new)
+            G = _fuse(t.grid(), j, groups, uniform=True)
+            merged = Cpt.of(t.child, t.child_levels, t.parents,
+                            t.parent_levels[:j] + (new_levels,)
+                            + t.parent_levels[j + 1:],
+                            _grid_rows(G, t.child_levels))
             costs[v.name] = counterpart_cost_from_map(t, merged, j, to_new)
-            new_cpts.append(merged)
-        else:
-            new_cpts.append(t)
+            t = merged
+        new_cpts.append(t)
     return BayesNet(variables, tuple(new_cpts)), costs
 
 
@@ -176,38 +168,38 @@ def _merged_levels_any(levels, group):
     return tuple(new_levels), to_new
 
 
-def _merge_parent_rows(t: Cpt, j: int, new_levels, to_new) -> Cpt:
-    """Average rows of ``t`` across grouped levels of parent ``j``."""
-    parent_levels = list(t.parent_levels)
-    parent_levels[j] = new_levels
-    shell = Cpt(t.child, t.child_levels, t.parents, tuple(parent_levels), ())
-    rows = []
-    for r in range(shell.n_rows):
-        config = shell.parent_config(r)
-        sources = []
-        for lv in t.parent_levels[j]:
-            if to_new[lv] != config[j]:
-                continue
-            src = list(config)
-            src[j] = lv
-            sources.append(t.rows[t.row_index(src)])
-        rows.append(mix([1.0 / len(sources)] * len(sources), sources))
-    return Cpt(t.child, t.child_levels, t.parents, tuple(parent_levels),
-               tuple(rows))
+def _fuse(G: np.ndarray, axis: int, groups, uniform: bool) -> np.ndarray:
+    """``G`` with the slices along ``axis`` fused group by group, in order.
+
+    A group's slices are averaged when ``uniform``, else summed.
+    """
+    X = np.moveaxis(G, axis, -1)[..., None]
+    fused = np.stack([
+        _convex_sum(np.full(len(g), 1.0 / len(g) if uniform else 1.0),
+                    X[..., g, :])
+        for g in groups
+    ], axis=-2)
+    return np.moveaxis(fused[..., 0], -1, axis)
 
 
 def counterpart_cost_from_map(original: Cpt, merged: Cpt, j: int,
                               to_new) -> float:
     """Row-matched TV with parent ``j``'s levels mapped through ``to_new``."""
-    cost = 0.0
-    for i, row in enumerate(original.rows):
-        config = list(original.parent_config(i))
-        config[j] = to_new[config[j]]
-        counterpart = merged.rows[merged.row_index(config)]
-        if row.levels != counterpart.levels:
-            raise DomainError("child levels differ between the tables")
-        cost = max(cost, tv_distance(row, counterpart))
-    return cost
+    if original.child_levels != merged.child_levels:
+        raise DomainError("child levels differ between the tables")
+    if len(original.parents) != len(merged.parents):
+        raise DomainError(f"configuration size {len(original.parents)} "
+                          f"for {len(merged.parents)} parents")
+    # each original row's counterpart, looked up level by level by label
+    index = []
+    for k, (old, new) in enumerate(zip(original.parent_levels,
+                                       merged.parent_levels)):
+        labels = [to_new[lv] for lv in old] if k == j else old
+        for lv in labels:
+            if lv not in new:
+                raise DomainError(f"unknown level {lv!r}")
+        index.append([new.index(lv) for lv in labels])
+    return _max(_tv(original.grid(), merged.grid()[np.ix_(*index)]))
 
 
 def amalgamation_suggest(net: BayesNet, variable: str):
@@ -220,23 +212,13 @@ def amalgamation_suggest(net: BayesNet, variable: str):
     var = net.variable(variable)
     if len(var.levels) < 2:
         raise DomainError(f"{variable!r} has fewer than two levels")
-    candidates = []
-    for k in range(len(var.levels) - 1):
-        pair = (var.levels[k], var.levels[k + 1])
-        cost = 0.0
-        for v, t in zip(net.variables, net.cpts):
-            if variable not in t.parents:
-                continue
-            j = parent_index(t, variable)
-            for i, row in enumerate(t.rows):
-                config = list(t.parent_config(i))
-                if config[j] != pair[0]:
-                    continue
-                other = list(config)
-                other[j] = pair[1]
-                cost = max(cost, tv_distance(
-                    row, t.rows[t.row_index(other)]))
-        candidates.append((pair, cost))
+    costs = [0.0] * (len(var.levels) - 1)
+    for t in net.cpts:
+        if variable in t.parents:
+            G = np.moveaxis(t.grid(), parent_index(t, variable), 0)
+            gaps = _tv(G[:-1], G[1:])
+            costs = [max(c, _max(d)) for c, d in zip(costs, gaps)]
+    candidates = list(zip(zip(var.levels, var.levels[1:]), costs))
     candidates.sort(key=lambda pc: _rank_key(pc[1]))
     return candidates
 
@@ -268,7 +250,6 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     for t in targets:
         net.position(t)
     records = []
-    order = []
     for v, t in zip(net.variables, net.cpts):
         family = {v.name} | set(t.parents)
         try:
@@ -276,7 +257,6 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
             result = path_impact(net, path, mode="bound")
         except DomainError as e:
             records.append(PriorityRecord(v.name, None, str(e)))
-            order.append(len(order))
             continue
         note = ""
         if len(path.cliques) == 1:
@@ -284,11 +264,6 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
         elif result.value == 0.0:
             note = "no influence path to the target"
         records.append(PriorityRecord(v.name, result.value, note))
-        order.append(len(order))
-    ranked = sorted(
-        zip(records, order),
-        key=lambda ro: (-(_rank_key(ro[0].score)
-                          if ro[0].score is not None else -1.0),
-                        ro[1]),
-    )
-    return tuple(r for r, _ in ranked)
+    records.sort(key=lambda r: -_rank_key(r.score)
+                 if r.score is not None else 1.0)
+    return tuple(records)

@@ -32,6 +32,11 @@ class BayesNet:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "cpts", tuple(self.cpts))
+        # name -> position, not a field; the first of duplicate names wins
+        index: dict[str, int] = {}
+        for i, v in enumerate(self.variables):
+            index.setdefault(v.name, i)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def of(cls, variables, cpts) -> "BayesNet":
@@ -45,10 +50,10 @@ class BayesNet:
         return tuple(v.name for v in self.variables)
 
     def position(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise DomainError(f"unknown variable {name!r}")
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            raise DomainError(f"unknown variable {name!r}") from None
 
     def variable(self, name: str) -> Variable:
         return self.variables[self.position(name)]
@@ -162,7 +167,8 @@ def descendants_map(net: BayesNet) -> dict[str, set[str]]:
     order = topological_order(net)
     desc: dict[str, set[str]] = {n: set() for n in order}
     for n in reversed(order):
-        for c in net.children_of(n):
-            desc[n].add(c)
-            desc[n] |= desc[c]
+        for p in net.parents_of(n):
+            if p in desc:
+                desc[p].add(n)
+                desc[p] |= desc[n]
     return desc

@@ -18,6 +18,7 @@ from .jtree import CliquePath, path_factor_specs
 from .tv_core import (
     Cpt,
     ProbVec,
+    _pair_scan,
     cpt_superbound,
     cpt_tv_plus,
     diameter,
@@ -197,8 +198,9 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
         )
     if mode == "exact":
         def price(outputs, given) -> Factor:
-            t = _factor_table(net, joint, outputs, given)
-            return Factor(_factor_name(outputs, given), diameter(t), "oracle")
+            rows = _factor_table(net, joint, outputs, given)
+            return Factor(_factor_name(outputs, given), _pair_scan(rows)[0],
+                          "oracle")
     else:
         topo_rank = {n: i for i, n in enumerate(topological_order(net))}
         desc = descendants_map(net)

@@ -91,7 +91,8 @@ def parse_model(text: str, strict: bool = True):
     either way, with the offending location in the message.
     """
     try:
-        doc = json.loads(text)
+        # an integer too large for a float reads as inf, a violation
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, location=f"line {e.lineno}, column {e.colno}")
     _expect(isinstance(doc, dict), "top level must be an object", "document")

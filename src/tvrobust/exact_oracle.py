@@ -83,12 +83,8 @@ def joint_mass(net: BayesNet, limit: int | None = None) -> JointTable:
     full = np.ones(cards, dtype=np.float64)
     for v, t in zip(net.variables, net.cpts):
         axes = [pos[p] for p in t.parents] + [pos[v.name]]
-        table = np.array([row.mass for row in t.rows], dtype=np.float64)
-        shape = [len(levels) for levels in t.parent_levels] + [len(v.levels)]
-        factor = table.reshape(shape)
         # put the factor's axes at their positions in the full array
-        order = np.argsort(axes)
-        factor = factor.transpose(order)
+        factor = t.grid().transpose(np.argsort(axes))
         target_shape = [1] * n
         for a in axes:
             target_shape[a] = cards[a]
@@ -113,8 +109,13 @@ def marginal_of(joint: JointTable, A) -> JointTable:
 
 
 def marginal(net: BayesNet, A, limit: int | None = None) -> JointTable:
-    """Marginal over ``A``, scope ordered by declaration."""
-    return marginal_of(joint_mass(net, limit), A)
+    """Marginal over ``A``, scope ordered by declaration.
+
+    It is read off the joint of the ancestral set of ``A``, so ``limit``
+    caps that set's states.
+    """
+    A = tuple(A)
+    return marginal_of(_ancestral_joint(net, A, limit), A)
 
 
 def table_tv(a: JointTable, b: JointTable) -> float:
@@ -149,10 +150,10 @@ def _ancestral_joint(net: BayesNet, names,
     return joint_mass(sub, limit)
 
 
-def _factor_table(net: BayesNet, joint: JointTable, outputs, given) -> Cpt:
-    """P(outputs | given) read off ``joint``, whose scope holds both sets.
-
-    The layout is that of :func:`transition_table`.
+def _factor_table(net: BayesNet, joint: JointTable, outputs,
+                  given) -> np.ndarray:
+    """Rows of P(outputs | given) read off ``joint``, whose scope holds
+    both sets, as a 2-d array laid out as in :func:`transition_table`.
     """
     outs = net.sorted_by_position(set(outputs))
     conds = net.sorted_by_position(set(given))
@@ -182,18 +183,7 @@ def _factor_table(net: BayesNet, joint: JointTable, outputs, given) -> Cpt:
             shape[conds.index(n)] = card[n]
             shape[len(conds) + outs.index(n)] = card[n]
             table = table * np.eye(card[n]).reshape(shape)
-    if len(outs) == 1:
-        col_labels = net.variable(outs[0]).levels
-    else:
-        col_labels = tuple(",".join(c) for c in _config_labels(net, outs))
-    rows = table.reshape(len(block), len(col_labels))
-    return Cpt(
-        child=",".join(outs),
-        child_levels=col_labels,
-        parents=conds,
-        parent_levels=tuple(net.variable(n).levels for n in conds),
-        rows=tuple(ProbVec(col_labels, r) for r in rows.tolist()),
-    )
+    return table.reshape(len(block), -1)
 
 
 def transition_table(net: BayesNet, outputs, given,
@@ -208,4 +198,17 @@ def transition_table(net: BayesNet, outputs, given,
     that set's states.
     """
     joint = _ancestral_joint(net, set(outputs) | set(given), limit)
-    return _factor_table(net, joint, outputs, given)
+    rows = _factor_table(net, joint, outputs, given)
+    outs = net.sorted_by_position(set(outputs))
+    conds = net.sorted_by_position(set(given))
+    if len(outs) == 1:
+        col_labels = net.variable(outs[0]).levels
+    else:
+        col_labels = tuple(",".join(c) for c in _config_labels(net, outs))
+    return Cpt(
+        child=",".join(outs),
+        child_levels=col_labels,
+        parents=conds,
+        parent_levels=tuple(net.variable(n).levels for n in conds),
+        rows=tuple(ProbVec(col_labels, r) for r in rows.tolist()),
+    )

@@ -1,20 +1,25 @@
 """Total-variation computations on probability vectors and CPTs.
 
-Everything here is a pure function on immutable values.  Max-taking
-operations resolve ties to the lowest row indices so reports are
-deterministic, and sums run left to right over columns for the same
-reason.
+Everything here is a pure function on immutable values.  Row
+computations run on :meth:`Cpt.grid` through two kernels, a TV that
+adds columns left to right and a convex sum that adds its terms in
+order; numpy's reductions, which sum eight or more terms pairwise, are
+not used, so values equal the plain per-row loops bit for bit.
+Max-taking operations resolve ties to the lowest row indices.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
 ROW_SUM_TOLERANCE = 1e-9
+# floats per temporary array in the row-pair scan
+_PAIR_BUDGET = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,15 @@ class Cpt:
             index //= len(ls)
         return tuple(reversed(labels))
 
+    def grid(self) -> np.ndarray:
+        """Rows as one float64 array of shape (*parent cards, child card).
+
+        Axis ``j`` is parent ``j``; C-order flattening is the row order.
+        """
+        shape = [len(ls) for ls in self.parent_levels]
+        return np.array([r.mass for r in self.rows], dtype=np.float64
+                        ).reshape(shape + [len(self.child_levels)])
+
     def violations(self) -> list[str]:
         problems = []
         if len(self.child_levels) < 1:
@@ -158,6 +172,64 @@ class Cpt:
         return t
 
 
+def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """TV between rows (last axis) of broadcast arrays, columns in order."""
+    total = np.abs(a[..., 0] - b[..., 0])
+    for c in range(1, a.shape[-1]):
+        total += np.abs(a[..., c] - b[..., c])
+    return 0.5 * total
+
+
+def _max(d: np.ndarray, floor: float = 0.0) -> float:
+    """Largest entry of ``d`` above ``floor``, else ``floor``; NaN ignored."""
+    return float(np.max(d, initial=floor, where=~np.isnan(d)))
+
+
+def _pair_scan(X: np.ndarray, Y: np.ndarray | None = None,
+               floor: float = 0.0):
+    """Largest TV between rows of 2-d arrays, with its (i, j) witness.
+
+    The pairs are rows i < j of ``X``, or with ``Y`` every (X row, Y row).
+    A pair must beat ``floor`` and every earlier pair, so ties go to the
+    lowest (i, j), NaN never wins and no winner gives (0, 0).  Blocks of
+    ``X`` rows keep each temporary within _PAIR_BUDGET floats.
+    """
+    upper = Y is None
+    Y = X if upper else Y
+    best, pair = floor, (0, 0)
+    step = max(1, _PAIR_BUDGET // len(Y))
+    for lo in range(0, len(X) - upper, step):
+        hi = min(lo + step, len(X))
+        j0 = lo + 1 if upper else 0
+        d = _tv(X[lo:hi, None, :], Y[None, j0:, :])
+        keep = ~np.isnan(d)
+        if upper:
+            keep &= np.arange(lo, hi)[:, None] < np.arange(j0, len(Y))
+        d = np.where(keep, d, -np.inf)
+        i, j = divmod(int(np.argmax(d)), d.shape[1])
+        if d[i, j] > best:
+            best, pair = float(d[i, j]), (lo + i, j0 + j)
+    return best, pair
+
+
+def _convex_sum(w: np.ndarray, rows: np.ndarray):
+    """Sum over i of ``w[..., i] * rows[..., i, :]``, added in order of i."""
+    total = 0.0
+    for i in range(rows.shape[-2]):
+        total = total + w[..., i, None] * rows[..., i, :]
+    return total
+
+
+def _flat(P: "Cpt") -> np.ndarray:
+    return P.grid().reshape(-1, len(P.child_levels))
+
+
+def _grid_rows(G: np.ndarray, levels) -> tuple[ProbVec, ...]:
+    """The rows of a grid as unchecked ProbVecs over ``levels``."""
+    return tuple(ProbVec(levels, r)
+                 for r in G.reshape(-1, len(levels)).tolist())
+
+
 @dataclass(frozen=True)
 class VariationMatrix:
     """Pairwise row TV distances of a CPT."""
@@ -166,28 +238,18 @@ class VariationMatrix:
     entries: tuple[tuple[float, ...], ...]
 
 
-def _check_same_shape(P: Cpt, Q: Cpt) -> None:
-    if (P.child_levels != Q.child_levels
-            or P.parents != Q.parents
-            or P.parent_levels != Q.parent_levels):
-        raise DomainError(
-            f"CPT shape mismatch between {P.child!r} and {Q.child!r}"
-        )
-
-
 def cpt_tv_plus(P: Cpt, Q: Cpt) -> float:
     """Row-wise maximum TV between two same-shape CPTs."""
-    _check_same_shape(P, Q)
-    best = 0.0
-    for p, q in zip(P.rows, Q.rows):
-        best = max(best, tv_distance(p, q))
-    return best
+    if ((P.child_levels, P.parents, P.parent_levels)
+            != (Q.child_levels, Q.parents, Q.parent_levels)):
+        raise DomainError(
+            f"CPT shape mismatch between {P.child!r} and {Q.child!r}")
+    return _max(_tv(P.grid(), Q.grid()))
 
 
 def cpt_superbound(P: Cpt, Q: Cpt) -> float:
     """Maximum TV between any row of P and any row of Q."""
-    value, _ = _superbound_with_witness(P, Q)
-    return value
+    return _superbound_with_witness(P, Q)[0]
 
 
 def superbound_witness(P: Cpt, Q: Cpt) -> tuple[int, int]:
@@ -195,8 +257,7 @@ def superbound_witness(P: Cpt, Q: Cpt) -> tuple[int, int]:
 
     Ties resolve to the lowest P row, then the lowest Q row.
     """
-    _, pair = _superbound_with_witness(P, Q)
-    return pair
+    return _superbound_with_witness(P, Q)[1]
 
 
 def _superbound_with_witness(P: Cpt, Q: Cpt):
@@ -204,14 +265,7 @@ def _superbound_with_witness(P: Cpt, Q: Cpt):
         raise DomainError("child level mismatch")
     if len(P.rows) != len(Q.rows):
         raise DomainError("row count mismatch")
-    best = -1.0
-    pair = (0, 0)
-    for i, p in enumerate(P.rows):
-        for j, q in enumerate(Q.rows):
-            d = tv_distance(p, q)
-            if d > best:
-                best, pair = d, (i, j)
-    return best, pair
+    return _pair_scan(_flat(P), _flat(Q), floor=-1.0)
 
 
 def diameter(P: Cpt) -> float:
@@ -220,25 +274,12 @@ def diameter(P: Cpt) -> float:
     Zero exactly when all rows are equal, in which case the child is
     independent of its parents.
     """
-    value, _ = _diameter_with_witness(P)
-    return value
+    return _pair_scan(_flat(P))[0]
 
 
 def diameter_witness(P: Cpt) -> tuple[int, int]:
     """Zero-based row pair attaining the diameter, lowest indices on ties."""
-    _, pair = _diameter_with_witness(P)
-    return pair
-
-
-def _diameter_with_witness(P: Cpt):
-    best = 0.0
-    pair = (0, 0)
-    for i in range(len(P.rows)):
-        for j in range(i + 1, len(P.rows)):
-            d = tv_distance(P.rows[i], P.rows[j])
-            if d > best:
-                best, pair = d, (i, j)
-    return best, pair
+    return _pair_scan(_flat(P))[1]
 
 
 def local_diameter(P: Cpt, I) -> float:
@@ -249,21 +290,14 @@ def local_diameter(P: Cpt, I) -> float:
     for i in idx:
         if not 0 <= i < len(P.rows):
             raise DomainError(f"row index {i} out of range")
-    best = 0.0
-    for a, b in itertools.combinations(idx, 2):
-        best = max(best, tv_distance(P.rows[a], P.rows[b]))
-    return best
+    return _pair_scan(_flat(P)[idx])[0]
 
 
 def variation_matrix(P: Cpt) -> VariationMatrix:
-    n = len(P.rows)
-    entries = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = tv_distance(P.rows[i], P.rows[j])
-            entries[i][j] = d
-            entries[j][i] = d
-    return VariationMatrix(n, tuple(tuple(r) for r in entries))
+    X = _flat(P)
+    d = _tv(X[:, None, :], X[None, :, :])
+    np.fill_diagonal(d, 0.0)
+    return VariationMatrix(len(X), tuple(map(tuple, d.tolist())))
 
 
 def parent_diameter(P: Cpt, j: int) -> float:
@@ -275,21 +309,8 @@ def parent_diameter(P: Cpt, j: int) -> float:
     """
     if not 0 <= j < len(P.parents):
         raise DomainError(f"parent index {j} out of range")
-    best = 0.0
-    others = [i for i in range(len(P.parents)) if i != j]
-    other_levels = [P.parent_levels[i] for i in others]
-    j_levels = P.parent_levels[j]
-    for fixed in itertools.product(*other_levels):
-        rows = []
-        for lv in j_levels:
-            config = [None] * len(P.parents)
-            for pos, label in zip(others, fixed):
-                config[pos] = label
-            config[j] = lv
-            rows.append(P.rows[P.row_index(config)])
-        for a, b in itertools.combinations(rows, 2):
-            best = max(best, tv_distance(a, b))
-    return best
+    G = np.moveaxis(P.grid(), j, -2)
+    return _max(_tv(G[..., :, None, :], G[..., None, :, :]))
 
 
 def parent_index(P: Cpt, name: str) -> int:
@@ -310,14 +331,11 @@ def mix(weights, rows) -> ProbVec:
     if not rows:
         raise DomainError("nothing to mix")
     levels = rows[0].levels
-    for r in rows:
-        if r.levels != levels:
-            raise DomainError("level mismatch among mixed rows")
-    mass = [0.0] * len(levels)
-    for wi, r in zip(w, rows):
-        for k, x in enumerate(r.mass):
-            mass[k] += wi * x
-    return ProbVec.of(levels, mass)
+    if any(r.levels != levels for r in rows):
+        raise DomainError("level mismatch among mixed rows")
+    mass = _convex_sum(np.array(w, dtype=np.float64),
+                       np.array([r.mass for r in rows], dtype=np.float64))
+    return ProbVec.of(levels, mass.tolist())
 
 
 def collapse_parent(P: Cpt, j: int, weight_rows=None) -> Cpt:
@@ -331,23 +349,16 @@ def collapse_parent(P: Cpt, j: int, weight_rows=None) -> Cpt:
     """
     if not 0 <= j < len(P.parents):
         raise DomainError(f"parent index {j} out of range")
-    others = [i for i in range(len(P.parents)) if i != j]
-    new_parents = tuple(P.parents[i] for i in others)
-    new_parent_levels = tuple(P.parent_levels[i] for i in others)
-    j_levels = P.parent_levels[j]
-    uniform = [1.0 / len(j_levels)] * len(j_levels)
-    new_rows = []
-    reduced = Cpt(P.child, P.child_levels, new_parents, new_parent_levels, ())
-    for r in range(reduced.n_rows):
-        fixed = reduced.parent_config(r)
-        group = []
-        for lv in j_levels:
-            config = [None] * len(P.parents)
-            for pos, label in zip(others, fixed):
-                config[pos] = label
-            config[j] = lv
-            group.append(P.rows[P.row_index(config)])
-        w = uniform if weight_rows is None else list(weight_rows[r])
-        new_rows.append(mix(w, group))
-    return Cpt.of(P.child, P.child_levels, new_parents, new_parent_levels,
-                  new_rows)
+    G = np.moveaxis(P.grid(), j, -2)
+    n = G.shape[-2]
+    if weight_rows is None:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = [tuple(weight_rows[r]) for r in range(math.prod(G.shape[:-2]))]
+        for wr in w:
+            if len(wr) != n:
+                raise DomainError(f"{len(wr)} weights for {n} rows")
+        w = np.array(w, dtype=np.float64).reshape(G.shape[:-1])
+    return Cpt.of(P.child, P.child_levels, P.parents[:j] + P.parents[j + 1:],
+                  P.parent_levels[:j] + P.parent_levels[j + 1:],
+                  _grid_rows(_convex_sum(w, G), P.child_levels))

@@ -1,12 +1,13 @@
+import itertools
 import pathlib
 
 import numpy as np
 import pytest
 
-from tvrobust import BayesNet, Cpt, ProbVec, Variable
+from tvrobust import BayesNet, Cpt, ProbVec, Variable, tv_distance
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError
-from tvrobust.exact_oracle import JointTable, marginal
+from tvrobust.exact_oracle import JointTable, joint_mass, marginal_of
 
 TESTS_DIR = pathlib.Path(__file__).parent
 MODELS_DIR = TESTS_DIR / "models"
@@ -133,7 +134,7 @@ def reference_transition_table(net: BayesNet, outputs, given) -> Cpt:
     outs = net.sorted_by_position(set(outputs))
     conds = net.sorted_by_position(set(given))
     union = net.sorted_by_position(set(outs) | set(conds))
-    grid = marginal(net, union).grid()
+    grid = marginal_of(joint_mass(net), union).grid()
     upos = {name: i for i, name in enumerate(union)}
 
     def configs(names):
@@ -177,3 +178,128 @@ def reference_diameter(rows) -> float:
     rows = np.asarray(rows, dtype=np.float64)
     gaps = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
     return 0.5 * float(gaps.max())
+
+
+# Scalar references: the per-row, label-driven loops the grid kernels in
+# tv_core and advisors replaced.  The kernels must match them with ==.
+
+
+def scalar_diameter(P: Cpt):
+    """(diameter, witness): strictly larger pairs win, lowest (i, j) first."""
+    best, pair = 0.0, (0, 0)
+    for i in range(len(P.rows)):
+        for j in range(i + 1, len(P.rows)):
+            d = tv_distance(P.rows[i], P.rows[j])
+            if d > best:
+                best, pair = d, (i, j)
+    return best, pair
+
+
+def scalar_superbound(P: Cpt, Q: Cpt):
+    """(superbound, witness) over every (P row, Q row) pair."""
+    best, pair = -1.0, (0, 0)
+    for i, p in enumerate(P.rows):
+        for j, q in enumerate(Q.rows):
+            d = tv_distance(p, q)
+            if d > best:
+                best, pair = d, (i, j)
+    return best, pair
+
+
+def _config_with(P: Cpt, j: int, fixed, level) -> list:
+    """Parent labels with ``fixed`` on the other parents and ``level`` at j."""
+    config = list(fixed)
+    config.insert(j, level)
+    return config
+
+
+def scalar_parent_diameter(P: Cpt, j: int) -> float:
+    best = 0.0
+    others = [P.parent_levels[i] for i in range(len(P.parents)) if i != j]
+    for fixed in itertools.product(*others):
+        rows = [P.rows[P.row_index(_config_with(P, j, fixed, lv))]
+                for lv in P.parent_levels[j]]
+        for a, b in itertools.combinations(rows, 2):
+            best = max(best, tv_distance(a, b))
+    return best
+
+
+def scalar_mix(weights, rows) -> tuple[float, ...]:
+    """Convex combination added term by term, column by column."""
+    mass = [0.0] * len(rows[0].mass)
+    for w, r in zip(weights, rows):
+        for k, x in enumerate(r.mass):
+            mass[k] += w * x
+    return tuple(mass)
+
+
+def scalar_collapse_parent(P: Cpt, j: int, weight_rows=None):
+    """Mass tuples of the rows of P with parent ``j`` averaged out."""
+    n = len(P.parent_levels[j])
+    others = [P.parent_levels[i] for i in range(len(P.parents)) if i != j]
+    out = []
+    for r, fixed in enumerate(itertools.product(*others)):
+        group = [P.rows[P.row_index(_config_with(P, j, fixed, lv))]
+                 for lv in P.parent_levels[j]]
+        w = [1.0 / n] * n if weight_rows is None else list(weight_rows[r])
+        out.append(scalar_mix(w, group))
+    return out
+
+
+def scalar_delete_edge_cost(P: Cpt, j: int, merged: Cpt) -> float:
+    cost = 0.0
+    for i, row in enumerate(P.rows):
+        config = list(P.parent_config(i))
+        del config[j]
+        counterpart = merged.rows[merged.row_index(config)]
+        cost = max(cost, tv_distance(row, counterpart))
+    return cost
+
+
+def scalar_counterpart_cost(original: Cpt, merged: Cpt, j: int,
+                            to_new) -> float:
+    cost = 0.0
+    for i, row in enumerate(original.rows):
+        config = list(original.parent_config(i))
+        config[j] = to_new[config[j]]
+        counterpart = merged.rows[merged.row_index(config)]
+        cost = max(cost, tv_distance(row, counterpart))
+    return cost
+
+
+def scalar_pair_costs(net: BayesNet, variable: str):
+    """Unsorted (level pair, cost) for every consecutive pair."""
+    levels = net.variable(variable).levels
+    out = []
+    for a, b in zip(levels, levels[1:]):
+        cost = 0.0
+        for t in net.cpts:
+            if variable not in t.parents:
+                continue
+            j = t.parents.index(variable)
+            for i, row in enumerate(t.rows):
+                config = list(t.parent_config(i))
+                if config[j] != a:
+                    continue
+                config[j] = b
+                other = t.rows[t.row_index(config)]
+                cost = max(cost, tv_distance(row, other))
+        out.append(((a, b), cost))
+    return out
+
+
+def random_table(rng, k: int, cards, ties: bool = False) -> Cpt:
+    """A CPT with a ``k``-level child over parents with ``cards`` levels.
+
+    With ``ties`` the rows repeat a few distinct vectors, so several row
+    pairs attain the diameter and the witness rule is exercised.
+    """
+    levels = tuple(f"l{i}" for i in range(k))
+    plevels = tuple(tuple(f"p{a}{b}" for b in range(c))
+                    for a, c in enumerate(cards))
+    n = int(np.prod(cards, dtype=np.int64))
+    pool = [random_vector(rng, k) for _ in range(3 if ties else n)]
+    rows = [ProbVec(levels, pool[int(rng.integers(len(pool)))].mass
+                    if ties else pool[i].mass) for i in range(n)]
+    return Cpt.of("C", levels, tuple(f"P{a}" for a in range(len(cards))),
+                  plevels, rows)

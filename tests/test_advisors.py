@@ -22,7 +22,17 @@ from tvrobust import (
 )
 from tvrobust.advisors import counterpart_cost
 
-from conftest import RAINFALL_LEVELS, TREE_LEVELS, random_net, tree_cpt
+from conftest import (
+    RAINFALL_LEVELS,
+    TREE_LEVELS,
+    random_net,
+    random_table,
+    scalar_collapse_parent,
+    scalar_counterpart_cost,
+    scalar_delete_edge_cost,
+    scalar_pair_costs,
+    tree_cpt,
+)
 
 
 def test_edge_report_fragment_order_and_values(fragment):
@@ -289,3 +299,53 @@ def test_priority_disconnected_family_scores_zero():
 def test_priority_rejects_unknown_target(fragment):
     with pytest.raises(DomainError):
         elicitation_priority(fragment, ("Pollinators",))
+
+
+def _differential_nets():
+    """Random nets, plus nets whose parent P0 feeds an 8-16-level child."""
+    rng = np.random.default_rng(88)
+    nets = [random_net(rng) for _ in range(15)]
+    for k in (8, 11, 16):
+        for ties in (False, True):
+            t = random_table(rng, k, (4, 3), ties=ties)
+            roots = [Cpt.of(p, ls, (), (), [ProbVec(ls, (1.0 / len(ls),)
+                                                    * len(ls))])
+                     for p, ls in zip(t.parents, t.parent_levels)]
+            variables = [Variable(c.child, c.child_levels)
+                         for c in roots + [t]]
+            nets.append(BayesNet.of(variables, roots + [t]))
+    return nets
+
+
+def test_advisor_costs_equal_scalar_loops_bit_for_bit():
+    for net in _differential_nets():
+        for v in net.variables:
+            if len(v.levels) >= 2:
+                assert sorted(amalgamation_suggest(net, v.name),
+                              key=lambda pc: pc[0]) == \
+                    sorted(scalar_pair_costs(net, v.name),
+                           key=lambda pc: pc[0])
+                group = v.levels[:max(2, len(v.levels) - 1)]
+                merged_net, costs = amalgamate_levels(net, v.name, group)
+                to_new = {lv: "+".join(group) if lv in group else lv
+                          for lv in v.levels}
+                for child, cost in costs.items():
+                    t = net.cpt(child)
+                    assert cost == scalar_counterpart_cost(
+                        t, merged_net.cpt(child), t.parents.index(v.name),
+                        to_new)
+                # the variable's own columns are summed left to right
+                summed = []
+                for row in net.cpt(v.name).rows:
+                    acc = dict.fromkeys(to_new.values(), 0.0)
+                    for lv, x in zip(row.levels, row.mass):
+                        acc[to_new[lv]] += x
+                    summed.append(tuple(acc.values()))
+                assert [r.mass for r in merged_net.cpt(v.name).rows] == summed
+        for parent, child in net.edges():
+            t = net.cpt(child)
+            j = t.parents.index(parent)
+            new, cost = delete_edge(net, parent, child)
+            assert [r.mass for r in new.cpt(child).rows] == \
+                scalar_collapse_parent(t, j)
+            assert cost == scalar_delete_edge_cost(t, j, new.cpt(child))

@@ -173,6 +173,32 @@ def test_descendants_consistent_with_ancestors(ten_node):
             assert name in d[other]
 
 
+def test_position_index_keeps_the_first_duplicate():
+    a = Variable("A", ("t", "f"))
+    row = ProbVec(("t", "f"), (0.5, 0.5))
+    net = BayesNet((a, Variable("B", ("t", "f")), a),
+                   tuple(Cpt(n, ("t", "f"), (), (), (row,))
+                         for n in ("A", "B", "A")))
+    assert net.position("A") == 0
+    assert net.position("B") == 1
+    for bad in ("C", ["A"]):
+        with pytest.raises(DomainError, match="unknown variable"):
+            net.position(bad)
+    assert validate(net) == ["duplicate variable names"]
+
+
+def test_descendants_map_matches_children_walk():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        net = random_net(rng, 5, 9)
+        want = {}
+        for n in reversed(topological_order(net)):
+            want[n] = set()
+            for c in net.children_of(n):
+                want[n] |= {c} | want[c]
+        assert descendants_map(net) == want
+
+
 def test_sorted_by_position(ten_node):
     got = ten_node.sorted_by_position({"X9", "X2", "X5"})
     assert got == ("X2", "X5", "X9")

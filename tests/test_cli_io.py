@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +129,17 @@ def test_parse_strict_mode_runs_validation():
     net, violations = parse_model(bad, strict=False)
     assert violations
     assert net.names() == ("A",)
+
+
+def test_huge_integer_mass_is_a_nonfinite_violation(tmp_path, capsys):
+    # json reads the integer exactly; as a float it overflows to inf
+    text = _doc().replace("[[0.5, 0.5]]", "[[1" + "0" * 400 + ", 0]]")
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run_cli(["validate", str(path)]) == 1
+    assert "A: row 0: non-finite mass" in capsys.readouterr().out
+    with pytest.raises(ParseError, match="non-finite mass"):
+        parse_model(text)
 
 
 def test_emit_dot_edge_report_matches_golden(fragment):
@@ -309,3 +323,25 @@ def test_cli_path_command_lists_cliques(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "{X1, X2}" in out
     assert "{X7, X9}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--json"],
+    ["impact", "--from", "X1", "--to", "X9", "--json"],
+    ["impact", "--from", "X1", "--to", "X9", "--mode", "bound", "--json"],
+], ids=["report", "impact_exact", "impact_bound"])
+def test_cli_stdout_is_stable_across_hash_seeds(argv):
+    src = str(TESTS_DIR.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvrobust"] + argv
+            + ["models/ten_node_demo.json"],
+            cwd=TESTS_DIR, env=env, capture_output=True, text=True,
+            check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -59,6 +59,15 @@ def test_marginal_of_fragment_matches_hand_values(fragment):
     assert np.allclose(tree.mass, RHO1, atol=1e-12)
 
 
+def test_marginal_reads_the_ancestral_joint(ten_node):
+    # X1 is a root: its margin needs 2 states, not the net's 1024
+    m = marginal(ten_node, ["X1"], limit=4)
+    assert m.scope == ("X1",)
+    assert tuple(m.mass) == ten_node.cpt("X1").rows[0].mass
+    with pytest.raises(ResourceLimitError):
+        marginal(ten_node, ["X9"], limit=4)
+
+
 def test_marginal_of_rejects_bad_scopes(fragment):
     joint = joint_mass(fragment)
     with pytest.raises(DomainError):

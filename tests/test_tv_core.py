@@ -25,7 +25,14 @@ from conftest import (
     Q_ROWS,
     RAINFALL_LEVELS,
     TREE_LEVELS,
+    random_net,
+    random_table,
     random_vector,
+    scalar_collapse_parent,
+    scalar_diameter,
+    scalar_mix,
+    scalar_parent_diameter,
+    scalar_superbound,
     tree_cpt,
 )
 
@@ -241,3 +248,83 @@ def test_determinism_of_witnesses():
     p, q = tree_cpt(P_ROWS), tree_cpt(Q_ROWS)
     assert superbound_witness(p, q) == superbound_witness(p, q)
     assert diameter_witness(p) == diameter_witness(p)
+
+
+def _differential_tables():
+    """Tables from random nets, 8-16-level children, ties and edge cases."""
+    rng = np.random.default_rng(77)
+    tables = []
+    for _ in range(15):
+        tables.extend(random_net(rng).cpts)
+    for k in (8, 9, 12, 16):
+        for cards in ((2,), (3, 2), (2, 4, 2)):
+            tables.append(random_table(rng, k, cards))
+            tables.append(random_table(rng, k, cards, ties=True))
+    levels = tuple(f"l{i}" for i in range(9))
+    same = random_vector(rng, 9).mass
+    tables.append(Cpt.of("C", levels, ("P",), (("a", "b", "c"),),
+                         [ProbVec(levels, same)] * 3))
+    tables.append(Cpt.of("C", levels, (), (),
+                         [ProbVec(levels, random_vector(rng, 9).mass)]))
+    return tables
+
+
+def test_row_kernels_equal_scalar_loops_bit_for_bit():
+    tables = _differential_tables()
+    for t in tables:
+        assert (diameter(t), diameter_witness(t)) == scalar_diameter(t)
+        for j in range(len(t.parents)):
+            assert parent_diameter(t, j) == scalar_parent_diameter(t, j)
+            got = [r.mass for r in collapse_parent(t, j).rows]
+            assert got == scalar_collapse_parent(t, j)
+    # the superbound pairs tables with the same child levels and row count
+    for t in tables:
+        for u in tables:
+            if (u.child_levels, len(u.rows)) == (t.child_levels, len(t.rows)):
+                assert (cpt_superbound(t, u), superbound_witness(t, u)) == \
+                    scalar_superbound(t, u)
+
+
+def test_collapse_with_weight_rows_equals_scalar_loop():
+    rng = np.random.default_rng(78)
+    for k in (2, 9, 16):
+        t = random_table(rng, k, (3, 4))
+        for j in (0, 1):
+            n = len(t.parent_levels[j])
+            weights = [random_vector(rng, n).mass
+                       for _ in range(len(t.rows) // n)]
+            got = [r.mass for r in collapse_parent(t, j, weights).rows]
+            assert got == scalar_collapse_parent(t, j, weights)
+    # one-level rows make the summed axis contiguous, where numpy's own
+    # reductions would add ten or more terms pairwise
+    for k in (12, 1):
+        for _ in range(10):
+            rows = [random_vector(rng, k) for _ in range(10)]
+            w = random_vector(rng, 10).mass
+            assert mix(w, rows).mass == scalar_mix(w, rows)
+    t = random_table(rng, 1, (12, 2))
+    weights = [random_vector(rng, 12).mass for _ in range(2)]
+    assert [r.mass for r in collapse_parent(t, 0, weights).rows] == \
+        scalar_collapse_parent(t, 0, weights)
+
+
+def test_collapse_checks_weight_counts():
+    with pytest.raises(DomainError, match="2 weights for 3 rows"):
+        collapse_parent(tree_cpt(), 1, weight_rows=[(0.5, 0.5)] * 2)
+
+
+def test_pair_scan_blocks_keep_the_lowest_witness():
+    """A table large enough to be scanned in several blocks of rows."""
+    rng = np.random.default_rng(79)
+    t = random_table(rng, 16, (20, 15))
+    far = (ProbVec(t.child_levels, (1.0,) + (0.0,) * 15),
+           ProbVec(t.child_levels, (0.0,) * 15 + (1.0,)))
+    rows = list(t.rows)
+    for i, r in ((40, 0), (290, 1), (120, 0), (250, 1), (299, 0)):
+        rows[i] = far[r]
+    t = Cpt.of(t.child, t.child_levels, t.parents, t.parent_levels, rows)
+    assert (diameter(t), diameter_witness(t)) == scalar_diameter(t) \
+        == (1.0, (40, 250))
+    assert (cpt_superbound(t, t), superbound_witness(t, t)) == \
+        scalar_superbound(t, t) == (1.0, (40, 250))
+    assert local_diameter(t, range(100, 300)) == 1.0
