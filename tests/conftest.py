@@ -206,7 +206,7 @@ def scalar_superbound(P: Cpt, Q: Cpt):
     return best, pair
 
 
-def _config_with(P: Cpt, j: int, fixed, level) -> list:
+def _config_with(j: int, fixed, level) -> list:
     """Parent labels with ``fixed`` on the other parents and ``level`` at j."""
     config = list(fixed)
     config.insert(j, level)
@@ -217,7 +217,7 @@ def scalar_parent_diameter(P: Cpt, j: int) -> float:
     best = 0.0
     others = [P.parent_levels[i] for i in range(len(P.parents)) if i != j]
     for fixed in itertools.product(*others):
-        rows = [P.rows[P.row_index(_config_with(P, j, fixed, lv))]
+        rows = [P.rows[P.row_index(_config_with(j, fixed, lv))]
                 for lv in P.parent_levels[j]]
         for a, b in itertools.combinations(rows, 2):
             best = max(best, tv_distance(a, b))
@@ -239,7 +239,7 @@ def scalar_collapse_parent(P: Cpt, j: int, weight_rows=None):
     others = [P.parent_levels[i] for i in range(len(P.parents)) if i != j]
     out = []
     for r, fixed in enumerate(itertools.product(*others)):
-        group = [P.rows[P.row_index(_config_with(P, j, fixed, lv))]
+        group = [P.rows[P.row_index(_config_with(j, fixed, lv))]
                  for lv in P.parent_levels[j]]
         w = [1.0 / n] * n if weight_rows is None else list(weight_rows[r])
         out.append(scalar_mix(w, group))

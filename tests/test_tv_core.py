@@ -277,12 +277,17 @@ def test_row_kernels_equal_scalar_loops_bit_for_bit():
             assert parent_diameter(t, j) == scalar_parent_diameter(t, j)
             got = [r.mass for r in collapse_parent(t, j).rows]
             assert got == scalar_collapse_parent(t, j)
-    # the superbound pairs tables with the same child levels and row count
+    # the superbound pairs tables with the same child levels and row
+    # count, the row-aligned distance tables of the same shape
     for t in tables:
         for u in tables:
-            if (u.child_levels, len(u.rows)) == (t.child_levels, len(t.rows)):
-                assert (cpt_superbound(t, u), superbound_witness(t, u)) == \
-                    scalar_superbound(t, u)
+            if (u.child_levels, len(u.rows)) != (t.child_levels, len(t.rows)):
+                continue
+            assert (cpt_superbound(t, u), superbound_witness(t, u)) == \
+                scalar_superbound(t, u)
+            if (u.parents, u.parent_levels) == (t.parents, t.parent_levels):
+                gaps = [tv_distance(p, q) for p, q in zip(t.rows, u.rows)]
+                assert cpt_tv_plus(t, u) == max([0.0] + gaps)
 
 
 def test_collapse_with_weight_rows_equals_scalar_loop():
