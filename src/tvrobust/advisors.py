@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bn_model import BayesNet, Variable, validate
-from .bounds import path_impact
+from .bounds import _bound_pricer, _impact_product
 from .errors import DomainError
-from .jtree import donor_target_path
+from .jtree import _donor_target_path, moralize, path_factor_specs
 from .tv_core import (
     Cpt,
     ProbVec,
@@ -156,6 +156,9 @@ def _merged_levels_any(levels, group):
     """New level tuple with a group fused at its first member, plus the
     mapping from old to new levels."""
     merged_name = "+".join(group)
+    if merged_name in levels and merged_name not in group:
+        raise DomainError(f"merged level name {merged_name!r} is already "
+                          "a level outside the group")
     first = min(levels.index(lv) for lv in group)
     new_levels = []
     for i, lv in enumerate(levels):
@@ -249,12 +252,14 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     targets = set(targets)
     for t in targets:
         net.position(t)
+    moral = moralize(net)
+    price = _bound_pricer(net)
     records = []
     for v, t in zip(net.variables, net.cpts):
         family = {v.name} | set(t.parents)
         try:
-            _, path = donor_target_path(net, family, targets)
-            result = path_impact(net, path, mode="bound")
+            _, path = _donor_target_path(net, moral, family, targets)
+            result = _impact_product(path_factor_specs(path), price, "bound")
         except DomainError as e:
             records.append(PriorityRecord(v.name, None, str(e)))
             continue

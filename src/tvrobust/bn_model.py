@@ -9,6 +9,7 @@ construct with checking.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -122,28 +123,31 @@ def validate(net: BayesNet) -> list[str]:
 
 
 def topological_order(net: BayesNet) -> tuple[str, ...]:
-    """Parents before children; ties broken by declaration order."""
+    """Parents before children; ties broken by declaration order (Kahn's
+    algorithm, the first-declared ready variable always placed next)."""
     names = [v.name for v in net.variables]
-    known = set(names)
+    first = net._index
     pending = {
-        v.name: [p for p in t.parents if p in known]
+        v.name: {p for p in t.parents if p in first}
         for v, t in zip(net.variables, net.cpts)
     }
+    children: dict[str, list[str]] = {n: [] for n in first}
+    for n, ps in pending.items():
+        for p in ps:
+            children[p].append(n)
+    ready = [first[n] for n in first if not pending[n]]
+    heapq.heapify(ready)
     order = []
-    placed = set()
-    while len(order) < len(names):
-        progressed = False
-        for n in names:
-            if n in placed:
-                continue
-            if all(p in placed for p in pending[n]):
-                order.append(n)
-                placed.add(n)
-                progressed = True
-                break
-        if not progressed:
-            stuck = [n for n in names if n not in placed]
-            raise DomainError("cycle detected involving " + ", ".join(stuck))
+    while ready:
+        n = names[heapq.heappop(ready)]
+        order.append(n)
+        for c in children[n]:
+            pending[c].discard(n)
+            if not pending[c]:
+                heapq.heappush(ready, first[c])
+    if len(order) < len(names):
+        stuck = [n for n in names if pending[n]]
+        raise DomainError("cycle detected involving " + ", ".join(stuck))
     return tuple(order)
 
 

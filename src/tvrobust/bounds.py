@@ -9,6 +9,7 @@ the assembled bound, and both are certified factor by factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bn_model import BayesNet, descendants_map, topological_order
@@ -130,46 +131,67 @@ def _factor_name(outputs, given) -> str:
     return f"P({left} | {right})"
 
 
-def _bound_factor(net: BayesNet, outputs, given, topo_rank, desc) -> Factor:
-    """Upper-bound one path factor from model CPT diameters alone.
+def _bound_pricer(net: BayesNet):
+    """Bound-mode ``price(outputs, given)``; one pricer serves many paths.
 
-    Output variables are handled in topological order.  A variable that
-    already appears in the conditioning set is an identity column and
-    contributes 1.  Otherwise its contribution is its own CPT diameter,
-    which is sound when the conditioning set holds no descendant of the
-    variable (extra non-descendant conditioning beyond the parents adds
-    nothing, and absent parents only average rows together).  A
-    conditioning set containing a descendant cannot be bounded this way
-    and is reported as a gap.
+    Topological rank, descendants and each used CPT's diameter are
+    computed once per pricer.  A factor is upper-bounded from model CPT
+    diameters alone, its output variables taken in topological order.  A
+    variable that already appears in the conditioning set is an identity
+    column and contributes 1.  Otherwise its contribution is its own CPT
+    diameter, which is sound when the conditioning set holds no
+    descendant of the variable (extra non-descendant conditioning beyond
+    the parents adds nothing, and absent parents only average rows
+    together).  A conditioning set containing a descendant cannot be
+    bounded this way and is reported as a gap.
     """
-    z = list(given)
-    terms = []
-    total = 0.0
-    for w in sorted(outputs, key=topo_rank.get):
-        if w in z:
-            total += 1.0
-            terms.append(f"{w}: 1 (fixed by conditioning set)")
-            continue
-        blockers = desc[w] & set(z)
-        if blockers:
-            raise DomainError(
-                f"cannot bound {_factor_name(outputs, given)}: "
-                f"conditioning set of {w} contains descendant(s) "
-                + ", ".join(sorted(blockers))
-            )
-        d = diameter(net.cpt(w))
-        missing = [p for p in net.parents_of(w) if p not in z]
-        note = " (absent parents averaged)" if missing else ""
-        total += d
-        terms.append(f"{w}: {d!r} from its CPT diameter{note}")
-        z.append(w)
-    value = min(1.0, total)
-    return Factor(
-        table=_factor_name(outputs, given),
-        value=value,
-        provenance="cpt-bound",
-        terms=tuple(terms),
-    )
+    topo_rank = {n: i for i, n in enumerate(topological_order(net))}
+    desc = descendants_map(net)
+    cpt_diameter = functools.cache(lambda w: diameter(net.cpt(w)))
+
+    def price(outputs, given) -> Factor:
+        z = list(given)
+        terms = []
+        total = 0.0
+        for w in sorted(outputs, key=topo_rank.get):
+            if w in z:
+                total += 1.0
+                terms.append(f"{w}: 1 (fixed by conditioning set)")
+                continue
+            blockers = desc[w] & set(z)
+            if blockers:
+                raise DomainError(
+                    f"cannot bound {_factor_name(outputs, given)}: "
+                    f"conditioning set of {w} contains descendant(s) "
+                    + ", ".join(sorted(blockers))
+                )
+            d = cpt_diameter(w)
+            missing = [p for p in net.parents_of(w) if p not in z]
+            note = " (absent parents averaged)" if missing else ""
+            total += d
+            terms.append(f"{w}: {d!r} from its CPT diameter{note}")
+            z.append(w)
+        return Factor(_factor_name(outputs, given), min(1.0, total),
+                      "cpt-bound", tuple(terms))
+    return price
+
+
+def _impact_product(specs, price, mode: str) -> BoundResult:
+    """The product of ``price`` over the (outputs, given) factor specs."""
+    if not specs:
+        return BoundResult(
+            1.0, mode,
+            (Factor("(donor and target share a clique)", 1.0, "convention"),),
+        )
+    factors = [
+        price(outputs, given) if outputs
+        else Factor(_factor_name(outputs, given), 0.0, "empty separator")
+        for outputs, given in specs
+    ]
+    value = 1.0
+    for f in factors:
+        value *= f.value
+    return BoundResult(min(1.0, value), mode, tuple(factors))
 
 
 def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
@@ -188,31 +210,15 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
     specs = path_factor_specs(path)
-    if mode == "exact":
+    if mode == "bound":
+        # a single-clique path needs no pricer, so no topological order
+        price = _bound_pricer(net) if specs else None
+    else:
         joint = _ancestral_joint(net, {v for c in path.cliques for v in c},
                                  limit)
-    if not specs:
-        return BoundResult(
-            1.0, mode,
-            (Factor("(donor and target share a clique)", 1.0, "convention"),),
-        )
-    if mode == "exact":
+
         def price(outputs, given) -> Factor:
             rows = _factor_table(net, joint, outputs, given)
             return Factor(_factor_name(outputs, given), _pair_scan(rows)[0],
                           "oracle")
-    else:
-        topo_rank = {n: i for i, n in enumerate(topological_order(net))}
-        desc = descendants_map(net)
-
-        def price(outputs, given) -> Factor:
-            return _bound_factor(net, outputs, given, topo_rank, desc)
-    factors = [
-        price(outputs, given) if outputs
-        else Factor(_factor_name(outputs, given), 0.0, "empty separator")
-        for outputs, given in specs
-    ]
-    value = 1.0
-    for f in factors:
-        value *= f.value
-    return BoundResult(min(1.0, value), mode, tuple(factors))
+    return _impact_product(specs, price, mode)

@@ -35,6 +35,10 @@ class UGraph:
             fixed.append((a, b))
         fixed = sorted(set(fixed), key=lambda e: (pos[e[0]], pos[e[1]]))
         object.__setattr__(self, "edges", tuple(fixed))
+        # vertex -> position, not a field; first duplicate wins, as .index
+        if len(pos) < len(self.vertices):
+            pos = {v: i for i, v in reversed(tuple(enumerate(self.vertices)))}
+        object.__setattr__(self, "_pos", pos)
 
     def neighbors(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
@@ -44,7 +48,7 @@ class UGraph:
         return adj
 
     def position(self, v: str) -> int:
-        return self.vertices.index(v)
+        return self._pos[v] if v in self._pos else self.vertices.index(v)
 
 
 @dataclass(frozen=True)
@@ -347,12 +351,17 @@ def donor_target_path(net: BayesNet, donor, target):
     inside the last separator, so the impact product prices its margin.
     Returns (junction tree, clique path); no probabilities are touched.
     """
+    return _donor_target_path(net, moralize(net), donor, target)
+
+
+def _donor_target_path(net: BayesNet, moral: UGraph, donor, target):
+    """``donor_target_path`` given the moral graph of the whole net."""
     donor = set(donor)
     target = set(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
     keep = ancestral_set(net, donor | target)
-    tri = triangulate(subgraph(moralize(net), keep))
+    tri = triangulate(subgraph(moral, keep))
     jt = build_junction_tree(tri)
 
     def candidates(members, label: str) -> list[int]:

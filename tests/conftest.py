@@ -4,7 +4,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from tvrobust import BayesNet, Cpt, ProbVec, Variable, tv_distance
+from tvrobust import (BayesNet, Cpt, ProbVec, Variable, donor_target_path,
+                      path_impact, tv_distance)
+from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError
 from tvrobust.exact_oracle import JointTable, joint_mass, marginal_of
@@ -303,3 +305,54 @@ def random_table(rng, k: int, cards, ties: bool = False) -> Cpt:
                     if ties else pool[i].mass) for i in range(n)]
     return Cpt.of("C", levels, tuple(f"P{a}" for a in range(len(cards))),
                   plevels, rows)
+
+
+def scalar_topological_order(net: BayesNet) -> tuple[str, ...]:
+    """The rescan loop ``topological_order`` replaced: place the first
+    declared variable whose parents are all placed, then scan again."""
+    names = [v.name for v in net.variables]
+    known = set(names)
+    pending = {
+        v.name: [p for p in t.parents if p in known]
+        for v, t in zip(net.variables, net.cpts)
+    }
+    order = []
+    placed = set()
+    while len(order) < len(names):
+        progressed = False
+        for n in names:
+            if n in placed:
+                continue
+            if all(p in placed for p in pending[n]):
+                order.append(n)
+                placed.add(n)
+                progressed = True
+                break
+        if not progressed:
+            stuck = [n for n in names if n not in placed]
+            raise DomainError("cycle detected involving " + ", ".join(stuck))
+    return tuple(order)
+
+
+def reference_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
+    """``elicitation_priority`` as the plain per-variable composition:
+    ``donor_target_path`` then bound ``path_impact`` for every family,
+    each call redoing its own net-wide work."""
+    records = []
+    for v, t in zip(net.variables, net.cpts):
+        family = {v.name} | set(t.parents)
+        try:
+            _, path = donor_target_path(net, family, set(targets))
+            result = path_impact(net, path, "bound")
+        except DomainError as e:
+            records.append(PriorityRecord(v.name, None, str(e)))
+            continue
+        note = ""
+        if len(path.cliques) == 1:
+            note = "family shares the target clique"
+        elif result.value == 0.0:
+            note = "no influence path to the target"
+        records.append(PriorityRecord(v.name, result.value, note))
+    records.sort(key=lambda r: -round(r.score, 9)
+                 if r.score is not None else 1.0)
+    return tuple(records)

@@ -27,6 +27,7 @@ from conftest import (
     TREE_LEVELS,
     random_net,
     random_table,
+    reference_priority,
     scalar_collapse_parent,
     scalar_counterpart_cost,
     scalar_delete_edge_cost,
@@ -349,3 +350,45 @@ def test_advisor_costs_equal_scalar_loops_bit_for_bit():
             assert [r.mass for r in new.cpt(child).rows] == \
                 scalar_collapse_parent(t, j)
             assert cost == scalar_delete_edge_cost(t, j, new.cpt(child))
+
+
+def test_priority_equals_per_variable_composition(ten_node):
+    """One moral graph and one pricer per call give the same records,
+    ``==`` on every score, as the plain per-variable composition."""
+    rng = np.random.default_rng(2024)
+    cases = [(ten_node, ("X9",)), (ten_node, ("X7", "X9")),
+             (ten_node, ("X3",)), (ten_node, ("X1", "X9"))]
+    for _ in range(12):
+        net = random_net(rng, 6, 16)
+        names = net.names()
+        cases.append((net, (names[int(rng.integers(len(names)))],)))
+        # a child with one of its parents always shares a clique
+        child = next(v for v in reversed(names) if net.parents_of(v))
+        cases.append((net, (child, net.parents_of(child)[0])))
+    notes = set()
+    for net, targets in cases:
+        got = elicitation_priority(net, targets)
+        assert got == reference_priority(net, targets)
+        notes |= {r.note.split(" ")[0] for r in got}
+    # every kind of record shows up: scored, shared clique, disconnected,
+    # rejected target set ("... spans multiple cliques ...") and a factor
+    # conditioned on a descendant ("cannot bound ...")
+    assert {"", "family", "no", "target", "cannot"} <= notes
+
+
+def test_amalgamate_rejects_a_merged_name_that_is_already_a_level():
+    levels = ("a", "b", "a+b")
+    net = BayesNet.of(
+        (Variable("X", levels), Variable("Y", ("t", "f"))),
+        (Cpt.of("X", levels, (), (), (ProbVec(levels, (0.2, 0.3, 0.5)),)),
+         Cpt.of("Y", ("t", "f"), ("X",), (levels,),
+                tuple(ProbVec(("t", "f"), (p, 1.0 - p))
+                      for p in (0.1, 0.4, 0.8)))))
+    for nominal in (False, True):
+        with pytest.raises(DomainError, match="'a\\+b' is already a level"):
+            amalgamate_levels(net, "X", ("a", "b"),
+                              allow_nonconsecutive=nominal)
+    # merging the colliding level itself stays allowed
+    new, _ = amalgamate_levels(net, "X", ("b", "a+b"))
+    assert new.variable("X").levels == ("a", "b+a+b")
+    assert validate(new) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,12 @@ from tvrobust import (
     validate,
 )
 
-from conftest import MODELS_DIR, TEN_NODE_EDGES, random_net
+from conftest import (
+    MODELS_DIR,
+    TEN_NODE_EDGES,
+    random_net,
+    scalar_topological_order,
+)
 
 
 def _net(variables, cpts):
@@ -211,3 +218,77 @@ def test_random_nets_validate():
         assert validate(net) == []
         order = topological_order(net)
         assert sorted(order) == sorted(v.name for v in net.variables)
+
+
+def _order_or_message(order_fn, net):
+    try:
+        return order_fn(net)
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+def _with_parent(net, child, parent):
+    """``net`` with one more parent on ``child``'s CPT, unchecked."""
+    cpts = tuple(
+        dataclasses.replace(t, parents=t.parents + (parent,),
+                            parent_levels=t.parent_levels
+                            + (net.variable(parent).levels,))
+        if t.child == child else t
+        for t in net.cpts)
+    return BayesNet(net.variables, cpts)
+
+
+def test_topological_order_equals_rescan_loop():
+    rng = np.random.default_rng(404)
+    shuffled_out_of_order = cycles = 0
+    for _ in range(60):
+        base = random_net(rng, 4, 14)
+        perm = rng.permutation(len(base.variables))
+        net = _net([base.variables[i] for i in perm],
+                   [base.cpts[i] for i in perm])
+        order = topological_order(net)
+        assert order == scalar_topological_order(net)
+        shuffled_out_of_order += order != net.names()
+        # a back edge from the last declared variable of the base order
+        # onto an ancestor of it closes a cycle
+        names = base.names()
+        for child in names[:-1]:
+            if names[-1] in descendants_map(base)[child]:
+                cyclic = _with_parent(net, child, names[-1])
+                got = _order_or_message(topological_order, cyclic)
+                assert got.startswith("DomainError: cycle detected involving")
+                assert got == _order_or_message(scalar_topological_order,
+                                                cyclic)
+                cycles += 1
+                break
+    assert shuffled_out_of_order >= 50
+    assert cycles >= 10
+
+
+def test_topological_order_multi_root_and_duplicate_names():
+    row = ProbVec(("t", "f"), (0.5, 0.5))
+    # three roots declared after their children
+    multi = _net(
+        [_v("C"), _v("D"), _v("R3"), _v("R1"), _v("R2")],
+        [_cpt("C", ("R1", "R2"), [(0.5, 0.5)] * 4),
+         _cpt("D", ("R3", "C"), [(0.5, 0.5)] * 4),
+         _cpt("R3", (), [(0.5, 0.5)]),
+         _cpt("R1", (), [(0.5, 0.5)]),
+         _cpt("R2", (), [(0.5, 0.5)])])
+    assert topological_order(multi) == ("R3", "R1", "R2", "C", "D")
+    assert topological_order(multi) == scalar_topological_order(multi)
+    # a self-loop strands its variable and everything below it
+    loop = _with_parent(multi, "C", "C")
+    got = _order_or_message(topological_order, loop)
+    assert got == "DomainError: cycle detected involving C, D"
+    assert got == _order_or_message(scalar_topological_order, loop)
+    # duplicate names: the order never fills, and the message lists every
+    # occurrence of each name left unplaced (none when all place)
+    dup = _net([_v("A"), _v("B"), _v("A")],
+               [Cpt(n, ("t", "f"), (), (), (row,)) for n in ("A", "B", "A")])
+    want = {"": dup, "B": _with_parent(dup, "B", "B"),
+            "A, A": _with_parent(dup, "A", "A")}
+    for stuck, net in want.items():
+        got = _order_or_message(topological_order, net)
+        assert got == "DomainError: cycle detected involving " + stuck
+        assert got == _order_or_message(scalar_topological_order, net)

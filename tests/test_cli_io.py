@@ -345,3 +345,20 @@ def test_cli_stdout_is_stable_across_hash_seeds(argv):
             check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_amalgamate_name_collision_exits_one(tmp_path, capsys):
+    model = tmp_path / "collide.json"
+    model.write_text(json.dumps({
+        "format_version": "1",
+        "variables": [{"name": "X", "levels": ["a", "b", "a+b"]},
+                      {"name": "Y", "levels": ["t", "f"]}],
+        "cpts": [{"child": "X", "parents": [], "rows": [[0.2, 0.3, 0.5]]},
+                 {"child": "Y", "parents": ["X"],
+                  "rows": [[0.1, 0.9], [0.4, 0.6], [0.8, 0.2]]}],
+    }))
+    assert run_cli(["amalgamate", str(model), "X", "--group", "a,b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "'a+b' is already a level" in captured.err

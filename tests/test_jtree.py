@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from tvrobust import (
     verify_running_intersection,
 )
 from tvrobust.jtree import subgraph
+
+from conftest import random_net
 
 DEMO_CLIQUES = {
     ("X1", "X2"),
@@ -93,6 +97,17 @@ def test_single_clique_tree():
     assert jt.cliques == (("A", "B"),)
     assert jt.tree_edges == ()
     assert jt.rip_order == (0,)
+
+
+def test_position_is_the_first_index_of_a_vertex():
+    g = UGraph(("B", "A", "C"), (("A", "B"), ("C", "A")))
+    assert [g.position(v) for v in g.vertices] == [0, 1, 2]
+    with pytest.raises(ValueError):
+        g.position("D")
+    # the moral graph of a net with a repeated name repeats the vertex;
+    # its position stays that of the first occurrence, as tuple.index
+    dup = UGraph(("A", "B", "A"), (("A", "B"),))
+    assert [dup.position(v) for v in ("A", "B")] == [0, 1]
 
 
 def test_disconnected_graph_gets_bridge_edges():
@@ -209,3 +224,50 @@ def test_exact_factors_on_chain_equal_cpt_diameters():
     for f, i in zip(r.certificate, range(1, 5)):
         m = chain.cpt(f"V{i}")
         assert abs(f.value - abs(m.rows[0].mass[0] - m.rows[1].mass[0])) <= 1e-12
+
+
+def _nx_graph(nx, g):
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges)
+    return G
+
+
+def _moral_and_triangulated(seed, count=40):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = moralize(random_net(rng, 6, 16))
+        yield g, triangulate(g)
+
+
+def test_is_chordal_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    non_chordal = 0
+    for g, tri in _moral_and_triangulated(515):
+        assert is_chordal(g) == nx.is_chordal(_nx_graph(nx, g))
+        assert is_chordal(tri) and nx.is_chordal(_nx_graph(nx, tri))
+        non_chordal += not is_chordal(g)
+    # the moral graphs are not all chordal already
+    assert non_chordal >= 5
+
+
+def test_maximal_cliques_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for g, tri in _moral_and_triangulated(516):
+        for h in (g, tri) if is_chordal(g) else (tri,):
+            want = set(nx.chordal_graph_cliques(_nx_graph(nx, h)))
+            assert {frozenset(c) for c in maximal_cliques(h)} == want
+
+
+def test_junction_tree_separators_are_a_maximum_spanning_tree():
+    nx = pytest.importorskip("networkx")
+    for _, tri in _moral_and_triangulated(517):
+        jt = build_junction_tree(tri)
+        overlap = nx.Graph()
+        overlap.add_nodes_from(range(len(jt.cliques)))
+        for i, j in itertools.combinations(range(len(jt.cliques)), 2):
+            w = len(set(jt.cliques[i]) & set(jt.cliques[j]))
+            overlap.add_edge(i, j, weight=w)
+        best = nx.maximum_spanning_tree(overlap).size(weight="weight")
+        assert sum(len(sep) for _, _, sep in jt.tree_edges) == best
+        assert len(jt.tree_edges) == len(jt.cliques) - 1
