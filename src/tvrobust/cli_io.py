@@ -21,6 +21,8 @@ significant digits so every float round-trips to the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
@@ -141,18 +143,21 @@ def parse_model(text: str, strict: bool = True):
             _expect(p in by_name, f"unknown variable {p!r}", ploc)
             parent_levels.append(by_name[p].levels)
         raw_rows = _field(entry, "rows", list, loc)
-        rows = []
-        for k, raw in enumerate(raw_rows):
-            rloc = f"{loc}.rows[{k}]"
-            _expect(isinstance(raw, list), "row must be an array", rloc)
-            for m, x in enumerate(raw):
-                _expect(isinstance(x, (int, float))
-                        and not isinstance(x, bool),
-                        "probability must be a number", f"{rloc}[{m}]")
-            rows.append(ProbVec(by_name[child].levels,
-                                tuple(float(x) for x in raw)))
-        table_for[child] = Cpt(child, by_name[child].levels, tuple(parents),
-                               tuple(parent_levels), tuple(rows))
+        # every number reads as a float, so one check per table suffices;
+        # the cell loop runs only to locate the first offender
+        if not (set(map(type, raw_rows)) <= {list} and set(map(
+                type, itertools.chain.from_iterable(raw_rows))) <= {float}):
+            for k, raw in enumerate(raw_rows):
+                rloc = f"{loc}.rows[{k}]"
+                _expect(isinstance(raw, list), "row must be an array", rloc)
+                for m, x in enumerate(raw):
+                    _expect(isinstance(x, (int, float))
+                            and not isinstance(x, bool),
+                            "probability must be a number", f"{rloc}[{m}]")
+        levels = by_name[child].levels
+        table_for[child] = Cpt(child, levels, tuple(parents),
+                               tuple(parent_levels),
+                               tuple(ProbVec(levels, raw) for raw in raw_rows))
 
     missing = [v.name for v in variables if v.name not in table_for]
     _expect(not missing, "missing cpt for " + ", ".join(map(repr, missing)),
@@ -470,7 +475,9 @@ def _cmd_amalgamate(args) -> tuple[str, int]:
     group = [token.strip() for token in args.group.split(",")]
     merged, costs = amalgamate_levels(net, args.variable, group,
                                       allow_nonconsecutive=args.nominal)
-    merged_level = "+".join(group)
+    # the fused level sits where the group's first declared level was
+    first = min(map(net.variable(args.variable).levels.index, group))
+    merged_level = merged.variable(args.variable).levels[first]
     if args.json:
         doc = {
             "command": "amalgamate",
@@ -595,7 +602,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="tvrobust",
         description="Robustness analysis for discrete Bayesian networks "

@@ -35,7 +35,7 @@ class ProbVec:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "mass", tuple(float(x) for x in self.mass))
+        object.__setattr__(self, "mass", tuple(map(float, self.mass)))
 
     def violations(self) -> list[str]:
         problems = []

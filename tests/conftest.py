@@ -8,7 +8,7 @@ from tvrobust import (BayesNet, Cpt, ProbVec, Variable, donor_target_path,
                       path_impact, tv_distance)
 from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
-from tvrobust.errors import DomainError
+from tvrobust.errors import DomainError, ParseError
 from tvrobust.exact_oracle import JointTable, joint_mass, marginal_of
 
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -356,3 +356,19 @@ def reference_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     records.sort(key=lambda r: -round(r.score, 9)
                  if r.score is not None else 1.0)
     return tuple(records)
+
+
+def reference_row_error(doc):
+    """The per-cell row check ``parse_model`` ran on every cell of every
+    table, in document order: the ParseError text for the first row that
+    is not an array or cell that is not a number, or None."""
+    for i, entry in enumerate(doc["cpts"]):
+        for k, raw in enumerate(entry["rows"]):
+            rloc = f"cpts[{i}].rows[{k}]"
+            if not isinstance(raw, list):
+                return str(ParseError("row must be an array", location=rloc))
+            for m, x in enumerate(raw):
+                if not isinstance(x, (int, float)) or isinstance(x, bool):
+                    return str(ParseError("probability must be a number",
+                                          location=f"{rloc}[{m}]"))
+    return None

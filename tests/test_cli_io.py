@@ -18,7 +18,7 @@ from tvrobust import (
     serialize_model,
 )
 
-from conftest import GOLDEN_DIR, MODELS_DIR, TESTS_DIR
+from conftest import GOLDEN_DIR, MODELS_DIR, TESTS_DIR, reference_row_error
 
 FIXTURES = ("native_fish_fragment", "native_fish_variant",
             "ten_node_demo", "broken_model")
@@ -129,6 +129,75 @@ def test_parse_strict_mode_runs_validation():
     net, violations = parse_model(bad, strict=False)
     assert violations
     assert net.names() == ("A",)
+
+
+def _two_tables(rows_a, rows_b) -> dict:
+    """A (three levels) and B | A (three levels, so three rows)."""
+    return {
+        "format_version": "1",
+        "variables": [{"name": "A", "levels": ["a0", "a1", "a2"]},
+                      {"name": "B", "levels": ["b0", "b1", "b2"]}],
+        "cpts": [{"child": "A", "parents": [], "rows": rows_a},
+                 {"child": "B", "parents": ["A"], "rows": rows_b}],
+    }
+
+
+GOOD_A = [[0.2, 0.3, 0.5]]
+GOOD_B = [[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.2, 0.2]]
+
+
+def _row_defects():
+    """(rows of A, rows of B) pairs with at least one malformed row or cell."""
+    cases = []
+    for bad in ({"p": 0.5}, "0.5", 0.5, None):
+        cases.append(([bad], GOOD_B))
+        for k in range(3):
+            cases.append((GOOD_A, GOOD_B[:k] + [bad] + GOOD_B[k + 1:]))
+    for bad in (True, False, "0.5", None, [0.5], {"p": 0.5}):
+        cases.append(([[0.2, bad, 0.5]], GOOD_B))
+        for k in range(3):
+            for m in range(3):
+                rows = [list(r) for r in GOOD_B]
+                rows[k][m] = bad
+                cases.append((GOOD_A, rows))
+    # two defects: the first in document order is the one reported
+    cases.append(([[0.2, 0.3, None]], [{}] + GOOD_B[1:]))
+    cases.append((GOOD_A, [[0.1, 0.2, "x"], "row", GOOD_B[2]]))
+    cases.append((GOOD_A, [GOOD_B[0], [None, 0.3, "x"], 5]))
+    return cases
+
+
+def test_parse_row_errors_match_the_per_cell_reference():
+    cases = _row_defects()
+    assert len(cases) == 79
+    for rows_a, rows_b in cases:
+        text = json.dumps(_two_tables(rows_a, rows_b))
+        expected = reference_row_error(json.loads(text, parse_int=float))
+        assert expected is not None
+        with pytest.raises(ParseError) as err:
+            parse_model(text, strict=False)
+        assert str(err.value) == expected, (rows_a, rows_b)
+
+
+def test_parse_reads_well_formed_rows_as_floats():
+    text = json.dumps(_two_tables([[0, 1, 0]], GOOD_B)).replace(
+        "0.7", "7e-1")
+    assert reference_row_error(json.loads(text, parse_int=float)) is None
+    net = parse_model(text)
+    assert net.cpt("A").rows[0].mass == (0.0, 1.0, 0.0)
+    assert all(type(x) is float for x in net.cpt("A").rows[0].mass)
+    assert [r.mass for r in net.cpt("B").rows] == [tuple(r) for r in GOOD_B]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_parse_keeps_an_empty_row_for_validation(k):
+    text = json.dumps(_two_tables(GOOD_A, GOOD_B[:k] + [[]] + GOOD_B[k + 1:]))
+    assert reference_row_error(json.loads(text)) is None
+    net, violations = parse_model(text, strict=False)
+    assert net.cpt("B").rows[k].mass == ()
+    assert violations == [f"B: row {k}: 0 masses for 3 levels"]
+    with pytest.raises(ParseError, match="0 masses for 3 levels"):
+        parse_model(text)
 
 
 def test_huge_integer_mass_is_a_nonfinite_violation(tmp_path, capsys):
@@ -325,26 +394,52 @@ def test_cli_path_command_lists_cliques(capsys, monkeypatch):
     assert "{X7, X9}" in out
 
 
+def _run_module(argv, **env):
+    """(exit code, stdout, stderr) of ``python -m tvrobust`` in a fresh
+    process, run in the tests directory on this checkout's source."""
+    path = [str(TESTS_DIR.parent / "src")] + [
+        p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvrobust"] + argv, cwd=TESTS_DIR,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env),
+        capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--json"],
     ["impact", "--from", "X1", "--to", "X9", "--json"],
     ["impact", "--from", "X1", "--to", "X9", "--mode", "bound", "--json"],
 ], ids=["report", "impact_exact", "impact_bound"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
-    src = str(TESTS_DIR.parent / "src")
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
-                                if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tvrobust"] + argv
-            + ["models/ten_node_demo.json"],
-            cwd=TESTS_DIR, env=env, capture_output=True, text=True,
-            check=True)
-        outputs.append(proc.stdout)
+    outputs = [_run_module(argv + ["models/ten_node_demo.json"],
+                           PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+def test_run_cli_in_one_process_matches_fresh_processes(capsys, monkeypatch):
+    # help and usage text wrap to the terminal width, read from COLUMNS
+    monkeypatch.chdir(TESTS_DIR)
+    monkeypatch.setenv("COLUMNS", "80")
+    usage_error = ["impact", "models/ten_node_demo.json"]
+    sequence = [
+        usage_error,
+        ["--help"],
+        ["frobnicate", "x.json"],
+        ["validate", "models/native_fish_fragment.json"],
+        ["impact", "--from", "X1", "--to", "X9", "--json",
+         "models/ten_node_demo.json"],
+        usage_error,
+    ]
+    in_process = []
+    for argv in sequence:
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 0, 2]
+    assert in_process == [_run_module(argv, COLUMNS="80")
+                          for argv in sequence]
 
 
 def test_cli_amalgamate_name_collision_exits_one(tmp_path, capsys):
@@ -362,3 +457,23 @@ def test_cli_amalgamate_name_collision_exits_one(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "'a+b' is already a level" in captured.err
+
+
+@pytest.mark.parametrize("group", ["above average,below average",
+                                   "below average,above average"])
+def test_cli_amalgamate_nominal_names_the_level_it_writes(group, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["amalgamate", "models/native_fish_fragment.json", "Rainfall",
+            "--group", group, "--nominal"]
+    assert run_cli(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    levels = doc["model_after"]["variables"][1]["levels"]
+    assert levels == ["below average+above average", "average"]
+    assert doc["group"] == group.split(",")
+    assert doc["merged_level"] in levels
+    assert doc["merged_level"] == "below average+above average"
+    assert run_cli(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == ("merged levels of Rainfall into "
+                     "'below average+above average'")
