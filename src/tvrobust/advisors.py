@@ -11,15 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, Variable, validate
+from .bn_model import BayesNet, Variable, _require_valid
 from .bounds import _bound_pricer, _impact_product
 from .errors import DomainError
 from .jtree import _donor_target_path, moralize, path_factor_specs
 from .tv_core import (
     Cpt,
-    ProbVec,
     _convex_sum,
-    _grid_rows,
     _max,
     _tv,
     collapse_parent,
@@ -52,9 +50,7 @@ def _rank_key(x: float) -> float:
 
 
 def edge_deletion_report(net: BayesNet) -> EdgeReport:
-    problems = validate(net)
-    if problems:
-        raise DomainError("invalid network: " + "; ".join(problems))
+    _require_valid(net)
     records = [EdgeRecord(p, v.name, parent_diameter(t, j))
                for v, t in zip(net.variables, net.cpts)
                for j, p in enumerate(t.parents)]
@@ -137,15 +133,13 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
     for v, t in zip(net.variables, net.cpts):
         if v.name == variable:
             G = _fuse(t.grid(), -1, groups, uniform=False)
-            t = Cpt(t.child, new_levels, t.parents, t.parent_levels,
-                    _grid_rows(G, new_levels))
+            t = Cpt(t.child, new_levels, t.parents, t.parent_levels, G)
         elif variable in t.parents:
             j = parent_index(t, variable)
             G = _fuse(t.grid(), j, groups, uniform=True)
             merged = Cpt.of(t.child, t.child_levels, t.parents,
                             t.parent_levels[:j] + (new_levels,)
-                            + t.parent_levels[j + 1:],
-                            _grid_rows(G, t.child_levels))
+                            + t.parent_levels[j + 1:], G)
             costs[v.name] = counterpart_cost_from_map(t, merged, j, to_new)
             t = merged
         new_cpts.append(t)
@@ -246,9 +240,7 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     one the path search itself rejects.  Records are sorted by descending
     score, declaration order on ties; scoreless entries sort last.
     """
-    problems = validate(net)
-    if problems:
-        raise DomainError("invalid network: " + "; ".join(problems))
+    _require_valid(net)
     targets = set(targets)
     for t in targets:
         net.position(t)

@@ -4,7 +4,8 @@ A net holds one CPT per variable, aligned with the variable list; the
 edge set is derived from the CPT parent lists.  Values are immutable
 after construction.  Direct construction performs no checking so that
 ``validate`` can report problems as data; use :meth:`BayesNet.of` to
-construct with checking.
+construct with checking.  A net that passed a check is marked, so
+functions that need a valid net do not check it again.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .tv_core import Cpt
+from .tv_core import Cpt, _rows_to_check
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,12 @@ class BayesNet:
         for i, v in enumerate(self.variables):
             index.setdefault(v.name, i)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_validated", False)
 
     @classmethod
     def of(cls, variables, cpts) -> "BayesNet":
         net = cls(tuple(variables), tuple(cpts))
-        problems = validate(net)
-        if problems:
-            raise DomainError("invalid network: " + "; ".join(problems))
+        _require_valid(net)
         return net
 
     def names(self) -> tuple[str, ...]:
@@ -102,7 +102,7 @@ def validate(net: BayesNet) -> list[str]:
         )
         return problems
     by_name = {v.name: v for v in net.variables}
-    for v, t in zip(net.variables, net.cpts):
+    for v, t, rows in zip(net.variables, net.cpts, _rows_to_check(net.cpts)):
         if t.child != v.name:
             problems.append(f"CPT for {t.child!r} attached to {v.name!r}")
             continue
@@ -114,12 +114,21 @@ def validate(net: BayesNet) -> list[str]:
             elif (j < len(t.parent_levels)
                   and t.parent_levels[j] != by_name[p].levels):
                 problems.append(f"{v.name}: parent {p!r} levels disagree")
-        problems.extend(t.violations())
+        problems.extend(t._violations(rows))
     try:
         topological_order(net)
     except DomainError as e:
         problems.append(str(e))
     return problems
+
+
+def _require_valid(net: BayesNet) -> None:
+    """Raise DomainError if ``net`` is invalid; mark it valid otherwise."""
+    if not net._validated:
+        problems = validate(net)
+        if problems:
+            raise DomainError("invalid network: " + "; ".join(problems))
+        object.__setattr__(net, "_validated", True)
 
 
 def topological_order(net: BayesNet) -> tuple[str, ...]:

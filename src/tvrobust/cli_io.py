@@ -24,7 +24,10 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
+
+import numpy as np
 
 from .advisors import (
     EdgeReport,
@@ -155,9 +158,15 @@ def parse_model(text: str, strict: bool = True):
                             and not isinstance(x, bool),
                             "probability must be a number", f"{rloc}[{m}]")
         levels = by_name[child].levels
+        # rows that fit become the grid; a misfit stays for validate to name
+        if (len(raw_rows) == math.prod(map(len, parent_levels))
+                and set(map(len, raw_rows)) <= {len(levels)}):
+            rows = np.fromiter(itertools.chain.from_iterable(raw_rows),
+                               np.float64, len(raw_rows) * len(levels))
+        else:
+            rows = tuple(ProbVec(levels, raw) for raw in raw_rows)
         table_for[child] = Cpt(child, levels, tuple(parents),
-                               tuple(parent_levels),
-                               tuple(ProbVec(levels, raw) for raw in raw_rows))
+                               tuple(parent_levels), rows)
 
     missing = [v.name for v in variables if v.name not in table_for]
     _expect(not missing, "missing cpt for " + ", ".join(map(repr, missing)),
@@ -166,6 +175,7 @@ def parse_model(text: str, strict: bool = True):
     net = BayesNet(tuple(variables),
                    tuple(table_for[v.name] for v in variables))
     violations = validate(net)
+    object.__setattr__(net, "_validated", not violations)
     if strict:
         if violations:
             raise ParseError("model failed validation: "
@@ -190,7 +200,7 @@ def model_document(net: BayesNet) -> dict:
             {
                 "child": t.child,
                 "parents": list(t.parents),
-                "rows": [[float(x) for x in row.mass] for row in t.rows],
+                "rows": t._mass_rows(),
             }
             for t in net.cpts
         ],
@@ -216,9 +226,10 @@ def serialize_model(net: BayesNet) -> str:
         out.append(f'      "child": {json.dumps(t.child)},')
         out.append(f'      "parents": [{parents}],')
         out.append('      "rows": [')
-        for k, row in enumerate(t.rows):
-            rcomma = "," if k + 1 < len(t.rows) else ""
-            cells = ", ".join(_f17(x) for x in row.mass)
+        rows = t._mass_rows()
+        for k, row in enumerate(rows):
+            rcomma = "," if k + 1 < len(rows) else ""
+            cells = ", ".join(_f17(x) for x in row)
             out.append(f"        [{cells}]{rcomma}")
         out.append("      ]")
         out.append(f"    }}{comma}")
@@ -501,9 +512,9 @@ def _cmd_amalgamate(args) -> tuple[str, int]:
 
 def _rows_block(t: Cpt, indent: str = "  ") -> list[str]:
     lines = []
-    for i, row in enumerate(t.rows):
+    for i, row in enumerate(t._mass_rows()):
         label = ", ".join(t.parent_config(i))
-        cells = " ".join(_f6(x) for x in row.mass)
+        cells = " ".join(_f6(x) for x in row)
         lines.append(f"{indent}({label}): {cells}")
     return lines
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, ancestral_set, validate
+from .bn_model import BayesNet, _require_valid, ancestral_set
 from .errors import DomainError, ResourceLimitError
-from .tv_core import Cpt, ProbVec
+from .tv_core import Cpt
 
 DEFAULT_STATE_LIMIT = 2 ** 22
 _ENV_LIMIT = "TVROBUST_LIMIT"
@@ -65,9 +65,7 @@ class JointTable:
 
 def joint_mass(net: BayesNet, limit: int | None = None) -> JointTable:
     """Full joint of a validated net by multiplying broadcast CPT factors."""
-    problems = validate(net)
-    if problems:
-        raise DomainError("invalid network: " + "; ".join(problems))
+    _require_valid(net)
     names = net.names()
     cards = tuple(len(v.levels) for v in net.variables)
     size = 1
@@ -141,12 +139,14 @@ def _ancestral_joint(net: BayesNet, names,
     """Joint of the ancestral set of ``names``.
 
     Its margin over any subset of the set equals the full net's margin,
-    and the state cap counts only the set's own configurations.
+    and the state cap counts only the set's own configurations.  The set
+    of a validated net is itself valid, so it is not checked again.
     """
     keep = ancestral_set(net, names)
     pairs = [(v, t) for v, t in zip(net.variables, net.cpts)
              if v.name in keep]
     sub = BayesNet(tuple(v for v, _ in pairs), tuple(t for _, t in pairs))
+    object.__setattr__(sub, "_validated", net._validated)
     return joint_mass(sub, limit)
 
 
@@ -210,5 +210,5 @@ def transition_table(net: BayesNet, outputs, given,
         child_levels=col_labels,
         parents=conds,
         parent_levels=tuple(net.variable(n).levels for n in conds),
-        rows=tuple(ProbVec(col_labels, r) for r in rows.tolist()),
+        rows=rows,
     )

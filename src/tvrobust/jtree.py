@@ -115,12 +115,6 @@ def subgraph(g: UGraph, keep) -> UGraph:
     return UGraph(verts, edges)
 
 
-def ancestral_graph(net: BayesNet, targets) -> UGraph:
-    """Moral graph restricted to the ancestral set of the targets."""
-    keep = ancestral_set(net, targets)
-    return subgraph(moralize(net), keep)
-
-
 def triangulate(g: UGraph, order_hint=None) -> UGraph:
     """Chordal supergraph via min-fill elimination.
 

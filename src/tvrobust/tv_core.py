@@ -84,7 +84,9 @@ class Cpt:
 
     Rows are indexed by parent configuration in mixed radix with the
     first parent most significant (the first parent varies slowest).
-    A CPT with no parents has exactly one row.
+    A CPT with no parents has exactly one row.  ``rows`` takes ProbVecs
+    or an array of masses.  Rows that fit are stored as one read-only
+    grid and derived again on first use; a misfit keeps them as given.
     """
 
     child: str
@@ -99,7 +101,37 @@ class Cpt:
         object.__setattr__(
             self, "parent_levels", tuple(tuple(ls) for ls in self.parent_levels)
         )
-        object.__setattr__(self, "rows", tuple(self.rows))
+        k, rows = len(self.child_levels), self.rows
+        if not isinstance(rows, np.ndarray):
+            rows = tuple(rows)
+            if k and len(rows) == self.n_rows and all(
+                    r.levels == self.child_levels and len(r.mass) == k
+                    for r in rows):
+                rows = np.array([r.mass for r in rows], dtype=np.float64)
+        if isinstance(rows, np.ndarray):
+            # the grid owns its data, so no view of it can be made writeable
+            grid = np.array(np.reshape(
+                rows, tuple(map(len, self.parent_levels)) + (k,)), np.float64)
+            grid.setflags(write=False)
+            object.__setattr__(self, "_grid", grid)
+            object.__delattr__(self, "rows")
+        else:
+            object.__setattr__(self, "_grid", None)
+            object.__setattr__(self, "rows", rows)
+
+    def __getattr__(self, name):
+        # reached only for the rows of a grid-backed table, until derived
+        if name != "rows":
+            raise AttributeError(name)
+        rows = tuple(ProbVec(self.child_levels, m) for m in self._mass_rows())
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def __setstate__(self, state):
+        # a copied or unpickled grid is read-only too
+        self.__dict__.update(state)
+        if self._grid is not None:
+            self._grid.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
@@ -137,11 +169,22 @@ class Cpt:
 
         Axis ``j`` is parent ``j``; C-order flattening is the row order.
         """
+        if self._grid is not None:
+            return self._grid.view()
         shape = [len(ls) for ls in self.parent_levels]
         return np.array([r.mass for r in self.rows], dtype=np.float64
                         ).reshape(shape + [len(self.child_levels)])
 
+    def _mass_rows(self) -> list[list[float]]:
+        """Row masses as lists of floats, read off the grid if there is one."""
+        return ([list(r.mass) for r in self.rows] if self._grid is None
+                else _flat(self).tolist())
+
     def violations(self) -> list[str]:
+        return self._violations(_rows_to_check([self])[0])
+
+    def _violations(self, to_check) -> list[str]:
+        """The table's problems, row problems only for rows in ``to_check``."""
         problems = []
         if len(self.child_levels) < 1:
             problems.append(f"{self.child}: no child levels")
@@ -151,11 +194,12 @@ class Cpt:
             problems.append(f"{self.child}: parent/level list size mismatch")
         if len(set(self.parents)) != len(self.parents):
             problems.append(f"{self.child}: duplicate parents")
-        if len(self.rows) != self.n_rows:
+        if self._grid is None and len(self.rows) != self.n_rows:
             problems.append(
                 f"{self.child}: {len(self.rows)} rows, expected {self.n_rows}"
             )
-        for i, row in enumerate(self.rows):
+        for i in to_check:
+            row = self.rows[i]
             if row.levels != self.child_levels:
                 problems.append(f"{self.child}: row {i} has wrong levels")
             for p in row.violations():
@@ -164,12 +208,39 @@ class Cpt:
 
     @classmethod
     def of(cls, child, child_levels, parents, parent_levels, rows) -> "Cpt":
-        t = cls(child, tuple(child_levels), tuple(parents),
-                tuple(tuple(ls) for ls in parent_levels), tuple(rows))
+        t = cls(child, child_levels, parents, parent_levels, rows)
         problems = t.violations()
         if problems:
             raise DomainError("invalid CPT: " + "; ".join(problems))
         return t
+
+
+def _rows_to_check(tables) -> list:
+    """Per table, the rows ``ProbVec.violations`` must see: all rows of a
+    raw table or one with duplicate child levels, else those with a
+    negative mass or a left-to-right sum not within ROW_SUM_TOLERANCE / 2
+    of 1 (the margin dwarfs the k * 2**-52 by which Python's compensated
+    ``sum`` of 3.12+ can differ), found in one pass per row width."""
+    out: list = []
+    by_width: dict[int, list[int]] = {}
+    for i, t in enumerate(tables):
+        k = len(t.child_levels)
+        if t._grid is None or not k or len(set(t.child_levels)) < k:
+            out.append(range(len(t.rows)))
+        else:
+            out.append([])
+            by_width.setdefault(k, []).append(i)
+    for k, ids in by_width.items():
+        X = np.concatenate([tables[i]._grid.reshape(-1, k) for i in ids])
+        with np.errstate(all="ignore"):  # an overflow is a flagged row
+            total = np.add.accumulate(X, axis=1)[:, -1]  # left to right
+        bad = (X < 0).any(axis=1) | ~(np.abs(total - 1.0)
+                                       <= ROW_SUM_TOLERANCE / 2)
+        if bad.any():
+            ends = np.cumsum([tables[i].n_rows for i in ids])[:-1]
+            for i, b in zip(ids, np.split(bad, ends)):
+                out[i] = np.flatnonzero(b).tolist()
+    return out
 
 
 def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,13 +292,7 @@ def _convex_sum(w: np.ndarray, rows: np.ndarray):
 
 
 def _flat(P: "Cpt") -> np.ndarray:
-    return P.grid().reshape(-1, len(P.child_levels))
-
-
-def _grid_rows(G: np.ndarray, levels) -> tuple[ProbVec, ...]:
-    """The rows of a grid as unchecked ProbVecs over ``levels``."""
-    return tuple(ProbVec(levels, r)
-                 for r in G.reshape(-1, len(levels)).tolist())
+    return P.grid().reshape(P.n_rows, len(P.child_levels))
 
 
 @dataclass(frozen=True)
@@ -263,7 +328,7 @@ def superbound_witness(P: Cpt, Q: Cpt) -> tuple[int, int]:
 def _superbound_with_witness(P: Cpt, Q: Cpt):
     if P.child_levels != Q.child_levels:
         raise DomainError("child level mismatch")
-    if len(P.rows) != len(Q.rows):
+    if P.n_rows != Q.n_rows:
         raise DomainError("row count mismatch")
     return _pair_scan(_flat(P), _flat(Q), floor=-1.0)
 
@@ -288,7 +353,7 @@ def local_diameter(P: Cpt, I) -> float:
     if not idx:
         raise DomainError("empty row subset")
     for i in idx:
-        if not 0 <= i < len(P.rows):
+        if not 0 <= i < P.n_rows:
             raise DomainError(f"row index {i} out of range")
     return _pair_scan(_flat(P)[idx])[0]
 
@@ -361,4 +426,4 @@ def collapse_parent(P: Cpt, j: int, weight_rows=None) -> Cpt:
         w = np.array(w, dtype=np.float64).reshape(G.shape[:-1])
     return Cpt.of(P.child, P.child_levels, P.parents[:j] + P.parents[j + 1:],
                   P.parent_levels[:j] + P.parent_levels[j + 1:],
-                  _grid_rows(_convex_sum(w, G), P.child_levels))
+                  _convex_sum(w, G))

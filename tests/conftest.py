@@ -1,11 +1,13 @@
 import itertools
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from tvrobust import (BayesNet, Cpt, ProbVec, Variable, donor_target_path,
-                      path_impact, tv_distance)
+                      path_impact, topological_order, tv_distance)
+from tvrobust import bn_model
 from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError, ParseError
@@ -372,3 +374,80 @@ def reference_row_error(doc):
                     return str(ParseError("probability must be a number",
                                           location=f"{rloc}[{m}]"))
     return None
+
+
+def reference_cpt_violations(t: Cpt) -> list[str]:
+    """A table's problems with every row through ``ProbVec.violations``."""
+    problems = []
+    if len(t.child_levels) < 1:
+        problems.append(f"{t.child}: no child levels")
+    if len(set(t.child_levels)) != len(t.child_levels):
+        problems.append(f"{t.child}: duplicate child levels")
+    if len(t.parents) != len(t.parent_levels):
+        problems.append(f"{t.child}: parent/level list size mismatch")
+    if len(set(t.parents)) != len(t.parents):
+        problems.append(f"{t.child}: duplicate parents")
+    if len(t.rows) != t.n_rows:
+        problems.append(f"{t.child}: {len(t.rows)} rows, expected {t.n_rows}")
+    for i, row in enumerate(t.rows):
+        if row.levels != t.child_levels:
+            problems.append(f"{t.child}: row {i} has wrong levels")
+        for p in row.violations():
+            problems.append(f"{t.child}: row {i}: {p}")
+    return problems
+
+
+def reference_validate(net: BayesNet) -> list[str]:
+    """``validate`` as the plain per-table, per-row loop it replaced: no
+    row is cleared in bulk, every row of every table is checked in turn."""
+    problems: list[str] = []
+    names = [v.name for v in net.variables]
+    if len(set(names)) != len(names):
+        return ["duplicate variable names"]
+    for v in net.variables:
+        if not v.name:
+            problems.append("empty variable name")
+        if len(v.levels) < 1:
+            problems.append(f"{v.name}: no levels")
+        if len(set(v.levels)) != len(v.levels):
+            problems.append(f"{v.name}: duplicate levels")
+    if len(net.cpts) != len(net.variables):
+        problems.append(
+            f"{len(net.cpts)} CPTs for {len(net.variables)} variables")
+        return problems
+    by_name = {v.name: v for v in net.variables}
+    for v, t in zip(net.variables, net.cpts):
+        if t.child != v.name:
+            problems.append(f"CPT for {t.child!r} attached to {v.name!r}")
+            continue
+        if t.child_levels != v.levels:
+            problems.append(f"{v.name}: CPT levels disagree with variable")
+        for j, p in enumerate(t.parents):
+            if p not in by_name:
+                problems.append(f"{v.name}: unknown parent {p!r}")
+            elif (j < len(t.parent_levels)
+                  and t.parent_levels[j] != by_name[p].levels):
+                problems.append(f"{v.name}: parent {p!r} levels disagree")
+        problems.extend(reference_cpt_violations(t))
+    try:
+        topological_order(net)
+    except DomainError as e:
+        problems.append(str(e))
+    return problems
+
+
+def count_validate(monkeypatch) -> list:
+    """Record every net passed to ``validate``, under every name that the
+    tvrobust modules bind it to; returns the list of nets."""
+    calls = []
+    real = bn_model.validate
+
+    def counted(net):
+        calls.append(net)
+        return real(net)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tvrobust" and \
+                getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counted)
+    return calls

@@ -17,6 +17,8 @@ from tvrobust import (
     marginal,
     parent_diameter,
     parent_index,
+    parse_model,
+    serialize_model,
     table_tv,
     validate,
 )
@@ -25,9 +27,11 @@ from tvrobust.advisors import counterpart_cost
 from conftest import (
     RAINFALL_LEVELS,
     TREE_LEVELS,
+    count_validate,
     random_net,
     random_table,
     reference_priority,
+    reference_validate,
     scalar_collapse_parent,
     scalar_counterpart_cost,
     scalar_delete_edge_cost,
@@ -392,3 +396,63 @@ def test_amalgamate_rejects_a_merged_name_that_is_already_a_level():
     new, _ = amalgamate_levels(net, "X", ("b", "a+b"))
     assert new.variable("X").levels == ("a", "b+a+b")
     assert validate(new) == []
+
+
+# Nets from parse_model and BayesNet.of are validated once; every other
+# net is validated by the first function that needs a valid one.
+
+CONSUMERS = {
+    "edge_deletion_report": edge_deletion_report,
+    "elicitation_priority":
+        lambda net: elicitation_priority(net, ["TreeCondition"]),
+    "joint_mass": joint_mass,
+}
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_marked_nets_skip_validation_and_others_do_not(name, fragment,
+                                                       monkeypatch):
+    consume = CONSUMERS[name]
+    unmarked = [
+        BayesNet(fragment.variables, fragment.cpts),
+        delete_edge(fragment, "Drought", "TreeCondition")[0],
+        amalgamate_levels(fragment, "Rainfall",
+                          ["average", "above average"])[0],
+    ]
+    marked = BayesNet.of(fragment.variables, fragment.cpts)
+    calls = count_validate(monkeypatch)
+    consume(fragment)
+    consume(marked)
+    assert calls == []
+    for net in unmarked:
+        consume(net)
+    assert [id(net) for net in calls] == [id(net) for net in unmarked]
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_invalid_nets_raise_the_per_row_reference_message(name, fragment):
+    consume = CONSUMERS[name]
+    bad_rain = Cpt("Rainfall", RAINFALL_LEVELS, (), (),
+                   [ProbVec(RAINFALL_LEVELS, (0.2, 0.7, 0.2))])
+    bad = BayesNet(fragment.variables,
+                   (fragment.cpts[0], bad_rain, fragment.cpts[2]))
+    parsed, _ = parse_model(serialize_model(bad), strict=False)
+    # edits of the good tables keep the bad one
+    for net in (bad, parsed, delete_edge(bad, "Drought", "TreeCondition")[0],
+                amalgamate_levels(bad, "Drought", ["yes", "no"])[0]):
+        want = "invalid network: " + "; ".join(reference_validate(net))
+        assert "Rainfall: row 0: mass sums to" in want
+        with pytest.raises(DomainError) as err:
+            consume(net)
+        assert str(err.value) == want
+
+
+def test_ancestral_joint_of_a_marked_net_is_not_validated(fragment,
+                                                          monkeypatch):
+    hand_built = BayesNet(fragment.variables, fragment.cpts)
+    calls = count_validate(monkeypatch)
+    want = marginal(fragment, ["TreeCondition"])
+    assert calls == []
+    got = marginal(hand_built, ["TreeCondition"])
+    assert len(calls) == 1
+    assert np.array_equal(got.mass, want.mass)

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvrobust import (
     BayesNet,
@@ -11,6 +13,7 @@ from tvrobust import (
     Variable,
     ancestral_set,
     descendants_map,
+    model_document,
     parse_model,
     topological_order,
     validate,
@@ -20,6 +23,7 @@ from conftest import (
     MODELS_DIR,
     TEN_NODE_EDGES,
     random_net,
+    reference_validate,
     scalar_topological_order,
 )
 
@@ -292,3 +296,120 @@ def test_topological_order_multi_root_and_duplicate_names():
         got = _order_or_message(topological_order, net)
         assert got == "DomainError: cycle detected involving " + stuck
         assert got == _order_or_message(scalar_topological_order, net)
+
+
+# Row checking: ``validate`` clears well-formed rows in bulk and sends the
+# rest to ``ProbVec.violations``; its messages must equal the per-row loop.
+
+ROW_DEFECTS = ("negative", "negative zero", "nan", "inf", "-inf", "overflow",
+               "near 1", "ragged", "row count", "other levels",
+               "duplicate levels")
+
+
+def _with_wide_child(net, rng, k):
+    """``net`` plus a ``k``-level child of up to two of its variables."""
+    pool = [net.variables[int(i)] for i in
+            rng.choice(len(net.variables), size=int(rng.integers(0, 3)),
+                       replace=False)]
+    pool.sort(key=lambda v: net.position(v.name))
+    levels = tuple(f"w{j}" for j in range(k))
+    rows = []
+    for _ in range(int(np.prod([len(v.levels) for v in pool]))):
+        w = rng.uniform(0.05, 1.0, size=k)
+        rows.append(ProbVec(levels, tuple(float(x) for x in w / w.sum())))
+    cpt = Cpt("W", levels, tuple(v.name for v in pool),
+              tuple(v.levels for v in pool), rows)
+    return BayesNet(net.variables + (Variable("W", levels),),
+                    net.cpts + (cpt,))
+
+
+def _inject(t: Cpt, defect: str, i: int, j: int, nudge: float) -> Cpt:
+    """``t`` with one defect in row ``i`` (column ``j``), unchecked."""
+    rows = [list(r.mass) for r in t.rows]
+    if not rows:
+        return t
+    child_levels = t.child_levels
+    levels = [child_levels] * len(rows)
+    i = i % len(rows)
+    row = rows[i]
+    if not row:
+        return t
+    j = j % len(row)
+    if defect == "negative":
+        # the row still sums to about 1
+        row[(j + 1) % len(row)] += 2 * row[j]
+        row[j] = -row[j]
+    elif defect == "negative zero":
+        row[(j + 1) % len(row)] += row[j]
+        row[j] = -0.0
+    elif defect in ("nan", "inf", "-inf"):
+        row[j] = float(defect)
+    elif defect == "overflow":
+        rows[i] = [1.5e308] * len(row)
+    elif defect == "near 1":
+        row[j] += nudge
+    elif defect == "ragged":
+        rows[i] = row[:-1] if j % 2 else row + [0.0]
+    elif defect == "row count":
+        rows = rows[:-1] if j % 2 else rows + [row]
+        levels = [child_levels] * len(rows)
+    elif defect == "other levels":
+        levels[i] = tuple(f"z{m}" for m in range(len(row)))
+    elif defect == "duplicate levels":
+        child_levels = child_levels[:-1] + child_levels[:1]
+        levels = [child_levels] * len(rows)
+    return Cpt(t.child, child_levels, t.parents, t.parent_levels,
+               [ProbVec(ls, r) for ls, r in zip(levels, rows)])
+
+
+@st.composite
+def defective_nets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    net = _with_wide_child(random_net(rng, 3, 6), rng,
+                           draw(st.integers(8, 12)))
+    cpts = list(net.cpts)
+    for _ in range(draw(st.integers(0, 3))):
+        # 1 +/- 1e-9 and 1 +/- 5e-10, give or take a few ulps
+        nudge = (draw(st.sampled_from((1e-9, -1e-9, 5e-10, -5e-10)))
+                 + draw(st.integers(-4, 4)) * 2.0 ** -52)
+        k = draw(st.integers(0, len(cpts) - 1))
+        cpts[k] = _inject(cpts[k], draw(st.sampled_from(ROW_DEFECTS)),
+                          draw(st.integers(0, 255)), draw(st.integers(0, 15)),
+                          nudge)
+    return BayesNet(net.variables, tuple(cpts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(defective_nets())
+def test_validate_equals_the_per_row_reference(net):
+    want = reference_validate(net)
+    assert validate(net) == want
+    parsed, violations = parse_model(json.dumps(model_document(net)),
+                                     strict=False)
+    assert violations == reference_validate(parsed)
+    # the document cannot hold levels other than the variable's own
+    if not any("levels" in m for m in want):
+        assert violations == want
+
+
+def test_rows_at_the_filter_margin_match_the_reference():
+    """Rows summing to within a few ulps of 1 +/- ROW_SUM_TOLERANCE and of
+    1 +/- ROW_SUM_TOLERANCE / 2, the filter's own margin, on 8 to 12
+    columns; the reference decides each one."""
+    rng = np.random.default_rng(606)
+    levels = tuple(f"l{j}" for j in range(12))
+    checked = flagged = 0
+    for k in range(8, 13):
+        for edge in (1e-9, -1e-9, 5e-10, -5e-10):
+            for ulps in range(-8, 9):
+                w = rng.uniform(0.05, 1.0, size=k)
+                mass = [float(x) for x in w / w.sum()]
+                mass[int(rng.integers(k))] += edge + ulps * 2.0 ** -52
+                t = Cpt("A", levels[:k], (), (),
+                        [ProbVec(levels[:k], mass)])
+                net = BayesNet((Variable("A", levels[:k]),), (t,))
+                want = reference_validate(net)
+                assert validate(net) == want
+                checked += 1
+                flagged += bool(want)
+    assert 0 < flagged < checked

@@ -18,7 +18,8 @@ from tvrobust import (
     serialize_model,
 )
 
-from conftest import GOLDEN_DIR, MODELS_DIR, TESTS_DIR, reference_row_error
+from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, count_validate,
+                      reference_row_error)
 
 FIXTURES = ("native_fish_fragment", "native_fish_variant",
             "ten_node_demo", "broken_model")
@@ -477,3 +478,16 @@ def test_cli_amalgamate_nominal_names_the_level_it_writes(group, capsys,
     first = capsys.readouterr().out.splitlines()[0]
     assert first == ("merged levels of Rainfall into "
                      "'below average+above average'")
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["edges", "models/native_fish_fragment.json"],
+    ["report", "--json", "models/native_fish_fragment.json"],
+    ["impact", "models/ten_node_demo.json", "--from", "X1", "--to", "X8"],
+])
+def test_cli_validates_a_valid_model_once(argv, capsys, monkeypatch):
+    calls = count_validate(monkeypatch)
+    monkeypatch.chdir(TESTS_DIR)
+    assert run_cli(argv) == 0
+    assert len(calls) == 1

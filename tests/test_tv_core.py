@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from tvrobust import (
     parent_diameter,
     parent_index,
     superbound_witness,
+    transition_table,
     tv_distance,
     variation_matrix,
 )
@@ -25,6 +29,7 @@ from conftest import (
     Q_ROWS,
     RAINFALL_LEVELS,
     TREE_LEVELS,
+    load_model,
     random_net,
     random_table,
     random_vector,
@@ -333,3 +338,60 @@ def test_pair_scan_blocks_keep_the_lowest_witness():
     assert (cpt_superbound(t, t), superbound_witness(t, t)) == \
         scalar_superbound(t, t) == (1.0, (40, 250))
     assert local_diameter(t, range(100, 300)) == 1.0
+
+
+def _tables_of_every_origin():
+    """A CPT from ProbVec rows, one read by parse_model, and the results
+    of collapse_parent and transition_table."""
+    net = load_model("native_fish_fragment")
+    return [tree_cpt(), net.cpt("TreeCondition"),
+            collapse_parent(tree_cpt(), 1),
+            transition_table(net, ["TreeCondition"], ["Drought"])]
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("copy_of", [lambda t: t, copy.deepcopy,
+                                     lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["same", "deepcopy", "pickle"])
+def test_grid_is_read_only(k, copy_of):
+    t = copy_of(_tables_of_every_origin()[k])
+    before = t.grid().copy()
+    with pytest.raises(ValueError):
+        t.grid()[0] = 0.5
+    with pytest.raises(ValueError):
+        t.grid().flags.writeable = True
+    with pytest.raises(ValueError):
+        np.moveaxis(t.grid(), 0, -1)[...] = 0.0
+    assert np.array_equal(t.grid(), before)
+
+
+def test_parsed_and_probvec_tables_are_equal_by_value():
+    parsed = load_model("native_fish_fragment").cpt("TreeCondition")
+    built = tree_cpt()
+    assert parsed == built and built == parsed
+    assert hash(parsed) == hash(built)
+    assert parsed.rows == built.rows
+    assert len({parsed, built}) == 1
+    assert parsed != tree_cpt(Q_ROWS)
+
+
+def test_rows_of_a_grid_table_equal_the_rows_it_was_built_from():
+    rows = [ProbVec(TREE_LEVELS, r) for r in P_ROWS]
+    t = Cpt("TreeCondition", TREE_LEVELS, ("Drought", "Rainfall"),
+            (DROUGHT_LEVELS, RAINFALL_LEVELS), rows)
+    assert t.rows == tuple(rows)
+    assert t.grid().reshape(-1, 3).tolist() == [list(r) for r in P_ROWS]
+    # a table whose rows do not fit keeps them as given
+    short = Cpt("TreeCondition", TREE_LEVELS, ("Drought", "Rainfall"),
+                (DROUGHT_LEVELS, RAINFALL_LEVELS), rows[:5])
+    assert short.rows == tuple(rows[:5])
+    assert short.violations() == ["TreeCondition: 5 rows, expected 6"]
+
+
+def test_an_array_without_child_levels_reads_like_probvec_rows():
+    levels = (("x", "y"),)
+    from_array = Cpt("A", (), ("P",), levels, np.zeros((2, 0)))
+    from_rows = Cpt("A", (), ("P",), levels, [ProbVec((), ())] * 2)
+    assert from_array == from_rows
+    assert from_array.violations() == from_rows.violations() == [
+        "A: no child levels", "A: row 0: no levels", "A: row 1: no levels"]
