@@ -73,20 +73,38 @@ def delete_edge(net: BayesNet, parent: str, child: str):
     return BayesNet(net.variables, cpts), cost
 
 
-def _merged_levels(levels, group):
-    """New level tuple with a consecutive group fused, plus the mapping."""
+def _merge_plan(levels, group, consecutive: bool):
+    """The levels with ``group`` fused at its first member, and for each
+    old level the index of its new level.  Unless ``consecutive``, the
+    group may list its levels in any order; the fused name joins them
+    with "+" in declaration order."""
     group = tuple(group)
     if not group:
         raise DomainError("empty group")
-    try:
+    if consecutive:
+        if group[0] not in levels:
+            raise DomainError(f"unknown level {group[0]!r}")
         start = levels.index(group[0])
-    except ValueError:
-        raise DomainError(f"unknown level {group[0]!r}")
-    if tuple(levels[start:start + len(group)]) != group:
-        raise DomainError(
-            f"group {list(group)} is not a consecutive run of {list(levels)}"
-        )
-    return _merged_levels_any(levels, group)
+        if tuple(levels[start:start + len(group)]) != group:
+            raise DomainError(
+                f"group {list(group)} is not a consecutive run of {list(levels)}"
+            )
+    else:
+        ordered = tuple(lv for lv in levels if lv in set(group))
+        if set(ordered) != set(group) or len(ordered) != len(group):
+            raise DomainError("group contains unknown or repeated levels")
+        group = ordered
+    merged_name = "+".join(group)
+    if merged_name in levels and merged_name not in group:
+        raise DomainError(f"merged level name {merged_name!r} is already "
+                          "a level outside the group")
+    first = min(levels.index(lv) for lv in group)
+    new_levels = tuple(merged_name if i == first else lv
+                       for i, lv in enumerate(levels)
+                       if i == first or lv not in group)
+    index = np.array([new_levels.index(merged_name if lv in group else lv)
+                      for lv in levels])
+    return new_levels, index
 
 
 def counterpart_cost(original: Cpt, merged: Cpt, variable: str, group) -> float:
@@ -97,8 +115,22 @@ def counterpart_cost(original: Cpt, merged: Cpt, variable: str, group) -> float:
     table with more rows is priced against its amalgamated replacement.
     """
     j = parent_index(original, variable)
-    _, to_new = _merged_levels(original.parent_levels[j], group)
-    return counterpart_cost_from_map(original, merged, j, to_new)
+    new_levels, index = _merge_plan(original.parent_levels[j], group, True)
+    if original.child_levels != merged.child_levels:
+        raise DomainError("child levels differ between the tables")
+    if len(original.parents) != len(merged.parents):
+        raise DomainError(f"configuration size {len(original.parents)} "
+                          f"for {len(merged.parents)} parents")
+    # each original row's counterpart, looked up level by level by label
+    lookup = []
+    for k, (old, new) in enumerate(zip(original.parent_levels,
+                                       merged.parent_levels)):
+        labels = [new_levels[i] for i in index] if k == j else old
+        for lv in labels:
+            if lv not in new:
+                raise DomainError(f"unknown level {lv!r}")
+        lookup.append([new.index(lv) for lv in labels])
+    return _max(_tv(original.grid(), merged.grid()[np.ix_(*lookup)]))
 
 
 def amalgamate_levels(net: BayesNet, variable: str, group,
@@ -113,90 +145,42 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
     ``allow_nonconsecutive`` is set (meant for nominal scales).
     """
     var = net.variable(variable)
-    group = tuple(group)
-    if allow_nonconsecutive:
-        ordered = tuple(lv for lv in var.levels if lv in set(group))
-        if set(ordered) != set(group) or len(ordered) != len(group):
-            raise DomainError("group contains unknown or repeated levels")
-        new_levels, to_new = _merged_levels_any(var.levels, ordered)
-    else:
-        new_levels, to_new = _merged_levels(var.levels, group)
-
+    new_levels, index = _merge_plan(var.levels, group,
+                                    not allow_nonconsecutive)
     variables = tuple(
         Variable(v.name, new_levels) if v.name == variable else v
         for v in net.variables
     )
-    groups = [[i for i, lv in enumerate(var.levels) if to_new[lv] == new]
-              for new in new_levels]
     costs: dict[str, float] = {}
     new_cpts = []
     for v, t in zip(net.variables, net.cpts):
         if v.name == variable:
-            G = _fuse(t.grid(), -1, groups, uniform=False)
+            G = _fuse(t.grid(), -1, index, uniform=False)
             t = Cpt(t.child, new_levels, t.parents, t.parent_levels, G)
         elif variable in t.parents:
             j = parent_index(t, variable)
-            G = _fuse(t.grid(), j, groups, uniform=True)
-            merged = Cpt.of(t.child, t.child_levels, t.parents,
-                            t.parent_levels[:j] + (new_levels,)
-                            + t.parent_levels[j + 1:], G)
-            costs[v.name] = counterpart_cost_from_map(t, merged, j, to_new)
-            t = merged
+            G = _fuse(t.grid(), j, index, uniform=True)
+            costs[v.name] = _max(_tv(t.grid(), np.take(G, index, axis=j)))
+            t = Cpt.of(t.child, t.child_levels, t.parents,
+                       t.parent_levels[:j] + (new_levels,)
+                       + t.parent_levels[j + 1:], G)
         new_cpts.append(t)
     return BayesNet(variables, tuple(new_cpts)), costs
 
 
-def _merged_levels_any(levels, group):
-    """New level tuple with a group fused at its first member, plus the
-    mapping from old to new levels."""
-    merged_name = "+".join(group)
-    if merged_name in levels and merged_name not in group:
-        raise DomainError(f"merged level name {merged_name!r} is already "
-                          "a level outside the group")
-    first = min(levels.index(lv) for lv in group)
-    new_levels = []
-    for i, lv in enumerate(levels):
-        if lv in group:
-            if i == first:
-                new_levels.append(merged_name)
-        else:
-            new_levels.append(lv)
-    to_new = {lv: (merged_name if lv in group else lv) for lv in levels}
-    return tuple(new_levels), to_new
+def _fuse(G: np.ndarray, axis: int, index, uniform: bool) -> np.ndarray:
+    """``G`` with slice i along ``axis`` fused into slice ``index[i]``.
 
-
-def _fuse(G: np.ndarray, axis: int, groups, uniform: bool) -> np.ndarray:
-    """``G`` with the slices along ``axis`` fused group by group, in order.
-
-    A group's slices are averaged when ``uniform``, else summed.
+    Slices fused together are averaged when ``uniform``, else summed.
     """
     X = np.moveaxis(G, axis, -1)[..., None]
+    groups = [np.flatnonzero(index == k) for k in range(index.max() + 1)]
     fused = np.stack([
         _convex_sum(np.full(len(g), 1.0 / len(g) if uniform else 1.0),
                     X[..., g, :])
         for g in groups
     ], axis=-2)
     return np.moveaxis(fused[..., 0], -1, axis)
-
-
-def counterpart_cost_from_map(original: Cpt, merged: Cpt, j: int,
-                              to_new) -> float:
-    """Row-matched TV with parent ``j``'s levels mapped through ``to_new``."""
-    if original.child_levels != merged.child_levels:
-        raise DomainError("child levels differ between the tables")
-    if len(original.parents) != len(merged.parents):
-        raise DomainError(f"configuration size {len(original.parents)} "
-                          f"for {len(merged.parents)} parents")
-    # each original row's counterpart, looked up level by level by label
-    index = []
-    for k, (old, new) in enumerate(zip(original.parent_levels,
-                                       merged.parent_levels)):
-        labels = [to_new[lv] for lv in old] if k == j else old
-        for lv in labels:
-            if lv not in new:
-                raise DomainError(f"unknown level {lv!r}")
-        index.append([new.index(lv) for lv in labels])
-    return _max(_tv(original.grid(), merged.grid()[np.ix_(*index)]))
 
 
 def amalgamation_suggest(net: BayesNet, variable: str):

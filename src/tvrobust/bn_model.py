@@ -122,13 +122,19 @@ def validate(net: BayesNet) -> list[str]:
     return problems
 
 
+def _validate_and_mark(net: BayesNet) -> list[str]:
+    """``validate(net)``, marking ``net`` valid when nothing is found."""
+    problems = validate(net)
+    object.__setattr__(net, "_validated", not problems)
+    return problems
+
+
 def _require_valid(net: BayesNet) -> None:
     """Raise DomainError if ``net`` is invalid; mark it valid otherwise."""
     if not net._validated:
-        problems = validate(net)
+        problems = _validate_and_mark(net)
         if problems:
             raise DomainError("invalid network: " + "; ".join(problems))
-        object.__setattr__(net, "_validated", True)
 
 
 def topological_order(net: BayesNet) -> tuple[str, ...]:
@@ -173,6 +179,17 @@ def ancestral_set(net: BayesNet, targets) -> set[str]:
         result.add(n)
         frontier.extend(net.parents_of(n))
     return result
+
+
+def _ancestral_subnet(net: BayesNet, names) -> BayesNet:
+    """``names`` and their ancestors as a net, marked as ``net`` is: the
+    ancestral set of a valid net is itself valid."""
+    keep = ancestral_set(net, names)
+    pairs = [(v, t) for v, t in zip(net.variables, net.cpts)
+             if v.name in keep]
+    sub = BayesNet(tuple(v for v, _ in pairs), tuple(t for _, t in pairs))
+    object.__setattr__(sub, "_validated", net._validated)
+    return sub
 
 
 def descendants_map(net: BayesNet) -> dict[str, set[str]]:

@@ -36,7 +36,7 @@ from .advisors import (
     delete_edge,
     edge_deletion_report,
 )
-from .bn_model import BayesNet, Variable, validate
+from .bn_model import BayesNet, Variable, _validate_and_mark, validate
 from .bounds import path_impact
 from .errors import DomainError, ParseError, ResourceLimitError
 from .jtree import (
@@ -174,8 +174,7 @@ def parse_model(text: str, strict: bool = True):
 
     net = BayesNet(tuple(variables),
                    tuple(table_for[v.name] for v in variables))
-    violations = validate(net)
-    object.__setattr__(net, "_validated", not violations)
+    violations = _validate_and_mark(net)
     if strict:
         if violations:
             raise ParseError("model failed validation: "

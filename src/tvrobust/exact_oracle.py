@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, _require_valid, ancestral_set
+from .bn_model import BayesNet, _ancestral_subnet, _require_valid
 from .errors import DomainError, ResourceLimitError
 from .tv_core import Cpt
 
@@ -139,15 +139,9 @@ def _ancestral_joint(net: BayesNet, names,
     """Joint of the ancestral set of ``names``.
 
     Its margin over any subset of the set equals the full net's margin,
-    and the state cap counts only the set's own configurations.  The set
-    of a validated net is itself valid, so it is not checked again.
+    and the state cap counts only the set's own configurations.
     """
-    keep = ancestral_set(net, names)
-    pairs = [(v, t) for v, t in zip(net.variables, net.cpts)
-             if v.name in keep]
-    sub = BayesNet(tuple(v for v, _ in pairs), tuple(t for _, t in pairs))
-    object.__setattr__(sub, "_validated", net._validated)
-    return joint_mass(sub, limit)
+    return joint_mass(_ancestral_subnet(net, names), limit)
 
 
 def _factor_table(net: BayesNet, joint: JointTable, outputs,

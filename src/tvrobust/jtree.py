@@ -7,6 +7,7 @@ produce identical cliques, trees, and paths.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -66,25 +67,12 @@ class JunctionTree:
     tree_edges: tuple[tuple[int, int, tuple[str, ...]], ...]
     rip_order: tuple[int, ...]
 
-    def clique_index(self, members) -> int:
-        want = frozenset(members)
-        for i, c in enumerate(self.cliques):
-            if frozenset(c) == want:
-                return i
-        raise DomainError(f"no clique with members {sorted(want)}")
-
     def neighbors(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.cliques))}
         for i, j, _ in self.tree_edges:
             adj[i].append(j)
             adj[j].append(i)
         return {i: sorted(v) for i, v in adj.items()}
-
-    def separator(self, i: int, j: int) -> tuple[str, ...]:
-        for a, b, s in self.tree_edges:
-            if (a, b) in ((i, j), (j, i)):
-                return s
-        raise DomainError(f"cliques {i} and {j} are not adjacent")
 
 
 @dataclass(frozen=True)
@@ -98,13 +86,9 @@ class CliquePath:
 def moralize(net: BayesNet) -> UGraph:
     """Undirected skeleton plus marriage edges between co-parents."""
     names = net.names()
-    edges = set()
-    for parent, child in net.edges():
-        edges.add((parent, child))
+    edges = set(net.edges())
     for v in names:
-        ps = net.parents_of(v)
-        for a, b in itertools.combinations(ps, 2):
-            edges.add((a, b))
+        edges.update(itertools.combinations(net.parents_of(v), 2))
     return UGraph(names, tuple(edges))
 
 
@@ -115,34 +99,25 @@ def subgraph(g: UGraph, keep) -> UGraph:
     return UGraph(verts, edges)
 
 
-def triangulate(g: UGraph, order_hint=None) -> UGraph:
+def triangulate(g: UGraph) -> UGraph:
     """Chordal supergraph via min-fill elimination.
 
-    Ties are broken by position in ``order_hint`` when given, otherwise
-    by declaration order, so the result is deterministic.
+    Ties are broken by declaration order, so the result is deterministic.
     """
-    if order_hint is not None:
-        rank = {v: i for i, v in enumerate(order_hint)}
-        for v in g.vertices:
-            if v not in rank:
-                raise DomainError(f"order hint is missing {v!r}")
-    else:
-        rank = {v: i for i, v in enumerate(g.vertices)}
-    adj = {v: set(ns) for v, ns in g.neighbors().items()}
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    adj = g.neighbors()
     fill: set[tuple[str, str]] = set()
     remaining = sorted(adj, key=rank.get)
     while remaining:
         best_v, best_cost = None, None
         for v in remaining:
-            ns = [u for u in adj[v]]
             cost = 0
-            for a, b in itertools.combinations(ns, 2):
+            for a, b in itertools.combinations(adj[v], 2):
                 if b not in adj[a]:
                     cost += 1
             if best_cost is None or cost < best_cost:
                 best_v, best_cost = v, cost
-        ns = list(adj[best_v])
-        for a, b in itertools.combinations(ns, 2):
+        for a, b in itertools.combinations(adj[best_v], 2):
             if b not in adj[a]:
                 adj[a].add(b)
                 adj[b].add(a)
@@ -258,24 +233,18 @@ def build_junction_tree(g: UGraph) -> JunctionTree:
         tree_edges.append((i, j, sep))
     tree_edges.sort(key=lambda e: (e[0], e[1]))
 
-    adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    for i, j, _ in tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    rip: list[int] = []
-    placed = set()
-    while len(rip) < m:
-        if not rip:
-            pick = 0
-        else:
-            frontier = sorted(
-                j for i in rip for j in adj[i] if j not in placed
-            )
-            pick = frontier[0] if frontier else min(
-                i for i in range(m) if i not in placed
-            )
-        rip.append(pick)
-        placed.add(pick)
+    # the lowest-index clique next to a placed one goes next; the tree
+    # spans every clique (weight-0 pairs join components), so all are
+    # reached from clique 0
+    adj = JunctionTree(cliques, tuple(tree_edges), ()).neighbors()
+    rip: dict[int, None] = {}
+    frontier = [0] if m else []
+    while frontier:
+        i = heapq.heappop(frontier)
+        if i not in rip:
+            rip[i] = None
+            for j in adj[i]:
+                heapq.heappush(frontier, j)
 
     jt = JunctionTree(cliques, tuple(tree_edges), tuple(rip))
     if not verify_running_intersection(cliques, jt.rip_order):
@@ -304,32 +273,40 @@ def junction_property_holds(jt: JunctionTree) -> bool:
     return True
 
 
+def _tree_paths(jt: JunctionTree, start: int) -> dict[int, tuple[int, ...]]:
+    """Clique index sequence from ``start`` to every clique it reaches,
+    found by one breadth-first search of the tree."""
+    adj = jt.neighbors()
+    paths = {start: (start,)}
+    queue = [start]
+    for i in queue:
+        for j in adj[i]:
+            if j not in paths:
+                paths[j] = paths[i] + (j,)
+                queue.append(j)
+    return paths
+
+
+def _clique_path(jt: JunctionTree, chain) -> CliquePath:
+    """The cliques of an index sequence with the separators between them."""
+    # reversed, so the first edge listed for a pair gives its separator
+    seps = {frozenset(e[:2]): e[2] for e in reversed(jt.tree_edges)}
+    return CliquePath(tuple(jt.cliques[i] for i in chain),
+                      tuple(seps[frozenset(step)]
+                            for step in zip(chain, chain[1:])))
+
+
 def simple_path(jt: JunctionTree, donor, target) -> CliquePath:
     """The unique repeat-free clique sequence between two cliques."""
-    start = jt.clique_index(donor)
-    goal = jt.clique_index(target)
-    adj = jt.neighbors()
-    prev: dict[int, int] = {start: start}
-    queue = [start]
-    while queue:
-        i = queue.pop(0)
-        if i == goal:
-            break
-        for j in adj[i]:
-            if j not in prev:
-                prev[j] = i
-                queue.append(j)
-    if goal not in prev:
+    sets = [frozenset(c) for c in jt.cliques]
+    ends = (frozenset(donor), frozenset(target))
+    for want in ends:
+        if want not in sets:
+            raise DomainError(f"no clique with members {sorted(want)}")
+    chain = _tree_paths(jt, sets.index(ends[0])).get(sets.index(ends[1]))
+    if chain is None:
         raise DomainError("cliques are not connected in the tree")
-    chain = [goal]
-    while chain[-1] != start:
-        chain.append(prev[chain[-1]])
-    chain.reverse()
-    cliques = tuple(jt.cliques[i] for i in chain)
-    seps = tuple(
-        jt.separator(chain[k], chain[k + 1]) for k in range(len(chain) - 1)
-    )
-    return CliquePath(cliques, seps)
+    return _clique_path(jt, chain)
 
 
 def donor_target_path(net: BayesNet, donor, target):
@@ -370,18 +347,9 @@ def _donor_target_path(net: BayesNet, moral: UGraph, donor, target):
 
     c_donor = candidates(donor, "donor")[0]
     hosts = candidates(target, "target")
-    dist = {c_donor: 0}
-    frontier = [c_donor]
-    adj = jt.neighbors()
-    while frontier:
-        i = frontier.pop(0)
-        for j in adj[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                frontier.append(j)
-    c_target = min(hosts, key=lambda i: (dist[i], i))
-    path = simple_path(jt, jt.cliques[c_donor], jt.cliques[c_target])
-    return jt, path
+    paths = _tree_paths(jt, c_donor)
+    c_target = min(hosts, key=lambda i: (len(paths[i]), i))
+    return jt, _clique_path(jt, paths[c_target])
 
 
 def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -395,11 +363,7 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
         raise DomainError("separator count does not match path length")
     if k <= 1:
         return []
-    specs = []
-    first = tuple(v for v in path.cliques[0] if v not in set(path.separators[0]))
-    specs.append((path.separators[0], first))
-    for i in range(len(path.separators) - 1):
-        specs.append((path.separators[i + 1], path.separators[i]))
-    last = tuple(v for v in path.cliques[-1] if v not in set(path.separators[-1]))
-    specs.append((last, path.separators[-1]))
-    return specs
+    seps = path.separators
+    first = tuple(v for v in path.cliques[0] if v not in seps[0])
+    last = tuple(v for v in path.cliques[-1] if v not in seps[-1])
+    return [(seps[0], first), *zip(seps[1:], seps), (last, seps[-1])]

@@ -5,13 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from tvrobust import (BayesNet, Cpt, ProbVec, Variable, donor_target_path,
-                      path_impact, topological_order, tv_distance)
+from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
+                      Variable, ancestral_set, build_junction_tree,
+                      donor_target_path, moralize, path_impact,
+                      topological_order, triangulate, tv_distance)
 from tvrobust import bn_model
 from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError, ParseError
 from tvrobust.exact_oracle import JointTable, joint_mass, marginal_of
+from tvrobust.jtree import subgraph
 
 TESTS_DIR = pathlib.Path(__file__).parent
 MODELS_DIR = TESTS_DIR / "models"
@@ -451,3 +454,112 @@ def count_validate(monkeypatch) -> list:
                 getattr(module, "validate", None) is real:
             monkeypatch.setattr(module, "validate", counted)
     return calls
+
+
+def reference_rip_order(m: int, tree_edges) -> tuple[int, ...]:
+    """The sorted-frontier loop ``build_junction_tree`` ran: from clique
+    0, place the lowest-index unplaced neighbour of a placed clique, or
+    the lowest unplaced clique when none is left."""
+    adj: dict[int, list[int]] = {i: [] for i in range(m)}
+    for i, j, _ in tree_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    rip: list[int] = []
+    placed = set()
+    while len(rip) < m:
+        if not rip:
+            pick = 0
+        else:
+            frontier = sorted(
+                j for i in rip for j in adj[i] if j not in placed
+            )
+            pick = frontier[0] if frontier else min(
+                i for i in range(m) if i not in placed
+            )
+        rip.append(pick)
+        placed.add(pick)
+    return tuple(rip)
+
+
+def reference_simple_path(jt: JunctionTree, donor, target) -> CliquePath:
+    """The ``simple_path`` that looked up each end by its member set, ran
+    its own breadth-first search up to the goal and scanned the tree
+    edges for each separator."""
+    def clique_index(members) -> int:
+        want = frozenset(members)
+        for i, c in enumerate(jt.cliques):
+            if frozenset(c) == want:
+                return i
+        raise DomainError(f"no clique with members {sorted(want)}")
+
+    def separator(i: int, j: int) -> tuple[str, ...]:
+        for a, b, s in jt.tree_edges:
+            if (a, b) in ((i, j), (j, i)):
+                return s
+        raise DomainError(f"cliques {i} and {j} are not adjacent")
+
+    start = clique_index(donor)
+    goal = clique_index(target)
+    adj = jt.neighbors()
+    prev: dict[int, int] = {start: start}
+    queue = [start]
+    while queue:
+        i = queue.pop(0)
+        if i == goal:
+            break
+        for j in adj[i]:
+            if j not in prev:
+                prev[j] = i
+                queue.append(j)
+    if goal not in prev:
+        raise DomainError("cliques are not connected in the tree")
+    chain = [goal]
+    while chain[-1] != start:
+        chain.append(prev[chain[-1]])
+    chain.reverse()
+    cliques = tuple(jt.cliques[i] for i in chain)
+    seps = tuple(
+        separator(chain[k], chain[k + 1]) for k in range(len(chain) - 1)
+    )
+    return CliquePath(cliques, seps)
+
+
+def reference_donor_target_path(net: BayesNet, donor, target):
+    """``donor_target_path`` as two tree searches: one for the distance
+    of every clique from the donor's, to pick the nearest target host
+    (lowest index on ties), then ``reference_simple_path`` between the
+    two member tuples.  The tree carries ``reference_rip_order``."""
+    donor = set(donor)
+    target = set(target)
+    if not donor or not target:
+        raise DomainError("donor and target sets must be nonempty")
+    keep = ancestral_set(net, donor | target)
+    built = build_junction_tree(triangulate(subgraph(moralize(net), keep)))
+    jt = JunctionTree(built.cliques, built.tree_edges, reference_rip_order(
+        len(built.cliques), built.tree_edges))
+
+    def candidates(members, label: str) -> list[int]:
+        found = [i for i, c in enumerate(jt.cliques)
+                 if members <= frozenset(c)]
+        if not found:
+            raise DomainError(
+                f"{label} set {sorted(members)} spans multiple cliques; "
+                "split it into per-clique subsets"
+            )
+        return found
+
+    c_donor = candidates(donor, "donor")[0]
+    hosts = candidates(target, "target")
+    dist = {c_donor: 0}
+    frontier = [c_donor]
+    adj = jt.neighbors()
+    while frontier:
+        i = frontier.pop(0)
+        for j in adj[i]:
+            if j not in dist:
+                dist[j] = dist[i] + 1
+                frontier.append(j)
+    c_target = min(hosts, key=lambda i: (dist[i], i))
+    path = reference_simple_path(jt, jt.cliques[c_donor],
+                                 jt.cliques[c_target])
+    return jt, path

@@ -195,6 +195,13 @@ def test_amalgamate_rejects_nonconsecutive_unless_nominal(fragment):
     assert validate(new) == []
 
 
+def test_amalgamate_rejects_an_empty_group_in_both_modes(fragment):
+    for nominal in (False, True):
+        with pytest.raises(DomainError, match="^empty group$"):
+            amalgamate_levels(fragment, "Rainfall", (),
+                              allow_nonconsecutive=nominal)
+
+
 def test_amalgamate_size_one_group_is_identity(fragment):
     new, costs = amalgamate_levels(fragment, "Rainfall", ("average",))
     assert costs == {"TreeCondition": 0.0}

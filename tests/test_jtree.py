@@ -5,7 +5,9 @@ import pytest
 
 from tvrobust import (
     DomainError,
+    JunctionTree,
     UGraph,
+    ancestral_set,
     build_junction_tree,
     donor_target_path,
     is_chordal,
@@ -20,7 +22,12 @@ from tvrobust import (
 )
 from tvrobust.jtree import subgraph
 
-from conftest import random_net
+from conftest import (
+    random_net,
+    reference_donor_target_path,
+    reference_rip_order,
+    reference_simple_path,
+)
 
 DEMO_CLIQUES = {
     ("X1", "X2"),
@@ -155,6 +162,24 @@ def test_simple_path_adjacent_and_self(ten_node):
     assert adj.separators == (("X2",),)
 
 
+def test_simple_path_rejects_ends_that_are_not_cliques(ten_node):
+    jt = build_junction_tree(moralize(ten_node))
+    # X2, X3 lies inside the clique X2, X3, X4 but is not a clique itself;
+    # the donor end is looked up first
+    cases = [(("X2", "X3"), ("X7", "X9"), ["X2", "X3"]),
+             (("X1", "X2"), ("X3", "X2"), ["X2", "X3"]),
+             (("X9", "X1"), ("X1", "X9"), ["X1", "X9"]),
+             (("X1", "X2"), (), [])]
+    for donor, target, members in cases:
+        with pytest.raises(DomainError) as err:
+            simple_path(jt, donor, target)
+        assert str(err.value) == f"no clique with members {members}"
+    split = JunctionTree((("A",), ("B",)), (), (0, 1))
+    with pytest.raises(DomainError,
+                       match="cliques are not connected in the tree"):
+        simple_path(split, ("A",), ("B",))
+
+
 def test_donor_target_path_prunes_barren_variables(ten_node):
     jt, path = donor_target_path(ten_node, {"X1"}, {"X9"})
     used = {v for c in jt.cliques for v in c}
@@ -271,3 +296,77 @@ def test_junction_tree_separators_are_a_maximum_spanning_tree():
         best = nx.maximum_spanning_tree(overlap).size(weight="weight")
         assert sum(len(sep) for _, _, sep in jt.tree_edges) == best
         assert len(jt.tree_edges) == len(jt.cliques) - 1
+
+
+def _random_trees(seed: int, count: int = 60):
+    """Junction trees of random nets of 4-14 variables, whole and cut to
+    the ancestral set of the last variable."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net = random_net(rng, 4, 14)
+        moral = moralize(net)
+        keep = ancestral_set(net, {net.names()[-1]})
+        for g in (moral, subgraph(moral, keep)):
+            yield net, build_junction_tree(triangulate(g))
+
+
+def test_rip_order_equals_sorted_frontier_loop():
+    empty_seps = 0
+    for _, jt in _random_trees(901):
+        want = reference_rip_order(len(jt.cliques), jt.tree_edges)
+        assert jt == JunctionTree(jt.cliques, jt.tree_edges, want)
+        empty_seps += any(not sep for _, _, sep in jt.tree_edges)
+    # disconnected moral graphs give weight-0 tree edges
+    assert empty_seps >= 10
+
+
+def test_simple_path_equals_two_search_reference():
+    steps = 0
+    for _, jt in _random_trees(902):
+        for a, b in itertools.product(jt.cliques, repeat=2):
+            path = simple_path(jt, a, b)
+            assert path == reference_simple_path(jt, a, b)
+            # member order does not matter, only the member set
+            assert simple_path(jt, a[::-1], b[::-1]) == path
+            steps += len(path.separators)
+    assert steps >= 500
+
+
+def _outcome(find, net, donor, target):
+    try:
+        return find(net, donor, target)
+    except DomainError as e:
+        return str(e)
+
+
+def test_donor_target_path_equals_two_search_reference(ten_node):
+    """Every family/target pair that ``elicitation_priority`` builds on
+    random nets, and multi-variable donors and targets on the ten-node
+    demo, give the reference's tree and path, errors included."""
+    rng = np.random.default_rng(903)
+    cases = []
+    for _ in range(60):
+        net = random_net(rng, 4, 14)
+        names = net.names()
+        child = next((v for v in reversed(names) if net.parents_of(v)),
+                     names[-1])
+        for targets in ({names[int(rng.integers(len(names)))]},
+                        {child} | set(net.parents_of(child)[:1])):
+            cases += [(net, {v} | set(net.parents_of(v)), targets)
+                      for v in names]
+    subsets = [set(c) for k in (1, 2)
+               for c in itertools.combinations(ten_node.names(), k)]
+    cases += [(ten_node, d, t) for d in subsets for t in subsets]
+    far = 0
+    for net, donor, target in cases:
+        got = _outcome(donor_target_path, net, donor, target)
+        assert got == _outcome(reference_donor_target_path, net, donor,
+                               target)
+        if not isinstance(got, str):
+            jt, path = got
+            hosts = [i for i, c in enumerate(jt.cliques)
+                     if target <= set(c)]
+            far += len(hosts) > 1
+    # the target sits in several cliques often enough for the nearest
+    # host to matter
+    assert far >= 50
