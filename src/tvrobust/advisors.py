@@ -142,7 +142,9 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
     uniformly.  Returns (new net, costs) where costs maps each child
     whose CPT had rows averaged to its row-matched TV cost.  The group
     must be consecutive in the declared level order unless
-    ``allow_nonconsecutive`` is set (meant for nominal scales).
+    ``allow_nonconsecutive`` is set (meant for nominal scales).  A
+    child whose table lists other levels for the variable is an error
+    that names the child; other defects of the net pass through.
     """
     var = net.variable(variable)
     new_levels, index = _merge_plan(var.levels, group,
@@ -159,6 +161,9 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
             t = Cpt(t.child, new_levels, t.parents, t.parent_levels, G)
         elif variable in t.parents:
             j = parent_index(t, variable)
+            if t.parent_levels[j] != var.levels:
+                raise DomainError(f"{v.name}: parent {variable!r} levels "
+                                  "disagree")
             G = _fuse(t.grid(), j, index, uniform=True)
             costs[v.name] = _max(_tv(t.grid(), np.take(G, index, axis=j)))
             t = Cpt.of(t.child, t.child_levels, t.parents,

@@ -1,10 +1,11 @@
 """Propagation and composition bounds built on TV diameters.
 
 Two ways to price a clique path: the exact mode reads each factor
-table off one oracle joint and takes its true diameter; the bound mode
-never touches the oracle and assembles an upper bound for each factor
-from the diameters of the model's own CPTs.  The exact value never exceeds
-the assembled bound, and both are certified factor by factor.
+table off the calibrated marginal of a junction-tree clique that holds
+it and takes its true diameter; the bound mode touches no probabilities
+beyond the model's own CPTs and assembles an upper bound for each
+factor from their diameters.  The exact value never exceeds the
+assembled bound, and both are certified factor by factor.
 """
 
 from __future__ import annotations
@@ -12,10 +13,22 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .bn_model import BayesNet, descendants_map, topological_order
+from .bn_model import (
+    BayesNet,
+    _ancestral_subnet,
+    _require_valid,
+    descendants_map,
+    topological_order,
+)
 from .errors import DomainError
-from .exact_oracle import _ancestral_joint, _factor_table
-from .jtree import CliquePath, path_factor_specs
+from .exact_oracle import _factor_table
+from .jtree import (
+    CliquePath,
+    JunctionTree,
+    _clique_marginals,
+    _path_tree,
+    path_factor_specs,
+)
 from .tv_core import (
     Cpt,
     ProbVec,
@@ -194,18 +207,52 @@ def _impact_product(specs, price, mode: str) -> BoundResult:
     return BoundResult(min(1.0, value), mode, tuple(factors))
 
 
+def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
+                  tree: JunctionTree | None):
+    """Exact-mode ``price`` for the factor specs of ``path``.
+
+    Each factor is read off the calibrated marginal of the first clique
+    of ``tree`` that holds its path clique and its own variables.
+    Without ``tree``, the tree is that of the path's ancestral moral
+    graph with each such set made complete.  The net is validated on
+    the tree's variables, and the size cap is checked, before any
+    table is built, even for a single-clique path.
+    """
+    priced = [spec for spec in specs if spec[0]]
+    scopes = [frozenset(c).union(*spec)
+              for c, spec in zip(path.cliques, specs) if spec[0]]
+    sub = _ancestral_subnet(net, frozenset().union(
+        *(path.cliques + tuple(scopes) if tree is None else tree.cliques)))
+    _require_valid(sub)
+    if tree is None:
+        tree = _path_tree(sub, scopes)
+    tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
+
+    def price(outputs, given) -> Factor:
+        rows = _factor_table(net, tables[outputs, given], outputs, given)
+        return Factor(_factor_name(outputs, given), _pair_scan(rows)[0],
+                      "oracle")
+    return price
+
+
 def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
-                limit: int | None = None) -> BoundResult:
+                limit: int | None = None,
+                tree: JunctionTree | None = None) -> BoundResult:
     """Impact product along a clique path.
 
-    ``mode`` is "exact" (factor tables read off the joint of the path's
-    ancestral set, true diameters) or "bound" (assembled from model CPT
-    diameters, no oracle).  The value is the product of the factor
-    values; a single-clique path carries no attenuation and has value 1.
-    An empty separator on the path means the endpoints live in
+    ``mode`` is "exact" (true diameters of factor tables read off
+    calibrated clique marginals) or "bound" (assembled from model CPT
+    diameters).  The value is the product of the factor values; a
+    single-clique path carries no attenuation and has value 1.  An
+    empty separator on the path means the endpoints live in
     disconnected components, so the factor and the whole product are 0.
-    ``limit`` caps the states of that joint, which exact mode builds
-    even for a single-clique path; bound mode ignores it.
+
+    Exact mode calibrates ``tree``, the junction tree the path was cut
+    from (as ``donor_target_path`` returns it), or without one a tree
+    of the path's ancestral moral graph in which every path clique is
+    complete.  ``limit`` caps the largest clique table of that tree,
+    which exact mode checks even for a single-clique path; bound mode
+    ignores ``limit`` and ``tree``.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -214,11 +261,5 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
         # a single-clique path needs no pricer, so no topological order
         price = _bound_pricer(net) if specs else None
     else:
-        joint = _ancestral_joint(net, {v for c in path.cliques for v in c},
-                                 limit)
-
-        def price(outputs, given) -> Factor:
-            rows = _factor_table(net, joint, outputs, given)
-            return Factor(_factor_name(outputs, given), _pair_scan(rows)[0],
-                          "oracle")
+        price = _exact_pricer(net, path, specs, limit, tree)
     return _impact_product(specs, price, mode)

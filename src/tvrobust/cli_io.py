@@ -31,6 +31,7 @@ import numpy as np
 
 from .advisors import (
     EdgeReport,
+    _merge_plan,
     amalgamate_levels,
     amalgamation_suggest,
     delete_edge,
@@ -397,8 +398,8 @@ def _cmd_impact(args) -> tuple[str, int]:
     net = _load(args.model)
     donor = _split_names(args.donor)
     target = _split_names(args.target)
-    _, path = donor_target_path(net, donor, target)
-    result = path_impact(net, path, args.mode, args.limit)
+    tree, path = donor_target_path(net, donor, target)
+    result = path_impact(net, path, args.mode, args.limit, tree)
     if args.json:
         doc = {
             "command": "impact",
@@ -485,9 +486,10 @@ def _cmd_amalgamate(args) -> tuple[str, int]:
     group = [token.strip() for token in args.group.split(",")]
     merged, costs = amalgamate_levels(net, args.variable, group,
                                       allow_nonconsecutive=args.nominal)
-    # the fused level sits where the group's first declared level was
-    first = min(map(net.variable(args.variable).levels.index, group))
-    merged_level = merged.variable(args.variable).levels[first]
+    # every member of the group maps to the fused level
+    levels = net.variable(args.variable).levels
+    new_levels, index = _merge_plan(levels, group, not args.nominal)
+    merged_level = new_levels[index[levels.index(group[0])]]
     if args.json:
         doc = {
             "command": "amalgamate",

@@ -1,4 +1,5 @@
-"""Moralization, triangulation, junction trees, and clique paths.
+"""Moralization, triangulation, junction trees, clique paths, and
+calibrated clique marginals.
 
 Vertex order everywhere is the net's declaration order, and every
 tie-break resolves to the lowest position, so identical inputs always
@@ -9,10 +10,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bn_model import BayesNet, ancestral_set
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+from .exact_oracle import JointTable, state_limit
 
 
 @dataclass(frozen=True)
@@ -367,3 +372,120 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
     first = tuple(v for v in path.cliques[0] if v not in seps[0])
     last = tuple(v for v in path.cliques[-1] if v not in seps[-1])
     return [(seps[0], first), *zip(seps[1:], seps), (last, seps[-1])]
+
+
+def _path_tree(net: BayesNet, scopes) -> JunctionTree:
+    """Junction tree of ``net``'s moral graph with each variable set in
+    ``scopes`` made complete first, so that one clique holds each."""
+    moral = moralize(net)
+    extra = tuple(e for s in scopes for e in itertools.combinations(s, 2))
+    return build_junction_tree(
+        triangulate(UGraph(moral.vertices, moral.edges + extra)))
+
+
+def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
+                      limit: int | None = None) -> list[JointTable]:
+    """For each variable set in ``scopes``, the marginal of the first
+    clique of ``jt`` that holds it, by sum-product on the tree.
+
+    ``net`` holds exactly the tree's variables, each one's parents among
+    them, so the product of its CPTs is their joint; each CPT is
+    multiplied into the first clique that holds its family.  Clique
+    members are listed in declaration order, as ``build_junction_tree``
+    lists them.  One collect
+    pass sends a message from every clique toward the first clique
+    asked for, and one distribute pass sends messages back out along the
+    branches that lead to the others (Shafer-Shenoy, no division).  No
+    table built is larger than the largest clique table, which ``limit``
+    caps (resolved by ``state_limit``) before any work is done.
+    """
+    cards = {v.name: len(v.levels) for v in net.variables}
+    cliques = jt.cliques
+    shapes = [tuple(cards[v] for v in c) for c in cliques]
+    sizes = [math.prod(shape) for shape in shapes]
+    big = sizes.index(max(sizes))
+    cap = state_limit(limit)
+    if sizes[big] > cap:
+        raise ResourceLimitError(
+            f"clique table {{{', '.join(cliques[big])}}} has {sizes[big]} "
+            f"configurations, limit is {cap}")
+    sets = [frozenset(c) for c in cliques]
+    # each clique's potential: its CPTs laid out along its own axes
+    unplaced = dict(zip(net.names(), net.cpts))
+    potentials = []
+    for c, members, shape in zip(cliques, sets, shapes):
+        phi = None
+        for v in c:
+            t = unplaced.get(v)
+            if t is None or not members.issuperset(t.parents):
+                continue
+            del unplaced[v]
+            family = t.parents + (v,)
+            grid = t.grid()
+            if family != c:
+                axes = [c.index(u) for u in family]
+                grid = grid.transpose(
+                    sorted(range(len(axes)), key=axes.__getitem__)).reshape(
+                        [n if u in family else 1 for u, n in zip(c, shape)])
+            phi = grid if phi is None else phi * grid
+        if phi is None or phi.shape != shape:
+            # a variable no family covers here enters as ones
+            phi = np.ones(shape) * (1.0 if phi is None else phi)
+        potentials.append(phi)
+    if unplaced:
+        raise DomainError("no clique of the tree holds the family of "
+                          f"{next(iter(unplaced))!r}")
+    hosts = []
+    for s in scopes:
+        found = next((i for i, m in enumerate(sets) if m.issuperset(s)), None)
+        if found is None:
+            raise DomainError(
+                f"no clique of the tree holds {sorted(s, key=net.position)}")
+        hosts.append(found)
+    if not hosts:
+        return []
+
+    adj = jt.neighbors()
+    root = hosts[0]
+    up = {root: root}
+    order = [root]
+    for i in order:
+        for j in adj[i]:
+            if j not in up:
+                up[j] = i
+                order.append(j)
+
+    def message(table: np.ndarray, i: int, j: int) -> np.ndarray:
+        """``table`` over clique i summed onto its separator with clique
+        j and laid along j's axes; separators keep declaration order."""
+        drop = tuple(a for a, v in enumerate(cliques[i]) if v not in sets[j])
+        return table.sum(axis=drop).reshape(
+            [n if v in sets[i] else 1 for v, n in zip(cliques[j], shapes[j])])
+
+    # collect: inward[i] is clique i's potential times every message from
+    # the subtree below it, and below[i] what clique i sends up
+    inward = list(potentials)
+    below = {}
+    for i in reversed(order[1:]):
+        below[i] = message(inward[i], i, up[i])
+        inward[up[i]] = inward[up[i]] * below[i]
+    # distribute toward the hosts: above[j] is what clique j's parent
+    # sends down, everything outside j's subtree
+    down: set[int] = set()
+    for i in hosts:
+        while i != root and i not in down:
+            down.add(i)
+            i = up[i]
+    above = {}
+    marginals = {root: inward[root]}
+    for j in order[1:]:
+        if j in down:
+            i = up[j]
+            rest = potentials[i] if i == root else potentials[i] * above[i]
+            for k in adj[i]:
+                if k != j and up[k] == i:
+                    rest = rest * below[k]
+            above[j] = message(rest, i, j)
+            marginals[j] = inward[j] * above[j]
+    return [JointTable(cliques[i], shapes[i], marginals[i].reshape(-1))
+            for i in hosts]

@@ -114,6 +114,33 @@ def random_net(rng, n_min: int = 5, n_max: int = 7) -> BayesNet:
     return BayesNet.of(variables, cpts)
 
 
+def chain_net(rng, n: int) -> BayesNet:
+    """Binary X1..Xn where each Xi has parents X(i-2) and X(i-1)."""
+    names = [f"X{i}" for i in range(1, n + 1)]
+    levels = ("s0", "s1")
+    variables = [Variable(name, levels) for name in names]
+    cpts = []
+    for i, name in enumerate(names):
+        ps = tuple(names[max(0, i - 2):i])
+        w = rng.uniform(0.05, 1.0, size=(2 ** len(ps), 2))
+        cpts.append(Cpt.of(name, levels, ps, (levels,) * len(ps),
+                           w / w.sum(axis=1, keepdims=True)))
+    return BayesNet.of(variables, cpts)
+
+
+def shuffle_parents(net: BayesNet, rng) -> BayesNet:
+    """The same net with each table's parents listed in a random order."""
+    cpts = []
+    for t in net.cpts:
+        order = rng.permutation(len(t.parents)).tolist()
+        grid = t.grid().transpose(order + [len(order)])
+        cpts.append(Cpt.of(t.child, t.child_levels,
+                           tuple(t.parents[j] for j in order),
+                           tuple(t.parent_levels[j] for j in order),
+                           grid.reshape(-1, len(t.child_levels))))
+    return BayesNet.of(net.variables, cpts)
+
+
 def reweight_joint(joint: JointTable, sub: JointTable,
                    fresh: np.ndarray) -> JointTable:
     """The joint with the margin over ``sub.scope`` replaced by ``fresh``.

@@ -202,6 +202,27 @@ def test_amalgamate_rejects_an_empty_group_in_both_modes(fragment):
                               allow_nonconsecutive=nominal)
 
 
+def test_amalgamate_rejects_a_child_with_other_parent_levels():
+    x_levels, y_levels = ("a", "b", "c"), ("t", "f")
+    rows = [ProbVec(y_levels, m) for m in ((0.2, 0.8), (0.5, 0.5),
+                                           (0.9, 0.1))]
+    x = Cpt.of("X", x_levels, (), (), [ProbVec(x_levels, (0.2, 0.3, 0.5))])
+    net = BayesNet((Variable("X", x_levels), Variable("Y", y_levels)),
+                   (x, Cpt.of("Y", y_levels, ("X",), (("p", "q", "r"),),
+                              rows)))
+    assert "Y: parent 'X' levels disagree" in validate(net)
+    for nominal in (False, True):
+        with pytest.raises(DomainError,
+                           match="^Y: parent 'X' levels disagree$"):
+            amalgamate_levels(net, "X", ("a", "b"),
+                              allow_nonconsecutive=nominal)
+    # the same table over X's own levels merges
+    good = BayesNet(net.variables,
+                    (x, Cpt.of("Y", y_levels, ("X",), (x_levels,), rows)))
+    _, costs = amalgamate_levels(good, "X", ("a", "b"))
+    assert costs == {"Y": pytest.approx(0.15)}
+
+
 def test_amalgamate_size_one_group_is_identity(fragment):
     new, costs = amalgamate_levels(fragment, "Rainfall", ("average",))
     assert costs == {"TreeCondition": 0.0}

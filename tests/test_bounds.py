@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvrobust import (
     BayesNet,
@@ -8,6 +11,8 @@ from tvrobust import (
     DomainError,
     ProbVec,
     ResourceLimitError,
+    Variable,
+    build_junction_tree,
     chain_diameter_bound,
     diameter,
     diameter_sum_bound,
@@ -16,22 +21,30 @@ from tvrobust import (
     joint_tv_bound,
     marginal,
     mix,
+    moralize,
     overlap_decompose,
     path_factor_specs,
     path_impact,
     propagate_bound,
     run_cli,
+    serialize_model,
     table_tv,
     tv_distance,
 )
+from tvrobust import exact_oracle
+from tvrobust.exact_oracle import _ancestral_joint, _factor_table
+from tvrobust.jtree import subgraph
+from tvrobust.tv_core import _pair_scan
 
 from conftest import (
     Q_ROWS,
     TESTS_DIR,
+    chain_net,
     random_net,
     random_vector,
     reference_diameter,
     reference_transition_table,
+    shuffle_parents,
     tree_cpt,
 )
 
@@ -289,3 +302,163 @@ def test_impact_certifies_donor_to_target_attenuation(ten_node):
         d_target = table_tv(marginal(ten_node, target),
                             marginal(moved, target))
         assert d_target <= impact * d_donor + 1e-10
+
+
+# Exact mode reads each factor off a calibrated clique marginal; these
+# tests hold it to the dense joint of the path's ancestral set.
+
+def _dense_factor_values(net, path):
+    joint = _ancestral_joint(net, {v for c in path.cliques for v in c})
+    return [_pair_scan(_factor_table(net, joint, outputs, given))[0]
+            if outputs else 0.0
+            for outputs, given in path_factor_specs(path)]
+
+
+def _assert_calibrated_matches_dense(net, donor, target):
+    """Factors with the path's tree and without it equal the dense
+    reference within 1e-12, and exact stays at or below bound."""
+    tree, path = donor_target_path(net, donor, target)
+    with_tree = path_impact(net, path, "exact", tree=tree)
+    bare = path_impact(net, path, "exact")
+    want = _dense_factor_values(net, path)
+    for r in (with_tree, bare):
+        if not want:
+            assert r.value == 1.0
+            continue
+        assert len(r.certificate) == len(want)
+        for f, d in zip(r.certificate, want):
+            assert abs(f.value - d) <= 1e-12
+    assert abs(with_tree.value - bare.value) <= 1e-12
+    try:
+        bound = path_impact(net, path, "bound").value
+    except DomainError:
+        return
+    assert with_tree.value <= bound + 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+def test_calibrated_factors_match_dense_joint_on_random_nets(seed, d, t):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 4, 10)
+    names = net.names()
+    for n in (net, shuffle_parents(net, rng)):
+        _assert_calibrated_matches_dense(n, {names[d % len(names)]},
+                                         {names[t % len(names)]})
+
+
+def test_calibrated_factors_match_dense_joint_on_ten_node(ten_node):
+    names = ten_node.names()
+    for donor in names:
+        for target in names:
+            _assert_calibrated_matches_dense(ten_node, {donor}, {target})
+    _assert_calibrated_matches_dense(ten_node, {"X1", "X2"}, {"X7", "X9"})
+
+
+@pytest.mark.parametrize("n", (11, 12, 13))
+def test_calibrated_factors_match_dense_joint_on_chains(n):
+    net = chain_net(np.random.default_rng(n), n)
+    for d in range(1, n):
+        _assert_calibrated_matches_dense(net, {f"X{d}"}, {f"X{n}"})
+
+
+def test_exact_impact_does_not_build_a_joint(ten_node, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode built a dense joint")
+    monkeypatch.setattr(exact_oracle, "joint_mass", refuse)
+    tree, path = donor_target_path(ten_node, {"X1"}, {"X9"})
+    for r in (path_impact(ten_node, path, "exact", tree=tree),
+              path_impact(ten_node, path, "exact")):
+        assert 0.0 < r.value < 1.0
+
+
+def test_exact_limit_caps_the_largest_clique_table(ten_node):
+    # the ancestral set of X1 and X9 has 2^7 states, its largest clique 8
+    tree, path = donor_target_path(ten_node, {"X1"}, {"X9"})
+    with pytest.raises(ResourceLimitError) as err:
+        path_impact(ten_node, path, "exact", limit=7, tree=tree)
+    assert str(err.value) == ("clique table {X2, X3, X4} has 8 "
+                              "configurations, limit is 7")
+    capped = path_impact(ten_node, path, "exact", limit=8, tree=tree)
+    assert capped == path_impact(ten_node, path, "exact", tree=tree)
+
+
+def test_exact_limit_is_checked_on_a_single_clique_path(fragment):
+    tree, path = donor_target_path(fragment, {"Drought"}, {"TreeCondition"})
+    assert len(path.cliques) == 1
+    for t in (tree, None):
+        with pytest.raises(ResourceLimitError, match="has 18 configurations, "
+                                                     "limit is 17"):
+            path_impact(fragment, path, "exact", limit=17, tree=t)
+        assert path_impact(fragment, path, "exact", limit=18,
+                           tree=t).value == 1.0
+
+
+def test_exact_mode_rejects_a_tree_without_the_parents(ten_node):
+    tree, path = donor_target_path(ten_node, {"X4"}, {"X9"})
+    # the same cliques as a tree over X4 onward: X4's parents are missing
+    cut = build_junction_tree(subgraph(moralize(ten_node),
+                                       {"X4", "X5", "X7", "X9"}))
+    with pytest.raises(DomainError, match="family of"):
+        path_impact(ten_node, path, "exact", tree=cut)
+
+
+def test_cli_exact_impact_on_a_forty_variable_chain(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.delenv("TVROBUST_LIMIT", raising=False)
+    model = tmp_path / "chain40.json"
+    model.write_text(serialize_model(chain_net(np.random.default_rng(40),
+                                               40)))
+    values = {}
+    for mode in ("exact", "bound"):
+        argv = ["impact", str(model), "--from", "X1", "--to", "X40",
+                "--mode", mode, "--json"]
+        assert run_cli(argv) == 0
+        values[mode] = json.loads(capsys.readouterr().out)["value"]
+    assert 0.0 < values["exact"] <= values["bound"]
+
+
+def test_cli_exact_limit_names_the_clique_table(capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["impact", "models/ten_node_demo.json", "--from", "X1",
+            "--to", "X9", "--mode", "exact", "--limit", "7"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: clique table {X2, X3, X4} has 8 configurations, "
+        "limit is 7\n")
+
+
+def _abcd_chain(rows) -> BayesNet:
+    """Binary A -> B -> C -> D with the given rows per table."""
+    levels = ("t", "f")
+    names = ("A", "B", "C", "D")
+    return BayesNet.of(
+        [Variable(n, levels) for n in names],
+        [Cpt.of(n, levels, names[i - 1:i], (levels,) * min(i, 1),
+                [ProbVec(levels, r) for r in rows[n]])
+         for i, n in enumerate(names)])
+
+
+def test_cli_exact_impact_under_a_structural_zero(tmp_path, capsys):
+    net = _abcd_chain({"A": [(1.0, 0.0)], "B": [(0.3, 0.7), (0.6, 0.4)],
+                       "C": [(0.2, 0.8), (0.9, 0.1)],
+                       "D": [(0.5, 0.5), (0.1, 0.9)]})
+    model = tmp_path / "zero.json"
+    model.write_text(serialize_model(net))
+    argv = ["impact", str(model), "--from", "A", "--to", "D"]
+    assert run_cli(argv + ["--mode", "exact"]) == 1
+    assert capsys.readouterr().err == (
+        "error: conditioning configuration has zero probability: A=f\n")
+    assert run_cli(argv + ["--mode", "bound"]) == 0
+
+
+def test_exact_impact_under_an_interior_structural_zero():
+    # B=f has probability 0, so the factor P(C | B) has an empty row
+    net = _abcd_chain({"A": [(0.4, 0.6)], "B": [(1.0, 0.0), (1.0, 0.0)],
+                       "C": [(0.2, 0.8), (0.9, 0.1)],
+                       "D": [(0.5, 0.5), (0.1, 0.9)]})
+    tree, path = donor_target_path(net, {"A"}, {"D"})
+    for t in (tree, None):
+        with pytest.raises(DomainError, match="^conditioning configuration "
+                                              "has zero probability: B=f$"):
+            path_impact(net, path, "exact", tree=t)

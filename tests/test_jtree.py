@@ -20,13 +20,16 @@ from tvrobust import (
     triangulate,
     verify_running_intersection,
 )
-from tvrobust.jtree import subgraph
+from tvrobust.bn_model import _ancestral_subnet
+from tvrobust.exact_oracle import _ancestral_joint, marginal_of
+from tvrobust.jtree import _clique_marginals, _path_tree, subgraph
 
 from conftest import (
     random_net,
     reference_donor_target_path,
     reference_rip_order,
     reference_simple_path,
+    shuffle_parents,
 )
 
 DEMO_CLIQUES = {
@@ -370,3 +373,40 @@ def test_donor_target_path_equals_two_search_reference(ten_node):
     # the target sits in several cliques often enough for the nearest
     # host to matter
     assert far >= 50
+
+
+def _assert_clique_marginals_equal_dense(net, tree):
+    """Every clique's calibrated marginal, with each clique in turn as
+    the root, equals the dense marginal within 1e-12."""
+    names = {v for c in tree.cliques for v in c}
+    sub = _ancestral_subnet(net, names)
+    joint = _ancestral_joint(net, names)
+    for root in range(len(tree.cliques)):
+        scopes = tree.cliques[root:] + tree.cliques[:root]
+        for c, m in zip(scopes, _clique_marginals(sub, tree, scopes)):
+            assert m.scope == c
+            want = marginal_of(joint, c)
+            assert np.abs(m.mass - want.mass).max() <= 1e-12
+
+
+def test_clique_marginals_equal_dense_marginals(ten_node):
+    tree, _ = donor_target_path(ten_node, {"X1"}, {"X10", "X3"})
+    _assert_clique_marginals_equal_dense(ten_node, tree)
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        net = shuffle_parents(random_net(rng, 4, 10), rng)
+        names = net.names()
+        tree, path = donor_target_path(net, {str(rng.choice(names))},
+                                       {str(rng.choice(names))})
+        _assert_clique_marginals_equal_dense(net, tree)
+        sub = _ancestral_subnet(net, {v for c in path.cliques for v in c})
+        _assert_clique_marginals_equal_dense(
+            net, _path_tree(sub, [set(c) for c in path.cliques]))
+
+
+def test_path_tree_holds_every_path_clique(ten_node):
+    # {X1, X9} is no clique of the moral graph; the path tree adds it
+    sub = _ancestral_subnet(ten_node, {"X1", "X9"})
+    tree = _path_tree(sub, [{"X1", "X9"}])
+    assert any({"X1", "X9"} <= set(c) for c in tree.cliques)
+    assert junction_property_holds(tree)
