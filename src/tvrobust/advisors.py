@@ -226,11 +226,14 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     diameters alone.  Families sharing the target clique score 1;
     disconnected families score 0; a family whose path cannot be priced
     without fresh elicitation gets a note instead of a score, as does
-    one the path search itself rejects.  Records are sorted by descending
+    one the path search itself rejects.  An empty or unknown target
+    raises ``DomainError``.  Records are sorted by descending
     score, declaration order on ties; scoreless entries sort last.
     """
     _require_valid(net)
     targets = set(targets)
+    if not targets:
+        raise DomainError("target set must be nonempty")
     for t in targets:
         net.position(t)
     moral = moralize(net)

@@ -1,6 +1,9 @@
 """Moralization, triangulation, junction trees, clique paths, and
 calibrated clique marginals.
 
+One min-fill elimination (``_eliminate``) serves ``triangulate``,
+``is_chordal`` and ``maximal_cliques``, and one breadth-first search
+(``_tree_paths``) gives clique paths and the calibration's visit order.
 Vertex order everywhere is the net's declaration order, and every
 tie-break resolves to the lowest position, so identical inputs always
 produce identical cliques, trees, and paths.
@@ -104,14 +107,23 @@ def subgraph(g: UGraph, keep) -> UGraph:
     return UGraph(verts, edges)
 
 
-def triangulate(g: UGraph) -> UGraph:
-    """Chordal supergraph via min-fill elimination.
+def _eliminate(g: UGraph):
+    """Min-fill elimination: (fill edges, elimination cliques).
 
-    Ties are broken by declaration order, so the result is deterministic.
+    Each step removes the vertex whose neighbours lack the fewest edges
+    among themselves, the first in declaration order on ties, after
+    joining those neighbours.  Its elimination clique is the vertex with
+    its remaining neighbours.  A count stops once the vertex cannot beat
+    the best so far, and the scan stops at a vertex that needs no fill,
+    so each step picks the vertex the full scan picks.  A graph is
+    chordal exactly when no fill is added, and then the elimination
+    cliques that no earlier one contains are its maximal cliques
+    (Fulkerson & Gross 1965; Rose, Tarjan & Lueker 1976).
     """
     rank = {v: i for i, v in enumerate(g.vertices)}
     adj = g.neighbors()
-    fill: set[tuple[str, str]] = set()
+    fill: list[tuple[str, str]] = []
+    cliques: list[frozenset[str]] = []
     remaining = sorted(adj, key=rank.get)
     while remaining:
         best_v, best_cost = None, None
@@ -120,66 +132,50 @@ def triangulate(g: UGraph) -> UGraph:
             for a, b in itertools.combinations(adj[v], 2):
                 if b not in adj[a]:
                     cost += 1
-            if best_cost is None or cost < best_cost:
+                    if cost == best_cost:
+                        break
+            else:
                 best_v, best_cost = v, cost
+                if cost == 0:
+                    break
         for a, b in itertools.combinations(adj[best_v], 2):
             if b not in adj[a]:
                 adj[a].add(b)
                 adj[b].add(a)
-                fill.add((a, b))
+                fill.append((a, b))
+        cliques.append(frozenset(adj[best_v]) | {best_v})
         for u in adj[best_v]:
             adj[u].discard(best_v)
         del adj[best_v]
         remaining.remove(best_v)
-    return UGraph(g.vertices, g.edges + tuple(fill))
+    return fill, cliques
 
 
-def _mcs_cliques(g: UGraph) -> list[frozenset[str]] | None:
-    """Candidate cliques along a maximum cardinality search, or None.
+def triangulate(g: UGraph) -> UGraph:
+    """Chordal supergraph via min-fill elimination.
 
-    Visits vertices by most visited neighbours, lowest position on ties.
-    Each visited vertex with its visited neighbours is a candidate; if
-    some such neighbourhood is not complete the graph is not chordal and
-    the result is None.
+    Ties are broken by declaration order, so the result is deterministic.
     """
-    adj = g.neighbors()
-    weight = {v: 0 for v in g.vertices}
-    earlier: set[str] = set()
-    candidates: list[frozenset[str]] = []
-    for _ in range(len(g.vertices)):
-        best = None
-        for v in g.vertices:
-            if v in earlier:
-                continue
-            if best is None or weight[v] > weight[best]:
-                best = v
-        madj = adj[best] & earlier
-        for a, b in itertools.combinations(madj, 2):
-            if b not in adj[a]:
-                return None
-        candidates.append(frozenset({best} | madj))
-        earlier.add(best)
-        for u in adj[best]:
-            if u not in earlier:
-                weight[u] += 1
-    return candidates
+    return UGraph(g.vertices, g.edges + tuple(_eliminate(g)[0]))
 
 
 def is_chordal(g: UGraph) -> bool:
-    return _mcs_cliques(g) is not None
+    """True when min-fill elimination adds no edge."""
+    return not _eliminate(g)[0]
 
 
 def maximal_cliques(g: UGraph) -> tuple[tuple[str, ...], ...]:
     """Maximal cliques of a chordal graph, in canonical order."""
-    candidates = _mcs_cliques(g)
-    if candidates is None:
+    fill, cliques = _eliminate(g)
+    if fill:
         raise DomainError("graph is not chordal")
+    # a later clique lacks every earlier eliminated vertex, so it can
+    # only sit inside an earlier one
     keep: list[frozenset[str]] = []
-    for c in candidates:
-        if not any(c < other for other in candidates):
+    for c in cliques:
+        if not any(c <= k for k in keep):
             keep.append(c)
-    unique = set(keep)
-    ordered = [tuple(sorted(c, key=g.position)) for c in unique]
+    ordered = [tuple(sorted(c, key=g.position)) for c in keep]
     ordered.sort(key=lambda c: tuple(g.position(v) for v in c))
     return tuple(ordered)
 
@@ -257,27 +253,6 @@ def build_junction_tree(g: UGraph) -> JunctionTree:
     return jt
 
 
-def junction_property_holds(jt: JunctionTree) -> bool:
-    """Each variable's cliques must form a connected subtree."""
-    adj = jt.neighbors()
-    variables = sorted({v for c in jt.cliques for v in c})
-    for v in variables:
-        holding = [i for i, c in enumerate(jt.cliques) if v in c]
-        if not holding:
-            continue
-        seen = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen and v in jt.cliques[j]:
-                    seen.add(j)
-                    stack.append(j)
-        if set(holding) != seen:
-            return False
-    return True
-
-
 def _tree_paths(jt: JunctionTree, start: int) -> dict[int, tuple[int, ...]]:
     """Clique index sequence from ``start`` to every clique it reaches,
     found by one breadth-first search of the tree."""
@@ -317,10 +292,13 @@ def simple_path(jt: JunctionTree, donor, target) -> CliquePath:
 def donor_target_path(net: BayesNet, donor, target):
     """Clique path of the donor-to-target recipe, graph work only.
 
-    Builds the moral graph of the ancestral set of both variable sets,
-    triangulates it, builds its junction tree, locates the lowest-index
-    clique containing the donor, then the clique containing the target
-    nearest to it on the tree, and takes the simple path between them.
+    Restricts the whole net's moral graph to the ancestral set of both
+    variable sets, so a marriage through a child outside that set stays
+    (on A, B -> C, A and B share one clique although they are
+    independent), triangulates it, builds its junction tree, locates the
+    lowest-index clique containing the donor, then the clique containing
+    the target nearest to it on the tree, and takes the simple path
+    between them.
     Ending at the nearest hosting clique keeps the chain of factors as
     short as possible and, for a single-variable target, guarantees the
     target sits among the final clique's fresh variables rather than
@@ -447,13 +425,9 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
 
     adj = jt.neighbors()
     root = hosts[0]
-    up = {root: root}
-    order = [root]
-    for i in order:
-        for j in adj[i]:
-            if j not in up:
-                up[j] = i
-                order.append(j)
+    paths = _tree_paths(jt, root)
+    order = list(paths)
+    up = {j: path[-2] for j, path in paths.items() if j != root}
 
     def message(table: np.ndarray, i: int, j: int) -> np.ndarray:
         """``table`` over clique i summed onto its separator with clique
@@ -483,7 +457,7 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
             i = up[j]
             rest = potentials[i] if i == root else potentials[i] * above[i]
             for k in adj[i]:
-                if k != j and up[k] == i:
+                if k != j and up.get(k) == i:
                     rest = rest * below[k]
             above[j] = message(rest, i, j)
             marginals[j] = inward[j] * above[j]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
-                      Variable, ancestral_set, build_junction_tree,
+                      UGraph, Variable, ancestral_set, build_junction_tree,
                       donor_target_path, moralize, path_impact,
                       topological_order, triangulate, tv_distance)
 from tvrobust import bn_model
@@ -506,6 +506,56 @@ def reference_rip_order(m: int, tree_edges) -> tuple[int, ...]:
         rip.append(pick)
         placed.add(pick)
     return tuple(rip)
+
+
+def reference_triangulate(g: UGraph) -> UGraph:
+    """The full-scan min-fill loop ``triangulate`` ran: count the fill of
+    every remaining vertex, eliminate the first with the least, and add
+    its fill edges."""
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    adj = g.neighbors()
+    fill: set[tuple[str, str]] = set()
+    remaining = sorted(adj, key=rank.get)
+    while remaining:
+        best_v, best_cost = None, None
+        for v in remaining:
+            cost = 0
+            for a, b in itertools.combinations(adj[v], 2):
+                if b not in adj[a]:
+                    cost += 1
+            if best_cost is None or cost < best_cost:
+                best_v, best_cost = v, cost
+        for a, b in itertools.combinations(adj[best_v], 2):
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                fill.add((a, b))
+        for u in adj[best_v]:
+            adj[u].discard(best_v)
+        del adj[best_v]
+        remaining.remove(best_v)
+    return UGraph(g.vertices, g.edges + tuple(fill))
+
+
+def junction_property_holds(jt: JunctionTree) -> bool:
+    """Each variable's cliques must form a connected subtree."""
+    adj = jt.neighbors()
+    variables = sorted({v for c in jt.cliques for v in c})
+    for v in variables:
+        holding = [i for i, c in enumerate(jt.cliques) if v in c]
+        if not holding:
+            continue
+        seen = {holding[0]}
+        stack = [holding[0]]
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if j not in seen and v in jt.cliques[j]:
+                    seen.add(j)
+                    stack.append(j)
+        if set(holding) != seen:
+            return False
+    return True
 
 
 def reference_simple_path(jt: JunctionTree, donor, target) -> CliquePath:

@@ -22,6 +22,7 @@ from tvrobust import (
     table_tv,
     validate,
 )
+from tvrobust import advisors
 from tvrobust.advisors import counterpart_cost
 
 from conftest import (
@@ -332,6 +333,15 @@ def test_priority_disconnected_family_scores_zero():
 def test_priority_rejects_unknown_target(fragment):
     with pytest.raises(DomainError):
         elicitation_priority(fragment, ("Pollinators",))
+
+
+def test_priority_rejects_an_empty_target_set(fragment, monkeypatch):
+    # the target is named, not the donor, and no path is searched
+    monkeypatch.setattr(advisors, "_donor_target_path", None)
+    for targets in ((), []):
+        with pytest.raises(DomainError,
+                           match="^target set must be nonempty$"):
+            elicitation_priority(fragment, targets)
 
 
 def _differential_nets():

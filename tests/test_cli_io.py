@@ -281,6 +281,12 @@ GOLDEN_COMMANDS = [
     ("amalgamate_wide_child.json", 0,
      ["amalgamate", "--group", "c0,c1,c2,c3,c4,c5,c6,c7,c8", "--json",
       "models/wide_child.json", "C"]),
+    # a moral graph with a chordless five-cycle: the tree needs fill
+    ("report_five_cycle.json", 0,
+     ["report", "--json", "models/five_cycle.json"]),
+    ("impact_five_cycle_bound.json", 0,
+     ["impact", "--from", "A", "--to", "F", "--mode", "bound", "--json",
+      "models/five_cycle.json"]),
 ]
 
 
@@ -408,13 +414,16 @@ def _run_module(argv, **env):
 
 
 @pytest.mark.parametrize("argv", [
-    ["report", "--json"],
-    ["impact", "--from", "X1", "--to", "X9", "--json"],
-    ["impact", "--from", "X1", "--to", "X9", "--mode", "bound", "--json"],
-], ids=["report", "impact_exact", "impact_bound"])
+    ["report", "--json", "models/ten_node_demo.json"],
+    ["impact", "--from", "X1", "--to", "X9", "--json",
+     "models/ten_node_demo.json"],
+    ["impact", "--from", "X1", "--to", "X9", "--mode", "bound", "--json",
+     "models/ten_node_demo.json"],
+    ["report", "--json", "models/five_cycle.json"],
+], ids=["report", "impact_exact", "impact_bound", "report_five_cycle"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
-    outputs = [_run_module(argv + ["models/ten_node_demo.json"],
-                           PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    outputs = [_run_module(argv, PYTHONHASHSEED=seed)
+               for seed in ("0", "1")]
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
 

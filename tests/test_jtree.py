@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
     DomainError,
@@ -11,7 +12,6 @@ from tvrobust import (
     build_junction_tree,
     donor_target_path,
     is_chordal,
-    junction_property_holds,
     maximal_cliques,
     moralize,
     path_factor_specs,
@@ -25,10 +25,12 @@ from tvrobust.exact_oracle import _ancestral_joint, marginal_of
 from tvrobust.jtree import _clique_marginals, _path_tree, subgraph
 
 from conftest import (
+    junction_property_holds,
     random_net,
     reference_donor_target_path,
     reference_rip_order,
     reference_simple_path,
+    reference_triangulate,
     shuffle_parents,
 )
 
@@ -118,6 +120,7 @@ def test_position_is_the_first_index_of_a_vertex():
     # its position stays that of the first occurrence, as tuple.index
     dup = UGraph(("A", "B", "A"), (("A", "B"),))
     assert [dup.position(v) for v in ("A", "B")] == [0, 1]
+    assert maximal_cliques(dup) == (("A", "B"),)
 
 
 def test_disconnected_graph_gets_bridge_edges():
@@ -285,6 +288,75 @@ def test_maximal_cliques_agree_with_networkx():
         for h in (g, tri) if is_chordal(g) else (tri,):
             want = set(nx.chordal_graph_cliques(_nx_graph(nx, h)))
             assert {frozenset(c) for c in maximal_cliques(h)} == want
+
+
+@st.composite
+def graphs(draw):
+    """Graphs of up to 12 vertices declared in a drawn order, with any
+    edge set: isolated vertices, several components, chordal or not."""
+    n = draw(st.integers(0, 12))
+    names = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) \
+        if pairs else []
+    return UGraph(tuple(names), tuple(edges))
+
+
+FIVE_CYCLE = (("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example(UGraph((), ()))
+@example(UGraph(("a", "b", "c"), ()))
+# a five-cycle, a separate triangle and an isolated vertex
+@example(UGraph(("a", "b", "c", "d", "e", "f", "g", "h", "i"),
+                FIVE_CYCLE + (("f", "g"), ("g", "h"), ("f", "h"))))
+# a forest declared in reverse
+@example(UGraph(("e", "d", "c", "b", "a", "f"),
+                (("a", "b"), ("b", "c"), ("d", "e"))))
+# the five-cycle with one chord
+@example(UGraph(("a", "b", "c", "d", "e"), FIVE_CYCLE + (("a", "c"),)))
+def test_elimination_agrees_with_networkx_and_full_scan(g):
+    nx = pytest.importorskip("networkx")
+    tri = triangulate(g)
+    assert tri == reference_triangulate(g)
+    assert set(g.edges) <= set(tri.edges)
+    for h in (g, tri):
+        G = _nx_graph(nx, h)
+        assert is_chordal(h) == nx.is_chordal(G)
+        if not nx.is_chordal(G):
+            with pytest.raises(DomainError, match="^graph is not chordal$"):
+                maximal_cliques(h)
+            continue
+        cliques = maximal_cliques(h)
+        assert {frozenset(c) for c in cliques} == \
+            set(nx.chordal_graph_cliques(G))
+        keys = [tuple(h.position(v) for v in c) for c in cliques]
+        assert keys == sorted(keys) and all(list(k) == sorted(k)
+                                            for k in keys)
+    jt = build_junction_tree(tri)
+    assert junction_property_holds(jt)
+    assert verify_running_intersection(jt.cliques, jt.rip_order)
+
+
+def test_triangulate_equals_full_scan_on_ancestral_moral_graphs():
+    """The ancestral moral subgraphs ``elicitation_priority`` triangulates
+    (one per family), on random nets, give the full scan's edges."""
+    rng = np.random.default_rng(518)
+    filled = 0
+    for _ in range(30):
+        net = random_net(rng, 10, 24)
+        moral = moralize(net)
+        target = {net.names()[-1]}
+        for v in net.names():
+            keep = ancestral_set(net, {v, *net.parents_of(v)} | target)
+            g = subgraph(moral, keep)
+            tri = triangulate(g)
+            assert tri == reference_triangulate(g)
+            filled += tri != g
+    # enough of them need fill for the choice of vertex to matter
+    assert filled >= 20
 
 
 def test_junction_tree_separators_are_a_maximum_spanning_tree():

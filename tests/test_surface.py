@@ -19,10 +19,8 @@ TEST_ONLY = {
     "chain_diameter_bound",
     "diameter_sum_bound",
     "diameter_witness",
-    "is_chordal",
     "joint_perturb_bound",
     "joint_tv_bound",
-    "junction_property_holds",
     "local_diameter",
     "superbound_witness",
     "table_tv",
