@@ -21,7 +21,7 @@ from .bn_model import (
     topological_order,
 )
 from .errors import DomainError
-from .exact_oracle import _factor_table
+from .exact_oracle import _factor_table, state_limit
 from .jtree import (
     CliquePath,
     JunctionTree,
@@ -250,12 +250,14 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     Exact mode calibrates ``tree``, the junction tree the path was cut
     from (as ``donor_target_path`` returns it), or without one a tree
     of the path's ancestral moral graph in which every path clique is
-    complete.  ``limit`` caps the largest clique table of that tree,
-    which exact mode checks even for a single-clique path; bound mode
-    ignores ``limit`` and ``tree``.
+    complete.  ``limit`` is resolved by ``state_limit`` in both modes,
+    so a malformed cap is an error in either; exact mode caps the
+    largest clique table of that tree with it, even for a single-clique
+    path, and bound mode applies no cap and ignores ``tree``.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
+    limit = state_limit(limit)
     specs = path_factor_specs(path)
     if mode == "bound":
         # a single-clique path needs no pricer, so no topological order

@@ -40,13 +40,8 @@ from .advisors import (
 from .bn_model import BayesNet, Variable, _validate_and_mark, validate
 from .bounds import path_impact
 from .errors import DomainError, ParseError, ResourceLimitError
-from .jtree import (
-    JunctionTree,
-    build_junction_tree,
-    donor_target_path,
-    moralize,
-    triangulate,
-)
+from .jtree import (JunctionTree, build_junction_tree, donor_target_path,
+                    moralize)
 from .tv_core import Cpt, ProbVec, diameter
 
 FORMAT_VERSION = "1"
@@ -545,7 +540,7 @@ def _cmd_delete_edge(args) -> tuple[str, int]:
 
 def _cmd_report(args) -> tuple[str, int]:
     net = _load(args.model)
-    jt = build_junction_tree(triangulate(moralize(net)))
+    jt = build_junction_tree(moralize(net))
     if args.dot:
         return emit_dot(net, jt), 0
     pairs = _diameter_rows(net)

@@ -2,8 +2,10 @@
 calibrated clique marginals.
 
 One min-fill elimination (``_eliminate``) serves ``triangulate``,
-``is_chordal`` and ``maximal_cliques``, and one breadth-first search
-(``_tree_paths``) gives clique paths and the calibration's visit order.
+``is_chordal`` and ``maximal_cliques``, and gives ``build_junction_tree``
+the cliques of the min-fill triangulation of any graph it is given, so a
+tree costs one elimination.  One breadth-first search (``_tree_paths``)
+gives clique paths and the calibration's visit order.
 Vertex order everywhere is the net's declaration order, and every
 tie-break resolves to the lowest position, so identical inputs always
 produce identical cliques, trees, and paths.
@@ -108,16 +110,18 @@ def subgraph(g: UGraph, keep) -> UGraph:
 
 
 def _eliminate(g: UGraph):
-    """Min-fill elimination: (fill edges, elimination cliques).
+    """Min-fill elimination: (fill edges, maximal cliques of the filled
+    graph in canonical order).
 
     Each step removes the vertex whose neighbours lack the fewest edges
     among themselves, the first in declaration order on ties, after
     joining those neighbours.  Its elimination clique is the vertex with
     its remaining neighbours.  A count stops once the vertex cannot beat
     the best so far, and the scan stops at a vertex that needs no fill,
-    so each step picks the vertex the full scan picks.  A graph is
-    chordal exactly when no fill is added, and then the elimination
-    cliques that no earlier one contains are its maximal cliques
+    so each step picks the vertex the full scan picks.  The order is a
+    perfect elimination order of ``g`` with the fill added, so the
+    elimination cliques that no earlier one contains are that graph's
+    maximal cliques; a graph is chordal exactly when no fill is added
     (Fulkerson & Gross 1965; Rose, Tarjan & Lueker 1976).
     """
     rank = {v: i for i, v in enumerate(g.vertices)}
@@ -143,12 +147,18 @@ def _eliminate(g: UGraph):
                 adj[a].add(b)
                 adj[b].add(a)
                 fill.append((a, b))
-        cliques.append(frozenset(adj[best_v]) | {best_v})
+        c = frozenset(adj[best_v]) | {best_v}
+        # c lacks every earlier eliminated vertex, so it can only sit
+        # inside an earlier clique
+        if not any(c <= k for k in cliques):
+            cliques.append(c)
         for u in adj[best_v]:
             adj[u].discard(best_v)
         del adj[best_v]
         remaining.remove(best_v)
-    return fill, cliques
+    ordered = [tuple(sorted(c, key=g.position)) for c in cliques]
+    ordered.sort(key=lambda c: tuple(g.position(v) for v in c))
+    return fill, tuple(ordered)
 
 
 def triangulate(g: UGraph) -> UGraph:
@@ -169,15 +179,7 @@ def maximal_cliques(g: UGraph) -> tuple[tuple[str, ...], ...]:
     fill, cliques = _eliminate(g)
     if fill:
         raise DomainError("graph is not chordal")
-    # a later clique lacks every earlier eliminated vertex, so it can
-    # only sit inside an earlier one
-    keep: list[frozenset[str]] = []
-    for c in cliques:
-        if not any(c <= k for k in keep):
-            keep.append(c)
-    ordered = [tuple(sorted(c, key=g.position)) for c in keep]
-    ordered.sort(key=lambda c: tuple(g.position(v) for v in c))
-    return tuple(ordered)
+    return cliques
 
 
 def verify_running_intersection(cliques, order) -> bool:
@@ -198,14 +200,17 @@ def verify_running_intersection(cliques, order) -> bool:
 
 
 def build_junction_tree(g: UGraph) -> JunctionTree:
-    """Junction tree of a chordal graph.
+    """Junction tree of the min-fill triangulation of ``g``.
 
-    Maximum separator-cardinality spanning tree, ties resolved toward
-    the lowest clique indices; disconnected graphs are spanned with
-    empty separators.  The RIP ordering is produced greedily from the
-    first clique and then verified by the independent checker.
+    Its cliques are the maximal cliques of ``g`` with the fill of one
+    min-fill elimination added, read off that same elimination; for a
+    chordal ``g`` they are ``g``'s own.  Maximum separator-cardinality
+    spanning tree, ties resolved toward the lowest clique indices;
+    disconnected graphs are spanned with empty separators.  The RIP
+    ordering is produced greedily from the first clique and then
+    verified by the independent checker.
     """
-    cliques = maximal_cliques(g)
+    cliques = _eliminate(g)[1]
     sets = [frozenset(c) for c in cliques]
     m = len(cliques)
     pos = {v: g.position(v) for v in g.vertices}
@@ -295,10 +300,10 @@ def donor_target_path(net: BayesNet, donor, target):
     Restricts the whole net's moral graph to the ancestral set of both
     variable sets, so a marriage through a child outside that set stays
     (on A, B -> C, A and B share one clique although they are
-    independent), triangulates it, builds its junction tree, locates the
-    lowest-index clique containing the donor, then the clique containing
-    the target nearest to it on the tree, and takes the simple path
-    between them.
+    independent), builds the junction tree of its min-fill triangulation
+    from one elimination, locates the lowest-index clique containing the
+    donor, then the clique containing the target nearest to it on the
+    tree, and takes the simple path between them.
     Ending at the nearest hosting clique keeps the chain of factors as
     short as possible and, for a single-variable target, guarantees the
     target sits among the final clique's fresh variables rather than
@@ -315,8 +320,7 @@ def _donor_target_path(net: BayesNet, moral: UGraph, donor, target):
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
     keep = ancestral_set(net, donor | target)
-    tri = triangulate(subgraph(moral, keep))
-    jt = build_junction_tree(tri)
+    jt = build_junction_tree(subgraph(moral, keep))
 
     def candidates(members, label: str) -> list[int]:
         found = [i for i, c in enumerate(jt.cliques)
@@ -357,8 +361,7 @@ def _path_tree(net: BayesNet, scopes) -> JunctionTree:
     ``scopes`` made complete first, so that one clique holds each."""
     moral = moralize(net)
     extra = tuple(e for s in scopes for e in itertools.combinations(s, 2))
-    return build_junction_tree(
-        triangulate(UGraph(moral.vertices, moral.edges + extra)))
+    return build_junction_tree(UGraph(moral.vertices, moral.edges + extra))
 
 
 def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,

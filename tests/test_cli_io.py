@@ -287,6 +287,12 @@ GOLDEN_COMMANDS = [
     ("impact_five_cycle_bound.json", 0,
      ["impact", "--from", "A", "--to", "F", "--mode", "bound", "--json",
       "models/five_cycle.json"]),
+    ("impact_five_cycle_exact.json", 0,
+     ["impact", "--from", "A", "--to", "F", "--mode", "exact", "--json",
+      "models/five_cycle.json"]),
+    ("path_five_cycle.json", 0,
+     ["path", "--from", "A", "--to", "F", "--json",
+      "models/five_cycle.json"]),
 ]
 
 
@@ -367,6 +373,27 @@ def test_cli_env_limit_trips(capsys, monkeypatch):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,env,message", [
+    (["--limit", "0"], None, "state limit must be positive, got 0"),
+    (["--limit", "-5"], None, "state limit must be positive, got -5"),
+    ([], "abc", "TVROBUST_LIMIT must be an integer, got 'abc'"),
+    ([], "0", "TVROBUST_LIMIT must be positive, got 0"),
+], ids=["flag_zero", "flag_negative", "env_text", "env_zero"])
+def test_cli_malformed_limit_fails_alike_in_both_modes(flag, env, message,
+                                                       capsys, monkeypatch):
+    # bound mode applies no cap, but a malformed one is still an error
+    monkeypatch.chdir(TESTS_DIR)
+    if env is None:
+        monkeypatch.delenv("TVROBUST_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("TVROBUST_LIMIT", env)
+    for mode in ("exact", "bound"):
+        argv = ["impact", "--from", "X1", "--to", "X9", "--mode", mode,
+                *flag, "models/ten_node_demo.json"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_amalgamate_apply_json_round_trips(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     argv = ["amalgamate", "models/native_fish_fragment.json", "Rainfall",
@@ -420,7 +447,10 @@ def _run_module(argv, **env):
     ["impact", "--from", "X1", "--to", "X9", "--mode", "bound", "--json",
      "models/ten_node_demo.json"],
     ["report", "--json", "models/five_cycle.json"],
-], ids=["report", "impact_exact", "impact_bound", "report_five_cycle"])
+    ["impact", "--from", "A", "--to", "F", "--mode", "exact", "--json",
+     "models/five_cycle.json"],
+], ids=["report", "impact_exact", "impact_bound", "report_five_cycle",
+        "impact_exact_five_cycle"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
     outputs = [_run_module(argv, PYTHONHASHSEED=seed)
                for seed in ("0", "1")]

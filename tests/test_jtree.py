@@ -20,12 +20,16 @@ from tvrobust import (
     triangulate,
     verify_running_intersection,
 )
+from tvrobust import jtree
 from tvrobust.bn_model import _ancestral_subnet
+from tvrobust.cli_io import run_cli
 from tvrobust.exact_oracle import _ancestral_joint, marginal_of
 from tvrobust.jtree import _clique_marginals, _path_tree, subgraph
 
 from conftest import (
+    TESTS_DIR,
     junction_property_holds,
+    load_model,
     random_net,
     reference_donor_target_path,
     reference_rip_order,
@@ -338,6 +342,8 @@ def test_elimination_agrees_with_networkx_and_full_scan(g):
     jt = build_junction_tree(tri)
     assert junction_property_holds(jt)
     assert verify_running_intersection(jt.cliques, jt.rip_order)
+    # one elimination of g gives the tree of its triangulation
+    assert build_junction_tree(g) == jt
 
 
 def test_triangulate_equals_full_scan_on_ancestral_moral_graphs():
@@ -354,6 +360,7 @@ def test_triangulate_equals_full_scan_on_ancestral_moral_graphs():
             g = subgraph(moral, keep)
             tri = triangulate(g)
             assert tri == reference_triangulate(g)
+            assert build_junction_tree(g) == build_junction_tree(tri)
             filled += tri != g
     # enough of them need fill for the choice of vertex to matter
     assert filled >= 20
@@ -482,3 +489,32 @@ def test_path_tree_holds_every_path_clique(ten_node):
     tree = _path_tree(sub, [{"X1", "X9"}])
     assert any({"X1", "X9"} <= set(c) for c in tree.cliques)
     assert junction_property_holds(tree)
+
+
+def test_each_junction_tree_runs_one_elimination(capsys, monkeypatch):
+    """The library's trees are read off one min-fill elimination of the
+    graph they are built on, never triangulated and eliminated again;
+    the five-cycle's moral graph needs fill, so a second pass would
+    have work to do."""
+    net = load_model("five_cycle")
+    tree, path = donor_target_path(net, {"A"}, {"F"})
+    graphs = []
+    real = jtree._eliminate
+
+    def counted(g):
+        graphs.append(g)
+        return real(g)
+    monkeypatch.setattr(jtree, "_eliminate", counted)
+
+    assert donor_target_path(net, {"A"}, {"F"}) == (tree, path)
+    assert len(graphs) == 1
+    graphs.clear()
+    bare = path_impact(net, path, "exact")
+    assert len(graphs) == 1
+    assert bare == path_impact(net, path, "exact", tree=tree)
+    assert len(graphs) == 1
+    graphs.clear()
+    monkeypatch.chdir(TESTS_DIR)
+    assert run_cli(["report", "--json", "models/five_cycle.json"]) == 0
+    assert capsys.readouterr().out
+    assert len(graphs) == 1

@@ -18,12 +18,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TEST_ONLY = {
     "chain_diameter_bound",
     "diameter_sum_bound",
-    "diameter_witness",
     "joint_perturb_bound",
     "joint_tv_bound",
-    "local_diameter",
-    "superbound_witness",
-    "table_tv",
 }
 
 
