@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, Variable, _require_valid
+from .bn_model import BayesNet, Variable, _require_valid, ancestral_set
 from .bounds import _bound_pricer, _impact_product
 from .errors import DomainError
-from .jtree import _donor_target_path, moralize, path_factor_specs
+from .jtree import _ancestral_tree, _host_path, path_factor_specs
 from .tv_core import (
     Cpt,
     _convex_sum,
@@ -219,30 +219,38 @@ class PriorityRecord:
 def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     """Rank every CPT by its worst-case influence on the target margin.
 
-    For each variable, the clique holding its family (itself plus its
-    parents) is connected to the clique holding the targets through the
-    junction tree of their common ancestral graph, and the score is the
-    impact product along that path assembled from elicited CPT
-    diameters alone.  Families sharing the target clique score 1;
-    disconnected families score 0; a family whose path cannot be priced
+    A variable outside the ancestral set of the targets cannot move
+    their margin at all, since summing out its table leaves the rest of
+    the joint unchanged (a barren node, Shachter 1986); it scores 0 with
+    the note "not an ancestor of the target".  Every ancestor's family
+    lies inside that set, so the ancestral set of the family and the
+    targets is the targets' own: one moral graph, one junction tree and
+    one bound pricer serve every ancestor.  The clique holding its
+    family (itself plus its parents) is connected to the clique holding
+    the targets on that tree, and the score is the impact product along
+    that path assembled from elicited CPT diameters alone.  Families
+    sharing the target clique score 1; a path crossing a table with
+    identical rows scores 0; a family whose path cannot be priced
     without fresh elicitation gets a note instead of a score, as does
     one the path search itself rejects.  An empty or unknown target
-    raises ``DomainError``.  Records are sorted by descending
-    score, declaration order on ties; scoreless entries sort last.
+    raises ``DomainError``.  Records are sorted by descending score,
+    declaration order on ties; scoreless entries sort last.
     """
     _require_valid(net)
     targets = set(targets)
     if not targets:
         raise DomainError("target set must be nonempty")
-    for t in targets:
-        net.position(t)
-    moral = moralize(net)
+    ancestors = ancestral_set(net, targets)
+    jt = _ancestral_tree(net, ancestors)
     price = _bound_pricer(net)
     records = []
     for v, t in zip(net.variables, net.cpts):
-        family = {v.name} | set(t.parents)
+        if v.name not in ancestors:
+            records.append(PriorityRecord(v.name, 0.0,
+                                          "not an ancestor of the target"))
+            continue
         try:
-            _, path = _donor_target_path(net, moral, family, targets)
+            path = _host_path(jt, {v.name, *t.parents}, targets)
             result = _impact_product(path_factor_specs(path), price, "bound")
         except DomainError as e:
             records.append(PriorityRecord(v.name, None, str(e)))

@@ -297,32 +297,38 @@ def simple_path(jt: JunctionTree, donor, target) -> CliquePath:
 def donor_target_path(net: BayesNet, donor, target):
     """Clique path of the donor-to-target recipe, graph work only.
 
-    Restricts the whole net's moral graph to the ancestral set of both
-    variable sets, so a marriage through a child outside that set stays
-    (on A, B -> C, A and B share one clique although they are
-    independent), builds the junction tree of its min-fill triangulation
-    from one elimination, locates the lowest-index clique containing the
-    donor, then the clique containing the target nearest to it on the
-    tree, and takes the simple path between them.
-    Ending at the nearest hosting clique keeps the chain of factors as
-    short as possible and, for a single-variable target, guarantees the
-    target sits among the final clique's fresh variables rather than
-    inside the last separator, so the impact product prices its margin.
-    Returns (junction tree, clique path); no probabilities are touched.
+    Builds ``_ancestral_tree`` on the ancestral set of both variable
+    sets and takes ``_host_path`` on it.  Returns (junction tree, clique
+    path); no probabilities are touched.
     """
-    return _donor_target_path(net, moralize(net), donor, target)
-
-
-def _donor_target_path(net: BayesNet, moral: UGraph, donor, target):
-    """``donor_target_path`` given the moral graph of the whole net."""
     donor = set(donor)
     target = set(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
-    keep = ancestral_set(net, donor | target)
-    jt = build_junction_tree(subgraph(moral, keep))
+    jt = _ancestral_tree(net, ancestral_set(net, donor | target))
+    return jt, _host_path(jt, donor, target)
 
-    def candidates(members, label: str) -> list[int]:
+
+def _ancestral_tree(net: BayesNet, keep) -> JunctionTree:
+    """Junction tree of the whole net's moral graph restricted to the
+    ancestral set ``keep``, so a marriage through a child outside that
+    set stays (on A, B -> C, A and B share one clique although they are
+    independent); the tree is that of its min-fill triangulation, built
+    from one elimination."""
+    return build_junction_tree(subgraph(moralize(net), keep))
+
+
+def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
+    """The simple path on ``jt`` from the lowest-index clique holding
+    ``donor`` to the clique holding ``target`` nearest to it, the lower
+    index winning a tie.
+
+    Ending at the nearest hosting clique keeps the chain of factors as
+    short as possible and, for a single-variable target, guarantees the
+    target sits among the final clique's fresh variables rather than
+    inside the last separator, so the impact product prices its margin.
+    """
+    def hosts(members, label: str) -> list[int]:
         found = [i for i, c in enumerate(jt.cliques)
                  if members <= frozenset(c)]
         if not found:
@@ -332,11 +338,11 @@ def _donor_target_path(net: BayesNet, moral: UGraph, donor, target):
             )
         return found
 
-    c_donor = candidates(donor, "donor")[0]
-    hosts = candidates(target, "target")
+    c_donor = hosts(donor, "donor")[0]
+    c_hosts = hosts(target, "target")
     paths = _tree_paths(jt, c_donor)
-    c_target = min(hosts, key=lambda i: (len(paths[i]), i))
-    return jt, _clique_path(jt, paths[c_target])
+    c_target = min(c_hosts, key=lambda i: (len(paths[i]), i))
+    return _clique_path(jt, paths[c_target])
 
 
 def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

@@ -368,10 +368,17 @@ def scalar_topological_order(net: BayesNet) -> tuple[str, ...]:
 
 def reference_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     """``elicitation_priority`` as the plain per-variable composition:
-    ``donor_target_path`` then bound ``path_impact`` for every family,
-    each call redoing its own net-wide work."""
+    a variable outside the ancestral set of the targets gets the fixed
+    record (0.0, "not an ancestor of the target"); every other family
+    gets ``donor_target_path`` then bound ``path_impact``, each call
+    redoing its own net-wide work and building its own tree."""
+    ancestors = ancestral_set(net, targets)
     records = []
     for v, t in zip(net.variables, net.cpts):
+        if v.name not in ancestors:
+            records.append(PriorityRecord(v.name, 0.0,
+                                          "not an ancestor of the target"))
+            continue
         family = {v.name} | set(t.parents)
         try:
             _, path = donor_target_path(net, family, set(targets))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvrobust import (
     BayesNet,
@@ -9,6 +10,7 @@ from tvrobust import (
     Variable,
     amalgamate_levels,
     amalgamation_suggest,
+    ancestral_set,
     delete_edge,
     diameter,
     edge_deletion_report,
@@ -22,8 +24,9 @@ from tvrobust import (
     table_tv,
     validate,
 )
-from tvrobust import advisors
-from tvrobust.advisors import counterpart_cost
+from tvrobust import jtree
+from tvrobust.advisors import PriorityRecord, counterpart_cost
+from tvrobust.exact_oracle import marginal_of
 
 from conftest import (
     RAINFALL_LEVELS,
@@ -31,6 +34,7 @@ from conftest import (
     count_validate,
     random_net,
     random_table,
+    random_vector,
     reference_priority,
     reference_validate,
     scalar_collapse_parent,
@@ -336,12 +340,57 @@ def test_priority_rejects_unknown_target(fragment):
 
 
 def test_priority_rejects_an_empty_target_set(fragment, monkeypatch):
-    # the target is named, not the donor, and no path is searched
-    monkeypatch.setattr(advisors, "_donor_target_path", None)
+    # the target is named, not the donor, and no tree is built
+    monkeypatch.setattr(jtree, "build_junction_tree", None)
     for targets in ((), []):
         with pytest.raises(DomainError,
                            match="^target set must be nonempty$"):
             elicitation_priority(fragment, targets)
+
+
+def test_priority_builds_one_junction_tree_per_call(ten_node, monkeypatch):
+    """Every ancestor is priced on one tree, however many there are."""
+    built = []
+    build = jtree.build_junction_tree
+    monkeypatch.setattr(jtree, "build_junction_tree",
+                        lambda g: built.append(g) or build(g))
+    rng = np.random.default_rng(11)
+    cases = [(ten_node, ("X9",)), (ten_node, ("X1", "X9")),
+             (random_net(rng, 40, 40), ("V39",))]
+    for net, targets in cases:
+        built.clear()
+        got = elicitation_priority(net, targets)
+        assert len(built) == 1
+        assert len(built[0].vertices) == len(ancestral_set(net, targets))
+        assert sum(r.note != "not an ancestor of the target"
+                   for r in got) == len(built[0].vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99))
+def test_non_ancestor_tables_cannot_move_the_target(seed, t):
+    """A fresh table for a variable priority scores "not an ancestor"
+    leaves the target margin where it was.  The margin is summed from
+    the full joint, not read off ``marginal``, which enumerates the
+    ancestral set alone."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 4, 8)
+    names = net.names()
+    target = names[t % len(names)]
+    before = marginal_of(joint_mass(net), (target,)).mass
+    for r in elicitation_priority(net, (target,)):
+        if r.note != "not an ancestor of the target":
+            continue
+        assert r.score == 0.0
+        old = net.cpt(r.variable)
+        fresh = Cpt.of(old.child, old.child_levels, old.parents,
+                       old.parent_levels,
+                       [random_vector(rng, len(old.child_levels))
+                        for _ in old.rows])
+        edited = BayesNet.of(net.variables, tuple(
+            fresh if c.child == r.variable else c for c in net.cpts))
+        after = marginal_of(joint_mass(edited), (target,)).mass
+        assert np.max(np.abs(after - before)) <= 1e-12
 
 
 def _differential_nets():
@@ -394,12 +443,26 @@ def test_advisor_costs_equal_scalar_loops_bit_for_bit():
             assert cost == scalar_delete_edge_cost(t, j, new.cpt(child))
 
 
+def _flat_middle_chain() -> BayesNet:
+    """A -> B -> C where B's rows are identical, so A cannot move C."""
+    tf = ("t", "f")
+    return BayesNet.of(
+        tuple(Variable(n, tf) for n in "ABC"),
+        (Cpt.of("A", tf, (), (), (ProbVec(tf, (0.3, 0.7)),)),
+         Cpt.of("B", tf, ("A",), (tf,),
+                (ProbVec(tf, (0.4, 0.6)), ProbVec(tf, (0.4, 0.6)))),
+         Cpt.of("C", tf, ("B",), (tf,),
+                (ProbVec(tf, (0.1, 0.9)), ProbVec(tf, (0.8, 0.2))))))
+
+
 def test_priority_equals_per_variable_composition(ten_node):
-    """One moral graph and one pricer per call give the same records,
-    ``==`` on every score, as the plain per-variable composition."""
+    """One moral graph, one junction tree and one pricer per call give
+    the same records, ``==`` on every score, as the plain per-variable
+    composition, which builds a tree for each ancestor's family."""
     rng = np.random.default_rng(2024)
     cases = [(ten_node, ("X9",)), (ten_node, ("X7", "X9")),
-             (ten_node, ("X3",)), (ten_node, ("X1", "X9"))]
+             (ten_node, ("X3",)), (ten_node, ("X1", "X9")),
+             (_flat_middle_chain(), ("C",))]
     for _ in range(12):
         net = random_net(rng, 6, 16)
         names = net.names()
@@ -407,15 +470,31 @@ def test_priority_equals_per_variable_composition(ten_node):
         # a child with one of its parents always shares a clique
         child = next(v for v in reversed(names) if net.parents_of(v))
         cases.append((net, (child, net.parents_of(child)[0])))
+    # larger nets, where most variables are not ancestors of the target
+    outside = inside = 0
+    for _ in range(8):
+        net = random_net(rng, 30, 60)
+        names = net.names()
+        target = names[int(rng.integers(len(names)))]
+        cases.append((net, (target,)))
+        kept = len(ancestral_set(net, {target}))
+        inside += kept
+        outside += len(names) - kept
+    assert outside > inside
     notes = set()
     for net, targets in cases:
         got = elicitation_priority(net, targets)
         assert got == reference_priority(net, targets)
         notes |= {r.note.split(" ")[0] for r in got}
-    # every kind of record shows up: scored, shared clique, disconnected,
-    # rejected target set ("... spans multiple cliques ...") and a factor
+    # every kind of record shows up: scored, shared clique, not an
+    # ancestor, a path across a table with identical rows, rejected
+    # target set ("... spans multiple cliques ...") and a factor
     # conditioned on a descendant ("cannot bound ...")
-    assert {"", "family", "no", "target", "cannot"} <= notes
+    assert {"", "family", "not", "no", "target", "cannot"} <= notes
+    flat = {r.variable: r for r in
+            elicitation_priority(_flat_middle_chain(), ("C",))}
+    assert flat["A"] == PriorityRecord("A", 0.0,
+                                       "no influence path to the target")
 
 
 def test_amalgamate_rejects_a_merged_name_that_is_already_a_level():
