@@ -292,15 +292,13 @@ def test_priority_demo_target_x9(ten_node):
     by_name = {r.variable: r for r in got}
     assert got[0].variable == "X9"
     assert got[0].score == 1.0
-    noted = {r.variable for r in got if r.score is None}
-    assert noted == {"X8", "X10"}
-    # scoreless entries sort last
-    assert [r.variable for r in got[-2:]] == ["X8", "X10"]
+    # X6, X8 and X10 are not ancestors of X9: their tables cannot move
+    # it, so they score 0 and sort last, and no record is scoreless
+    assert got[-3:] == tuple(
+        PriorityRecord(n, 0.0, "not an ancestor of the target")
+        for n in ("X6", "X8", "X10"))
+    assert all(r.score is not None for r in got)
     d = {n: diameter(ten_node.cpt(n)) for n in by_name}
-    # X6's family rides the {X5, X6, X7} clique, where the first factor
-    # P(X7 | X5, X6) repeats the rows of P(X7 | X5), so its score lands
-    # on exactly the same float as X7's
-    assert by_name["X6"].score == by_name["X7"].score
     assert by_name["X7"].score == pytest.approx(d["X7"] * d["X9"], abs=1e-12)
     assert by_name["X5"].score == pytest.approx(
         d["X5"] * d["X7"] * d["X9"], abs=1e-12)
@@ -327,7 +325,7 @@ def test_priority_disconnected_family_scores_zero():
     got = elicitation_priority(net, ("C",))
     by_name = {r.variable: r for r in got}
     assert by_name["A"].score == 0.0
-    assert by_name["A"].note == "no influence path to the target"
+    assert by_name["A"].note == "not an ancestor of the target"
     assert by_name["C"].score == 1.0
     # zero-scored families still outrank scoreless ones, of which
     # this net has none
