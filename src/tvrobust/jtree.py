@@ -314,7 +314,9 @@ def _ancestral_tree(net: BayesNet, keep) -> JunctionTree:
     ancestral set ``keep``, so a marriage through a child outside that
     set stays (on A, B -> C, A and B share one clique although they are
     independent); the tree is that of its min-fill triangulation, built
-    from one elimination."""
+    from one elimination.  ``donor_target_path`` and
+    ``elicitation_priority`` both price on this tree, so the two agree
+    on every ancestor's path."""
     return build_junction_tree(subgraph(moralize(net), keep))
 
 
@@ -328,7 +330,7 @@ def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
     target sits among the final clique's fresh variables rather than
     inside the last separator, so the impact product prices its margin.
     """
-    def hosts(members, label: str) -> list[int]:
+    def candidates(members, label: str) -> list[int]:
         found = [i for i, c in enumerate(jt.cliques)
                  if members <= frozenset(c)]
         if not found:
@@ -338,10 +340,10 @@ def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
             )
         return found
 
-    c_donor = hosts(donor, "donor")[0]
-    c_hosts = hosts(target, "target")
+    c_donor = candidates(donor, "donor")[0]
+    hosts = candidates(target, "target")
     paths = _tree_paths(jt, c_donor)
-    c_target = min(c_hosts, key=lambda i: (len(paths[i]), i))
+    c_target = min(hosts, key=lambda i: (len(paths[i]), i))
     return _clique_path(jt, paths[c_target])
 
 

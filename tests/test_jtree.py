@@ -347,8 +347,9 @@ def test_elimination_agrees_with_networkx_and_full_scan(g):
 
 
 def test_triangulate_equals_full_scan_on_ancestral_moral_graphs():
-    """The ancestral moral subgraphs ``elicitation_priority`` triangulates
-    (one per family), on random nets, give the full scan's edges."""
+    """The ancestral moral subgraphs of every family and the last
+    variable, as ``donor_target_path`` builds them, give the full scan's
+    edges on random nets."""
     rng = np.random.default_rng(518)
     filled = 0
     for _ in range(30):
@@ -422,9 +423,10 @@ def _outcome(find, net, donor, target):
 
 
 def test_donor_target_path_equals_two_search_reference(ten_node):
-    """Every family/target pair that ``elicitation_priority`` builds on
-    random nets, and multi-variable donors and targets on the ten-node
-    demo, give the reference's tree and path, errors included."""
+    """Every family/target pair on random nets, the paths
+    ``elicitation_priority`` prices for ancestors, and multi-variable
+    donors and targets on the ten-node demo, give the reference's tree
+    and path, errors included."""
     rng = np.random.default_rng(903)
     cases = []
     for _ in range(60):
