@@ -293,6 +293,15 @@ GOLDEN_COMMANDS = [
     ("path_five_cycle.json", 0,
      ["path", "--from", "A", "--to", "F", "--json",
       "models/five_cycle.json"]),
+    ("validate_broken.json", 1,
+     ["validate", "--json", "models/broken_model.json"]),
+    ("amalgamate_suggest_rainfall.json", 0,
+     ["amalgamate", "--json", "models/native_fish_fragment.json",
+      "Rainfall"]),
+    # non-ASCII names and levels: escaped in values and in the costs keys
+    ("amalgamate_non_ascii.json", 0,
+     ["amalgamate", "--group", "gering,mäßig", "--json",
+      "models/non_ascii_names.json", "Niederschlag"]),
 ]
 
 
