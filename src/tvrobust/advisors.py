@@ -237,10 +237,12 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     declaration order on ties; scoreless entries sort last.
     """
     _require_valid(net)
-    targets = set(targets)
+    targets = list(targets)
     if not targets:
         raise DomainError("target set must be nonempty")
+    # checked in the order given, so an unknown name is reported stably
     ancestors = ancestral_set(net, targets)
+    targets = set(targets)
     jt = _ancestral_tree(net, ancestors)
     price = _bound_pricer(net)
     records = []

@@ -301,12 +301,13 @@ def donor_target_path(net: BayesNet, donor, target):
     sets and takes ``_host_path`` on it.  Returns (junction tree, clique
     path); no probabilities are touched.
     """
-    donor = set(donor)
-    target = set(target)
+    donor = list(donor)
+    target = list(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
-    jt = _ancestral_tree(net, ancestral_set(net, donor | target))
-    return jt, _host_path(jt, donor, target)
+    # a list, so an unknown name is reported in the order given
+    jt = _ancestral_tree(net, ancestral_set(net, donor + target))
+    return jt, _host_path(jt, set(donor), set(target))
 
 
 def _ancestral_tree(net: BayesNet, keep) -> JunctionTree:

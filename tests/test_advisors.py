@@ -337,6 +337,14 @@ def test_priority_rejects_unknown_target(fragment):
         elicitation_priority(fragment, ("Pollinators",))
 
 
+def test_priority_names_the_first_unknown_target_in_order(ten_node):
+    # names are checked in the order given, not in hash-seeded set order
+    with pytest.raises(DomainError, match="^unknown variable 'Pa'$"):
+        elicitation_priority(ten_node, ["Pa", "Qb", "Rc"])
+    with pytest.raises(DomainError, match="^unknown variable 'Qb'$"):
+        elicitation_priority(ten_node, ["X9", "Qb", "Pa"])
+
+
 def test_priority_rejects_an_empty_target_set(fragment, monkeypatch):
     # the target is named, not the donor, and no tree is built
     monkeypatch.setattr(jtree, "build_junction_tree", None)

@@ -190,6 +190,17 @@ def test_simple_path_rejects_ends_that_are_not_cliques(ten_node):
         simple_path(split, ("A",), ("B",))
 
 
+def test_donor_target_path_names_the_first_unknown_name_in_order(ten_node):
+    # donors first, then targets, each in the order given
+    cases = [(["X1"], ["Pa", "Qb", "Rc"], "Pa"),
+             (["Zz", "X1"], ["Pa"], "Zz"),
+             (["X1", "Yy"], ["X9", "Pa"], "Yy")]
+    for donor, target, name in cases:
+        with pytest.raises(DomainError,
+                           match=f"^unknown variable '{name}'$"):
+            donor_target_path(ten_node, donor, target)
+
+
 def test_donor_target_path_prunes_barren_variables(ten_node):
     jt, path = donor_target_path(ten_node, {"X1"}, {"X9"})
     used = {v for c in jt.cliques for v in c}
