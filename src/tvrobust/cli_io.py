@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -301,7 +302,59 @@ def _load(path: str) -> BayesNet:
 
 
 def _emit_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly the text ``json.dumps`` prints for ``doc`` with ``indent=2``,
+    plus a newline.
+
+    ``json.dumps`` with any ``indent`` skips CPython's C encoder and
+    runs a pure-Python one, a generator step per value; a model's CPT
+    rows make thousands of them.  This writer takes the same decisions
+    but prints a list of plain floats, every CPT row, in one C-level
+    join.  Keys must be strings, as in every document the CLI prints.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _floats(values, sep: str) -> str:
+    text = sep.join(map(float.__repr__, values))
+    if "n" in text:  # no finite repr has an n; nan and inf both do
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``; ``newline`` is a line break plus the
+    indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, float):
+        out.append(_floats((value,), ""))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        if set(map(type, value)) == {float}:
+            out.append("[" + inner + _floats(value, "," + inner)
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:  # bool, None and int; anything else raises as json.dumps does
+        out.append(json.dumps(value))
 
 
 def _columns(header, rows, indent: str = "") -> list[str]:

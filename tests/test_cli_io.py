@@ -1,9 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
     DomainError,
@@ -17,6 +20,7 @@ from tvrobust import (
     run_cli,
     serialize_model,
 )
+from tvrobust.cli_io import _emit_json
 
 from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, count_validate,
                       reference_row_error)
@@ -315,6 +319,39 @@ def test_cli_output_matches_golden(golden, code, argv, capsys, monkeypatch):
     assert out == (GOLDEN_DIR / golden).read_text()
 
 
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 100, 2 ** 100),
+    st.floats(), _NONFINITE, st.floats().map(np.float64),
+    st.text(max_size=8))
+# lists of floats alone take the writer's one-join path
+_FLOAT_ROWS = st.lists(st.one_of(st.floats(), _NONFINITE), min_size=1,
+                       max_size=6)
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.lists(children, max_size=4).map(tuple),
+                     st.dictionaries(st.text(max_size=8), children,
+                                     max_size=4))
+
+
+@given(doc=st.dictionaries(st.text(max_size=8), st.recursive(
+    _SCALARS | _FLOAT_ROWS, _containers, max_leaves=20), max_size=4))
+@example(doc={
+    "rows": [[0.1, math.nan, math.inf, -math.inf], [1e-300, -0.0, 5e17]],
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "D\u00fcrre \u2028": "m\u00e4\u00dfig\x00\x1f\t\"\\ \U0001f332",
+    "empty": [{}, [], ()], "tuple": (1, (2.5, 3.5), "x"),
+    "scalars": [True, False, None, 2 ** 70, -(2 ** 90), np.float64(0.1)],
+    "np_row": [np.float64(0.25), np.float64(math.nan)],
+    "mixed": [0.5, "0.5", None, 1, [0.5], math.nan],
+})
+@settings(max_examples=300, deadline=None)
+def test_emit_json_equals_json_dumps_indent_two(doc):
+    assert _emit_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_cli_is_deterministic(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     argv = ["report", "--json", "models/ten_node_demo.json"]
@@ -458,13 +495,25 @@ def _run_module(argv, **env):
     ["report", "--json", "models/five_cycle.json"],
     ["impact", "--from", "A", "--to", "F", "--mode", "exact", "--json",
      "models/five_cycle.json"],
+    # the largest documents the JSON writer prints
+    ["delete-edge", "--from", "A", "--to", "C", "--json",
+     "models/wide_child.json"],
+    ["amalgamate", "--group", "c0,c1,c2,c3,c4,c5,c6,c7,c8", "--json",
+     "models/wide_child.json", "C"],
+    # several unknown names: the first one given is reported
+    ["impact", "--from", "X1", "--to", "Pa,Qb,Rc",
+     "models/ten_node_demo.json"],
 ], ids=["report", "impact_exact", "impact_bound", "report_five_cycle",
-        "impact_exact_five_cycle"])
+        "impact_exact_five_cycle", "delete_edge_wide_child",
+        "amalgamate_wide_child", "unknown_targets"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
     outputs = [_run_module(argv, PYTHONHASHSEED=seed)
-               for seed in ("0", "1")]
-    assert outputs[0][0] == 0
-    assert outputs[0] == outputs[1]
+               for seed in ("0", "1", "2", "3")]
+    if "Pa,Qb,Rc" in argv:
+        assert outputs[0] == (1, "", "error: unknown variable 'Pa'\n")
+    else:
+        assert outputs[0][0] == 0
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_run_cli_in_one_process_matches_fresh_processes(capsys, monkeypatch):
