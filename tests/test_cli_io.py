@@ -306,6 +306,24 @@ GOLDEN_COMMANDS = [
     ("amalgamate_non_ascii.json", 0,
      ["amalgamate", "--group", "gering,mäßig", "--json",
       "models/non_ascii_names.json", "Niederschlag"]),
+    ("impact_five_cycle_exact.txt", 0,
+     ["impact", "--from", "A", "--to", "F", "--mode", "exact",
+      "models/five_cycle.json"]),
+    ("impact_ten_node_bound.txt", 0,
+     ["impact", "--from", "X1", "--to", "X9", "--mode", "bound",
+      "models/ten_node_demo.json"]),
+    ("path_five_cycle.txt", 0,
+     ["path", "--from", "A", "--to", "F", "models/five_cycle.json"]),
+    ("report_fragment.txt", 0,
+     ["report", "models/native_fish_fragment.json"]),
+    ("report_five_cycle.txt", 0,
+     ["report", "models/five_cycle.json"]),
+    ("amalgamate_group_rainfall.txt", 0,
+     ["amalgamate", "--group", "below average,average",
+      "models/native_fish_fragment.json", "Rainfall"]),
+    ("delete_edge_wide_child.txt", 0,
+     ["delete-edge", "--from", "A", "--to", "C",
+      "models/wide_child.json"]),
 ]
 
 
