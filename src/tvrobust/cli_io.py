@@ -97,6 +97,9 @@ def parse_model(text: str, strict: bool = True):
         doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, location=f"line {e.lineno}, column {e.colno}")
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply",
+                         location="document")
     _expect(isinstance(doc, dict), "top level must be an object", "document")
     _no_extras(doc, ("format_version", "variables", "cpts"), "document")
     version = _field(doc, "format_version", str, "document")

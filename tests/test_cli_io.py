@@ -407,6 +407,19 @@ def test_cli_domain_errors_exit_one(capsys, monkeypatch):
     assert "spans multiple cliques" in capsys.readouterr().err
 
 
+def test_cli_deeply_nested_model_is_one_error_line(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit
+    text = "[" * 100000 + "]" * 100000
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert e.value.location == "document"
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert run_cli(["validate", str(deep)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: arrays or objects nested too deeply (at document)\n")
+
+
 def test_cli_parse_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
