@@ -206,35 +206,36 @@ def model_document(net: BayesNet) -> dict:
     }
 
 
+def _canonical(value, indent: str) -> str:
+    """``value`` in the canonical layout, its closing bracket on a line
+    indented by ``indent``.  A list of scalars takes one line, as does an
+    object whose fields all fit on one; any other list or object takes a
+    line per item.  Floats print with 17 significant digits."""
+    if isinstance(value, float):
+        return _f17(value)
+    if isinstance(value, list) and set(map(type, value)) <= {float}:
+        return "[" + ", ".join(map(_f17, value)) + "]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_canonical(v, inner)}"
+                 for k, v in value.items()]
+        one_line = not any("\n" in item for item in items)
+    elif isinstance(value, list):
+        items = [_canonical(v, inner) for v in value]
+        one_line = not any(isinstance(v, (list, dict)) for v in value)
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if one_line:
+        return opening + ", ".join(items) + closing
+    return (f"{opening}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{closing}")
+
+
 def serialize_model(net: BayesNet) -> str:
-    """Canonical text for a net; byte-stable and exactly re-parseable."""
-    out = ["{"]
-    out.append(f'  "format_version": {json.dumps(FORMAT_VERSION)},')
-    out.append('  "variables": [')
-    for i, v in enumerate(net.variables):
-        comma = "," if i + 1 < len(net.variables) else ""
-        levels = ", ".join(json.dumps(lv) for lv in v.levels)
-        out.append(f'    {{"name": {json.dumps(v.name)}, '
-                   f'"levels": [{levels}]}}{comma}')
-    out.append("  ],")
-    out.append('  "cpts": [')
-    for i, t in enumerate(net.cpts):
-        comma = "," if i + 1 < len(net.cpts) else ""
-        parents = ", ".join(json.dumps(p) for p in t.parents)
-        out.append("    {")
-        out.append(f'      "child": {json.dumps(t.child)},')
-        out.append(f'      "parents": [{parents}],')
-        out.append('      "rows": [')
-        rows = t._mass_rows()
-        for k, row in enumerate(rows):
-            rcomma = "," if k + 1 < len(rows) else ""
-            cells = ", ".join(_f17(x) for x in row)
-            out.append(f"        [{cells}]{rcomma}")
-        out.append("      ]")
-        out.append(f"    }}{comma}")
-    out.append("  ]")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    """Canonical text for ``model_document(net)``; byte-stable and exactly
+    re-parseable."""
+    return _canonical(model_document(net), "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,8 @@ def emit_dot(net: BayesNet, annotations) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# commands: each builds one document, which --json prints and a renderer
+# turns into the text
 
 
 def _read_text(path: str) -> str:
@@ -376,292 +378,232 @@ def _split_names(raw: str) -> list[str]:
     return [token.strip() for token in raw.split(",") if token.strip()]
 
 
-def _cmd_validate(args) -> tuple[str, int]:
-    net, violations = parse_model(_read_text(args.model), strict=False)
-    ok = not violations
-    if args.json:
-        doc = {
-            "command": "validate",
-            "model": args.model,
-            "ok": ok,
-            "violations": violations,
-        }
-        return _emit_json(doc), 0 if ok else 1
-    if ok:
-        return f"{args.model}: ok\n", 0
-    lines = [f"{args.model}: {len(violations)} violation(s)"]
-    for v in violations:
-        lines.append(f"  - {v}")
-    return "\n".join(lines) + "\n", 1
+def _doc(args, **fields) -> dict:
+    return {"command": args.command, "model": args.model, **fields}
 
 
-def _diameter_rows(net: BayesNet):
-    return [(v.name, diameter(net.cpt(v.name))) for v in net.variables]
+def _build_validate(args) -> dict:
+    _, violations = parse_model(_read_text(args.model), strict=False)
+    return _doc(args, ok=not violations, violations=violations)
 
 
-def _cmd_diameters(args) -> tuple[str, int]:
-    net = _load(args.model)
-    pairs = _diameter_rows(net)
-    if args.json:
-        doc = {
-            "command": "diameters",
-            "model": args.model,
-            "diameters": [
-                {"variable": name, "value": value} for name, value in pairs
-            ],
-        }
-        return _emit_json(doc), 0
-    lines = _columns(("variable", "diameter"),
-                     [(name, _f3(value)) for name, value in pairs])
-    return "\n".join(lines) + "\n", 0
+def _render_validate(doc) -> list[str]:
+    if doc["ok"]:
+        return [f"{doc['model']}: ok"]
+    return [f"{doc['model']}: {len(doc['violations'])} violation(s)",
+            *(f"  - {v}" for v in doc["violations"])]
 
 
-def _cmd_edges(args) -> tuple[str, int]:
+def _diameters_section(net: BayesNet) -> list[dict]:
+    return [{"variable": v.name, "value": diameter(net.cpt(v.name))}
+            for v in net.variables]
+
+
+def _diameter_columns(doc, indent: str = "") -> list[str]:
+    return _columns(("variable", "diameter"),
+                    [(d["variable"], _f3(d["value"]))
+                     for d in doc["diameters"]], indent)
+
+
+def _build_diameters(args) -> dict:
+    return _doc(args, diameters=_diameters_section(_load(args.model)))
+
+
+def _edges_section(report: EdgeReport) -> list[dict]:
+    return [{"parent": r.parent, "child": r.child, "delta": r.delta}
+            for r in report.records]
+
+
+def _edge_columns(doc, indent: str = "") -> list[str]:
+    return _columns(("parent", "child", "delta"),
+                    [(e["parent"], e["child"], _f3(e["delta"]))
+                     for e in doc["edges"]], indent)
+
+
+def _build_edges(args) -> dict | str:
     net = _load(args.model)
     report = edge_deletion_report(net)
     if args.dot:
-        return emit_dot(net, report), 0
-    if args.json:
-        doc = {
-            "command": "edges",
-            "model": args.model,
-            "edges": [
-                {"parent": r.parent, "child": r.child, "delta": r.delta}
-                for r in report.records
-            ],
-        }
-        return _emit_json(doc), 0
-    lines = _columns(
-        ("parent", "child", "delta"),
-        [(r.parent, r.child, _f3(r.delta)) for r in report.records],
-    )
-    return "\n".join(lines) + "\n", 0
+        return emit_dot(net, report)
+    return _doc(args, edges=_edges_section(report))
 
 
-def _path_doc(path) -> dict:
+def _path_section(path) -> dict:
     return {
         "cliques": [list(c) for c in path.cliques],
         "separators": [list(s) for s in path.separators],
     }
 
 
-def _cmd_impact(args) -> tuple[str, int]:
+def _path_query(args):
+    """The net, the tree and clique path between the named donors and
+    targets, and a document that names them."""
     net = _load(args.model)
     donor = _split_names(args.donor)
     target = _split_names(args.target)
     tree, path = donor_target_path(net, donor, target)
+    return net, tree, path, _doc(args, donor=donor, target=target)
+
+
+def _build_impact(args) -> dict:
+    net, tree, path, doc = _path_query(args)
     result = path_impact(net, path, args.mode, args.limit, tree)
-    if args.json:
-        doc = {
-            "command": "impact",
-            "model": args.model,
-            "donor": donor,
-            "target": target,
-            "mode": result.mode,
-            "value": result.value,
-            "factors": [
-                {
-                    "table": f.table,
-                    "value": f.value,
-                    "provenance": f.provenance,
-                    "terms": list(f.terms),
-                }
-                for f in result.certificate
-            ],
-            "path": _path_doc(path),
-        }
-        return _emit_json(doc), 0
+    return doc | {
+        "mode": result.mode,
+        "value": result.value,
+        "factors": [
+            {
+                "table": f.table,
+                "value": f.value,
+                "provenance": f.provenance,
+                "terms": list(f.terms),
+            }
+            for f in result.certificate
+        ],
+        "path": _path_section(path),
+    }
+
+
+def _render_impact(doc) -> list[str]:
     lines = [
-        f"impact of {_brace_set(donor)} on {_brace_set(target)} "
-        f"({result.mode} mode): {_f6(result.value)}"
+        f"impact of {_brace_set(doc['donor'])} on "
+        f"{_brace_set(doc['target'])} ({doc['mode']} mode): "
+        f"{_f6(doc['value'])}",
+        "path:",
     ]
-    lines.append("path:")
-    for i, c in enumerate(path.cliques):
+    separators = doc["path"]["separators"]
+    for i, c in enumerate(doc["path"]["cliques"]):
         lines.append(f"  {_brace_set(c)}")
-        if i < len(path.separators):
-            lines.append(f"    | {_brace_set(path.separators[i])}")
+        if i < len(separators):
+            lines.append(f"    | {_brace_set(separators[i])}")
     lines.append("factors:")
-    for f in result.certificate:
-        lines.append(f"  {f.table} = {_f6(f.value)} [{f.provenance}]")
-        for term in f.terms:
-            lines.append(f"    {term}")
-    return "\n".join(lines) + "\n", 0
+    for f in doc["factors"]:
+        lines.append(
+            f"  {f['table']} = {_f6(f['value'])} [{f['provenance']}]")
+        lines.extend(f"    {term}" for term in f["terms"])
+    return lines
 
 
-def _cmd_path(args) -> tuple[str, int]:
-    net = _load(args.model)
-    donor = _split_names(args.donor)
-    target = _split_names(args.target)
-    _, path = donor_target_path(net, donor, target)
-    if args.json:
-        doc = {
-            "command": "path",
-            "model": args.model,
-            "donor": donor,
-            "target": target,
-        }
-        doc.update(_path_doc(path))
-        return _emit_json(doc), 0
-    lines = ["cliques:"]
-    for c in path.cliques:
-        lines.append(f"  {_brace_set(c)}")
-    lines.append("separators:")
-    if path.separators:
-        for s in path.separators:
-            lines.append(f"  {_brace_set(s)}")
-    else:
-        lines.append("  (none)")
-    return "\n".join(lines) + "\n", 0
+def _build_path(args) -> dict:
+    _, _, path, doc = _path_query(args)
+    return doc | _path_section(path)
 
 
-def _cmd_amalgamate(args) -> tuple[str, int]:
+def _render_path(doc) -> list[str]:
+    return ["cliques:", *(f"  {_brace_set(c)}" for c in doc["cliques"]),
+            "separators:",
+            *([f"  {_brace_set(s)}" for s in doc["separators"]]
+              or ["  (none)"])]
+
+
+def _build_amalgamate(args) -> dict:
     net = _load(args.model)
     if args.group is None:
         candidates = amalgamation_suggest(net, args.variable)
-        if args.json:
-            doc = {
-                "command": "amalgamate",
-                "model": args.model,
-                "variable": args.variable,
-                "candidates": [
-                    {"levels": list(pair), "cost": cost}
-                    for pair, cost in candidates
-                ],
-            }
-            return _emit_json(doc), 0
-        lines = [f"merge candidates for {args.variable}:"]
-        for pair, cost in candidates:
-            lines.append(f"  {pair[0]} + {pair[1]}: {_f6(cost)}")
-        return "\n".join(lines) + "\n", 0
-
+        return _doc(args, variable=args.variable, candidates=[
+            {"levels": list(pair), "cost": cost} for pair, cost in candidates
+        ])
     group = [token.strip() for token in args.group.split(",")]
     merged, costs = amalgamate_levels(net, args.variable, group,
                                       allow_nonconsecutive=args.nominal)
     # every member of the group maps to the fused level
     levels = net.variable(args.variable).levels
     new_levels, index = _merge_plan(levels, group, not args.nominal)
-    merged_level = new_levels[index[levels.index(group[0])]]
-    if args.json:
-        doc = {
-            "command": "amalgamate",
-            "model": args.model,
-            "variable": args.variable,
-            "group": group,
-            "merged_level": merged_level,
-            "costs": {child: cost for child, cost in sorted(costs.items())},
-            "model_after": model_document(merged),
-        }
-        return _emit_json(doc), 0
-    lines = [f"merged levels of {args.variable} into {merged_level!r}"]
-    lines.append("costs:")
-    if costs:
-        for child in sorted(costs):
-            lines.append(f"  {child}: {_f6(costs[child])}")
-    else:
-        lines.append("  (no affected tables)")
-    return "\n".join(lines) + "\n", 0
+    return _doc(args, variable=args.variable, group=group,
+                merged_level=new_levels[index[levels.index(group[0])]],
+                costs=dict(sorted(costs.items())),
+                model_after=model_document(merged))
 
 
-def _rows_block(t: Cpt, indent: str = "  ") -> list[str]:
-    lines = []
-    for i, row in enumerate(t._mass_rows()):
-        label = ", ".join(t.parent_config(i))
-        cells = " ".join(_f6(x) for x in row)
-        lines.append(f"{indent}({label}): {cells}")
+def _render_amalgamate(doc) -> list[str]:
+    if "candidates" in doc:
+        return [f"merge candidates for {doc['variable']}:",
+                *("  {} + {}: {}".format(*c["levels"], _f6(c["cost"]))
+                  for c in doc["candidates"])]
+    costs = [f"  {child}: {_f6(cost)}"
+             for child, cost in doc["costs"].items()]
+    return [f"merged levels of {doc['variable']} into "
+            f"{doc['merged_level']!r}",
+            "costs:", *(costs or ["  (no affected tables)"])]
+
+
+def _build_delete_edge(args) -> dict:
+    merged, cost = delete_edge(_load(args.model), args.donor, args.target)
+    return _doc(args, parent=args.donor, child=args.target, cost=cost,
+                model_after=model_document(merged))
+
+
+def _render_delete_edge(doc) -> list[str]:
+    model = doc["model_after"]
+    levels = {v["name"]: v["levels"] for v in model["variables"]}
+    table = next(t for t in model["cpts"] if t["child"] == doc["child"])
+    parents = table["parents"]
+    lines = [f"removed {doc['parent']} -> {doc['child']} "
+             f"(cost {_f6(doc['cost'])})",
+             f"rows of {doc['child']} | {', '.join(parents)}:" if parents
+             else f"rows of {doc['child']}:"]
+    # rows run over parent configurations, the first parent most significant
+    configs = itertools.product(*(levels[p] for p in parents))
+    for config, row in zip(configs, table["rows"]):
+        lines.append(f"  ({', '.join(config)}): {' '.join(map(_f6, row))}")
     return lines
 
 
-def _cmd_delete_edge(args) -> tuple[str, int]:
-    net = _load(args.model)
-    merged, cost = delete_edge(net, args.donor, args.target)
-    t = merged.cpt(args.target)
-    if args.json:
-        doc = {
-            "command": "delete-edge",
-            "model": args.model,
-            "parent": args.donor,
-            "child": args.target,
-            "cost": cost,
-            "model_after": model_document(merged),
-        }
-        return _emit_json(doc), 0
-    lines = [f"removed {args.donor} -> {args.target} (cost {_f6(cost)})"]
-    if t.parents:
-        lines.append(f"rows of {t.child} | {', '.join(t.parents)}:")
-    else:
-        lines.append(f"rows of {t.child}:")
-    lines.extend(_rows_block(t))
-    return "\n".join(lines) + "\n", 0
-
-
-def _cmd_report(args) -> tuple[str, int]:
+def _build_report(args) -> dict | str:
     net = _load(args.model)
     jt = build_junction_tree(moralize(net))
     if args.dot:
-        return emit_dot(net, jt), 0
-    pairs = _diameter_rows(net)
-    report = edge_deletion_report(net)
-    if args.json:
-        doc = {
-            "command": "report",
-            "model": args.model,
-            "ok": True,
-            "diameters": [
-                {"variable": name, "value": value} for name, value in pairs
-            ],
+        return emit_dot(net, jt)
+    return _doc(
+        args,
+        ok=True,
+        diameters=_diameters_section(net),
+        edges=_edges_section(edge_deletion_report(net)),
+        junction_tree={
+            "cliques": [list(c) for c in jt.cliques],
             "edges": [
-                {"parent": r.parent, "child": r.child, "delta": r.delta}
-                for r in report.records
+                {"between": [i, j], "separator": list(s)}
+                for i, j, s in jt.tree_edges
             ],
-            "junction_tree": {
-                "cliques": [list(c) for c in jt.cliques],
-                "edges": [
-                    {"between": [i, j], "separator": list(s)}
-                    for i, j, s in jt.tree_edges
-                ],
-                "rip_order": list(jt.rip_order),
-            },
-            "warnings": [],
-        }
-        return _emit_json(doc), 0
-    lines = [f"model: {args.model}"]
-    lines.append(f"variables: {len(net.variables)}")
-    lines.append("validation: ok")
-    lines.append("diameters:")
-    lines.extend(_columns(("variable", "diameter"),
-                          [(n, _f3(v)) for n, v in pairs], indent="  "))
-    lines.append("edge deletion costs:")
-    if report.records:
-        lines.extend(_columns(
-            ("parent", "child", "delta"),
-            [(r.parent, r.child, _f3(r.delta)) for r in report.records],
-            indent="  "))
-    else:
-        lines.append("  (none)")
-    lines.append("junction tree:")
-    lines.append("  cliques:")
-    for i, c in enumerate(jt.cliques):
-        lines.append(f"    c{i} = {_brace_set(c)}")
-    lines.append("  edges:")
-    if jt.tree_edges:
-        for i, j, s in jt.tree_edges:
-            lines.append(f"    c{i} - c{j}: {_brace_set(s)}")
-    else:
-        lines.append("    (none)")
-    lines.append("  rip order: "
-                 + " ".join(f"c{i}" for i in jt.rip_order))
-    return "\n".join(lines) + "\n", 0
+            "rip_order": list(jt.rip_order),
+        },
+        warnings=[],
+    )
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "diameters": _cmd_diameters,
-    "edges": _cmd_edges,
-    "impact": _cmd_impact,
-    "path": _cmd_path,
-    "amalgamate": _cmd_amalgamate,
-    "delete-edge": _cmd_delete_edge,
-    "report": _cmd_report,
+def _render_report(doc) -> list[str]:
+    jt = doc["junction_tree"]
+    return [
+        f"model: {doc['model']}",
+        f"variables: {len(doc['diameters'])}",
+        "validation: ok",
+        "diameters:", *_diameter_columns(doc, indent="  "),
+        "edge deletion costs:",
+        *(_edge_columns(doc, indent="  ") if doc["edges"]
+          else ["  (none)"]),
+        "junction tree:",
+        "  cliques:",
+        *(f"    c{i} = {_brace_set(c)}"
+          for i, c in enumerate(jt["cliques"])),
+        "  edges:",
+        *(["    c{} - c{}: {}".format(*e["between"],
+                                        _brace_set(e["separator"]))
+           for e in jt["edges"]] or ["    (none)"]),
+        "  rip order: " + " ".join(f"c{i}" for i in jt["rip_order"]),
+    ]
+
+
+# each command's builder and its text renderer; a builder returns the
+# command's document, or DOT text under --dot
+_COMMANDS = {
+    "validate": (_build_validate, _render_validate),
+    "diameters": (_build_diameters, _diameter_columns),
+    "edges": (_build_edges, _edge_columns),
+    "impact": (_build_impact, _render_impact),
+    "path": (_build_path, _render_path),
+    "amalgamate": (_build_amalgamate, _render_amalgamate),
+    "delete-edge": (_build_delete_edge, _render_delete_edge),
+    "report": (_build_report, _render_report),
 }
 
 
@@ -732,13 +674,19 @@ def run_cli(argv=None) -> int:
         if isinstance(e.code, int):
             return e.code
         return 0 if e.code is None else 2
+    build, render = _COMMANDS[args.command]
     try:
-        text, code = _HANDLERS[args.command](args)
+        doc = build(args)
     except (DomainError, ResourceLimitError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    sys.stdout.write(text)
-    return code
+    if isinstance(doc, str):  # DOT text
+        sys.stdout.write(doc)
+        return 0
+    sys.stdout.write(_emit_json(doc) if args.json
+                     else "\n".join(render(doc)) + "\n")
+    # only validate's document can say the model failed
+    return 0 if doc.get("ok", True) else 1
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ from tvrobust import (
     run_cli,
     serialize_model,
 )
+from tvrobust import cli_io
 from tvrobust.cli_io import _emit_json
 
 from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, count_validate,
@@ -370,6 +371,37 @@ def test_emit_json_equals_json_dumps_indent_two(doc):
     assert _emit_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+def test_a_json_run_renders_no_text(capsys, monkeypatch):
+    """--json prints the document a command builds; no text renderer
+    runs, so the text cannot drift into what scripts read."""
+    def no_text(doc):
+        raise AssertionError(f"{doc['command']} rendered text")
+    for name, (build, _) in list(cli_io._COMMANDS.items()):
+        monkeypatch.setitem(cli_io._COMMANDS, name, (build, no_text))
+    monkeypatch.chdir(TESTS_DIR)
+    fragment = "models/native_fish_fragment.json"
+    runs = [
+        (["validate", "models/broken_model.json"], 1),
+        (["validate", fragment], 0),
+        (["diameters", fragment], 0),
+        (["edges", fragment], 0),
+        (["impact", "--from", "A", "--to", "F", "models/five_cycle.json"], 0),
+        (["path", "--from", "A", "--to", "F", "models/five_cycle.json"], 0),
+        (["amalgamate", fragment, "Rainfall"], 0),
+        (["amalgamate", fragment, "Rainfall", "--group",
+          "below average,average"], 0),
+        (["delete-edge", "--from", "A", "--to", "C",
+          "models/wide_child.json"], 0),
+        (["report", "models/five_cycle.json"], 0),
+    ]
+    assert {argv[0] for argv, _ in runs} == set(cli_io._COMMANDS)
+    for argv, code in runs:
+        assert run_cli(argv + ["--json"]) == code
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    with pytest.raises(AssertionError, match="diameters rendered text"):
+        run_cli(["diameters", fragment])
+
+
 def test_cli_is_deterministic(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     argv = ["report", "--json", "models/ten_node_demo.json"]
@@ -534,9 +566,20 @@ def _run_module(argv, **env):
     # several unknown names: the first one given is reported
     ["impact", "--from", "X1", "--to", "Pa,Qb,Rc",
      "models/ten_node_demo.json"],
+    # text rendered from the documents above
+    ["impact", "--from", "A", "--to", "F", "--mode", "exact",
+     "models/five_cycle.json"],
+    ["impact", "--from", "X1", "--to", "X9", "--mode", "bound",
+     "models/ten_node_demo.json"],
+    ["path", "--from", "A", "--to", "F", "models/five_cycle.json"],
+    ["report", "models/five_cycle.json"],
+    ["amalgamate", "--group", "gering,mäßig",
+     "models/non_ascii_names.json", "Niederschlag"],
 ], ids=["report", "impact_exact", "impact_bound", "report_five_cycle",
         "impact_exact_five_cycle", "delete_edge_wide_child",
-        "amalgamate_wide_child", "unknown_targets"])
+        "amalgamate_wide_child", "unknown_targets", "impact_exact_text",
+        "impact_bound_text", "path_text", "report_text",
+        "amalgamate_group_text"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
     outputs = [_run_module(argv, PYTHONHASHSEED=seed)
                for seed in ("0", "1", "2", "3")]
