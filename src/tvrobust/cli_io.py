@@ -38,7 +38,7 @@ from .advisors import (
     delete_edge,
     edge_deletion_report,
 )
-from .bn_model import BayesNet, Variable, _validate_and_mark, validate
+from .bn_model import BayesNet, Variable, _validate_and_mark
 from .bounds import path_impact
 from .errors import DomainError, ParseError, ResourceLimitError
 from .jtree import (JunctionTree, build_junction_tree, donor_target_path,

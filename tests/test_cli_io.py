@@ -372,8 +372,8 @@ def test_emit_json_equals_json_dumps_indent_two(doc):
 
 
 def test_a_json_run_renders_no_text(capsys, monkeypatch):
-    """--json prints the document a command builds; no text renderer
-    runs, so the text cannot drift into what scripts read."""
+    """--json prints the document a command builds and runs no text
+    renderer."""
     def no_text(doc):
         raise AssertionError(f"{doc['command']} rendered text")
     for name, (build, _) in list(cli_io._COMMANDS.items()):
@@ -566,7 +566,7 @@ def _run_module(argv, **env):
     # several unknown names: the first one given is reported
     ["impact", "--from", "X1", "--to", "Pa,Qb,Rc",
      "models/ten_node_demo.json"],
-    # text rendered from the documents above
+    # text output, rendered from the command's document
     ["impact", "--from", "A", "--to", "F", "--mode", "exact",
      "models/five_cycle.json"],
     ["impact", "--from", "X1", "--to", "X9", "--mode", "bound",
