@@ -413,6 +413,96 @@ def reference_row_error(doc):
     return None
 
 
+def reference_parse_error(doc):
+    """The structural walk of ``parse_model`` over a decoded document,
+    one plain check per field, level, parent and cell in document order:
+    the ParseError for the first defect, or None.  Validation is not
+    run."""
+    def field(obj, key, kind, loc):
+        if key not in obj:
+            raise ParseError(f"missing field {key!r}", location=loc)
+        value = obj[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError(f"field {key!r} has the wrong type",
+                             location=f"{loc}.{key}")
+        return value
+
+    def no_extras(obj, allowed, loc):
+        extras = [k for k in obj if k not in allowed]
+        if extras:
+            raise ParseError("unexpected field(s) "
+                             + ", ".join(map(repr, extras)), location=loc)
+
+    try:
+        if not isinstance(doc, dict):
+            raise ParseError("top level must be an object",
+                             location="document")
+        no_extras(doc, ("format_version", "variables", "cpts"), "document")
+        version = field(doc, "format_version", str, "document")
+        if version != "1":
+            raise ParseError(f"unsupported format_version {version!r}",
+                             location="format_version")
+        raw_vars = field(doc, "variables", list, "document")
+        if not raw_vars:
+            raise ParseError("empty variables list", location="variables")
+        names = []
+        for i, entry in enumerate(raw_vars):
+            loc = f"variables[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError("variable must be an object", location=loc)
+            no_extras(entry, ("name", "levels"), loc)
+            name = field(entry, "name", str, loc)
+            levels = field(entry, "levels", list, loc)
+            if not levels:
+                raise ParseError(f"variable {name!r} has no levels",
+                                 location=f"{loc}.levels")
+            for j, lv in enumerate(levels):
+                if not isinstance(lv, str):
+                    raise ParseError("level must be a string",
+                                     location=f"{loc}.levels[{j}]")
+            if name in names:
+                raise ParseError(f"duplicate variable {name!r}",
+                                 location=f"{loc}.name")
+            names.append(name)
+        raw_cpts = field(doc, "cpts", list, "document")
+        seen = []
+        for i, entry in enumerate(raw_cpts):
+            loc = f"cpts[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError("cpt must be an object", location=loc)
+            no_extras(entry, ("child", "parents", "rows"), loc)
+            child = field(entry, "child", str, loc)
+            if child not in names:
+                raise ParseError(f"unknown variable {child!r}",
+                                 location=f"{loc}.child")
+            if child in seen:
+                raise ParseError(f"duplicate cpt for {child!r}",
+                                 location=f"{loc}.child")
+            for j, p in enumerate(field(entry, "parents", list, loc)):
+                if not isinstance(p, str):
+                    raise ParseError("parent must be a string",
+                                     location=f"{loc}.parents[{j}]")
+                if p not in names:
+                    raise ParseError(f"unknown variable {p!r}",
+                                     location=f"{loc}.parents[{j}]")
+            for k, raw in enumerate(field(entry, "rows", list, loc)):
+                rloc = f"{loc}.rows[{k}]"
+                if not isinstance(raw, list):
+                    raise ParseError("row must be an array", location=rloc)
+                for m, x in enumerate(raw):
+                    if not isinstance(x, (int, float)) or isinstance(x, bool):
+                        raise ParseError("probability must be a number",
+                                         location=f"{rloc}[{m}]")
+            seen.append(child)
+        missing = [n for n in names if n not in seen]
+        if missing:
+            raise ParseError("missing cpt for " + ", ".join(map(repr, missing)),
+                             location="cpts")
+    except ParseError as e:
+        return e
+    return None
+
+
 def reference_cpt_violations(t: Cpt) -> list[str]:
     """A table's problems with every row through ``ProbVec.violations``."""
     problems = []

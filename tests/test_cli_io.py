@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from tvrobust import cli_io
 from tvrobust.cli_io import _emit_json
 
 from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, count_validate,
-                      reference_row_error)
+                      reference_parse_error, reference_row_error)
 
 FIXTURES = ("native_fish_fragment", "native_fish_variant",
             "ten_node_demo", "broken_model")
@@ -171,6 +172,101 @@ def _row_defects():
     cases.append((GOOD_A, [[0.1, 0.2, "x"], "row", GOOD_B[2]]))
     cases.append((GOOD_A, [GOOD_B[0], [None, 0.3, "x"], 5]))
     return cases
+
+
+_DROP = object()
+
+
+def _defect(*path, value):
+    """Set the field at ``path`` of a document to ``value`` (remove it for
+    _DROP; an empty path replaces the document).  A path that no longer
+    leads anywhere, after another defect, leaves the document as it is."""
+    def apply(doc):
+        if not path:
+            return value
+        node = doc
+        try:
+            for step in path[:-1]:
+                node = node[step]
+            if value is _DROP:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+        return doc
+    return apply
+
+
+def _field_defects():
+    """Single structural defects of the two-variable document A -> B."""
+    wrong = {str: (True, 1.0, None, [], {}),
+             list: (True, 1.0, None, "x", {})}
+    not_an_object = (True, 1.0, None, "x", ["A"])
+    defects = [_defect(value=bad) for bad in not_an_object]
+    defects += [_defect("extra", value=1.0),
+                _defect("format_version", value=_DROP),
+                _defect("format_version", value=True),
+                _defect("format_version", value="2"),
+                _defect("variables", value=_DROP),
+                _defect("variables", value=True),
+                _defect("variables", value=[]),
+                _defect("cpts", value=_DROP),
+                _defect("cpts", value=True),
+                _defect("cpts", 1, value=_DROP)]  # a missing cpt
+    for section, fields in (("variables", {"name": str, "levels": list}),
+                            ("cpts", {"child": str, "parents": list,
+                                      "rows": list})):
+        for i in range(2):
+            defects += [_defect(section, i, value=bad)
+                        for bad in not_an_object]
+            defects.append(_defect(section, i, "extra", value=1.0))
+            for key, kind in fields.items():
+                defects.append(_defect(section, i, key, value=_DROP))
+                defects += [_defect(section, i, key, value=bad)
+                            for bad in wrong[kind]]
+        defects.append(_defect(section, 1, value={}))
+    for i in range(2):
+        defects.append(_defect("variables", i, "levels", value=[]))
+        defects += [_defect("variables", i, "levels", j, value=bad)
+                    for j in range(2) for bad in (True, 1.0, None, ["a"])]
+        defects.append(_defect("cpts", i, "child", value="Z"))
+    defects += [_defect("variables", 1, "name", value="A"),
+                _defect("cpts", 1, "child", value="A"),
+                _defect("cpts", 1, "parents", value=["Z"]),
+                _defect("cpts", 1, "parents", value=["A", "Z"])]
+    defects += [_defect("cpts", 1, "parents", 0, value=bad)
+                for bad in (True, 1.0, None, ["A"])]
+    defects += [_defect("cpts", 1, "rows", 1, value="row"),
+                _defect("cpts", 0, "rows", 0, 1, value=True)]
+    return defects
+
+
+def _two_variables() -> dict:
+    return {
+        "format_version": "1",
+        "variables": [{"name": "A", "levels": ["a0", "a1"]},
+                      {"name": "B", "levels": ["b0", "b1"]}],
+        "cpts": [{"child": "A", "parents": [], "rows": [[0.4, 0.6]]},
+                 {"child": "B", "parents": ["A"],
+                  "rows": [[0.1, 0.9], [0.7, 0.3]]}],
+    }
+
+
+def test_parse_errors_match_the_per_field_reference():
+    defects = _field_defects()
+    docs = [d(_two_variables()) for d in defects]
+    docs += [second(first(_two_variables()))
+             for first, second in itertools.permutations(defects, 2)]
+    assert len(docs) == len(defects) ** 2 == 131 ** 2
+    for doc in docs:
+        text = json.dumps(doc)
+        expected = reference_parse_error(json.loads(text, parse_int=float))
+        assert expected is not None, text
+        with pytest.raises(ParseError) as err:
+            parse_model(text, strict=False)
+        assert (str(err.value), err.value.location) == (
+            str(expected), expected.location), text
 
 
 def test_parse_row_errors_match_the_per_cell_reference():
