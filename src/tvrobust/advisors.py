@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, Variable, _require_valid, ancestral_set
+from .bn_model import (BayesNet, Variable, _ancestral_subnet, _require_valid,
+                       ancestral_set)
 from .bounds import _bound_pricer, _impact_product
 from .errors import DomainError
 from .jtree import _ancestral_tree, _host_path, path_factor_specs
@@ -225,10 +226,11 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     the note "not an ancestor of the target".  Every ancestor's family
     lies inside that set, so the ancestral set of the family and the
     targets is the targets' own: one moral graph, one junction tree and
-    one bound pricer serve every ancestor.  The clique holding its
-    family (itself plus its parents) is connected to the clique holding
-    the targets on that tree, and the score is the impact product along
-    that path assembled from elicited CPT diameters alone.  Families
+    one bound pricer, all built on that set alone, serve every ancestor.
+    The clique holding its family (itself plus its parents) is connected
+    to the clique holding the targets on that tree, and the score is the
+    impact product along that path assembled from elicited CPT diameters
+    alone.  Families
     sharing the target clique score 1; a path crossing a table with
     identical rows scores 0; a family whose path cannot be priced
     without fresh elicitation gets a note instead of a score, as does
@@ -244,7 +246,7 @@ def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     ancestors = ancestral_set(net, targets)
     targets = set(targets)
     jt = _ancestral_tree(net, ancestors)
-    price = _bound_pricer(net)
+    price = _bound_pricer(_ancestral_subnet(net, ancestors))
     records = []
     for v, t in zip(net.variables, net.cpts):
         if v.name not in ancestors:

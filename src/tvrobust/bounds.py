@@ -11,6 +11,7 @@ assembled bound, and both are certified factor by factor.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .bn_model import (
@@ -157,6 +158,14 @@ def _bound_pricer(net: BayesNet):
     the parents adds nothing, and absent parents only average rows
     together).  A conditioning set containing a descendant cannot be
     bounded this way and is reported as a gap.
+
+    ``net`` may be the ancestral subnet of the variables priced, as
+    ``path_impact`` and ``elicitation_priority`` pass it.  That subnet
+    keeps their relative topological order, and a directed path from a
+    variable to a member of the conditioning set runs through ancestors
+    of that member, all inside the subnet, so each descendant in the
+    conditioning set is found there too; every value, certificate and
+    gap is that of the whole net.
     """
     topo_rank = {n: i for i, n in enumerate(topological_order(net))}
     desc = descendants_map(net)
@@ -221,8 +230,8 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
     priced = [spec for spec in specs if spec[0]]
     scopes = [frozenset(c).union(*spec)
               for c, spec in zip(path.cliques, specs) if spec[0]]
-    sub = _ancestral_subnet(net, frozenset().union(
-        *(path.cliques + tuple(scopes) if tree is None else tree.cliques)))
+    sub = _ancestral_subnet(net, itertools.chain.from_iterable(
+        path.cliques + tuple(scopes) if tree is None else tree.cliques))
     _require_valid(sub)
     if tree is None:
         tree = _path_tree(sub, scopes)
@@ -253,7 +262,10 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     complete.  ``limit`` is resolved by ``state_limit`` in both modes,
     so a malformed cap is an error in either; exact mode caps the
     largest clique table of that tree with it, even for a single-clique
-    path, and bound mode applies no cap and ignores ``tree``.
+    path, and bound mode applies no cap and ignores ``tree``.  Bound
+    mode prices on the ancestral subnet of the path's cliques, so its
+    graph work grows with the ancestors the path touches, not the net.
+    Either mode names the first unknown path variable in a DomainError.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -261,7 +273,9 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     specs = path_factor_specs(path)
     if mode == "bound":
         # a single-clique path needs no pricer, so no topological order
-        price = _bound_pricer(net) if specs else None
+        path_vars = itertools.chain.from_iterable(path.cliques)
+        price = (_bound_pricer(_ancestral_subnet(net, path_vars))
+                 if specs else None)
     else:
         price = _exact_pricer(net, path, specs, limit, tree)
     return _impact_product(specs, price, mode)

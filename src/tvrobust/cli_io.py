@@ -64,23 +64,139 @@ def _f3(x: float) -> str:
 # parsing
 
 
-def _expect(condition: bool, message: str, location: str):
-    if not condition:
-        raise ParseError(message, location=location)
+def _where(section: str, i: int | None = None) -> str:
+    """The location of entry ``i`` of ``section``, or of the section."""
+    return section if i is None else f"{section}[{i}]"
 
 
-def _field(obj: dict, key: str, kind, location: str):
-    _expect(key in obj, f"missing field {key!r}", location)
+def _field(obj: dict, key: str, kind, section: str, i: int | None = None):
+    """``obj[key]``, whose JSON type must be ``kind``; ``obj`` is entry
+    ``i`` of ``section``, named only in an error."""
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}", location=_where(section, i))
     value = obj[key]
-    _expect(isinstance(value, kind) and not isinstance(value, bool),
-            f"field {key!r} has the wrong type", f"{location}.{key}")
+    if type(value) is not kind:
+        raise ParseError(f"field {key!r} has the wrong type",
+                         location=f"{_where(section, i)}.{key}")
     return value
 
 
-def _no_extras(obj: dict, allowed, location: str):
-    extras = [k for k in obj if k not in allowed]
-    _expect(not extras, "unexpected field(s) " + ", ".join(map(repr, extras)),
-            location)
+def _no_extras(obj: dict, allowed: frozenset, section: str,
+               i: int | None = None):
+    if not allowed.issuperset(obj):
+        extras = [k for k in obj if k not in allowed]
+        raise ParseError("unexpected field(s) " + ", ".join(map(repr, extras)),
+                         location=_where(section, i))
+
+
+_DOCUMENT_FIELDS = frozenset(("format_version", "variables", "cpts"))
+_VARIABLE_FIELDS = frozenset(("name", "levels"))
+_CPT_FIELDS = frozenset(("child", "parents", "rows"))
+
+
+def _well_formed(doc) -> bool:
+    """Whether ``_locate_defect`` finds nothing in ``doc``, decided by a
+    few checks over whole lists instead of one per field."""
+    if not (type(doc) is dict and doc.keys() == _DOCUMENT_FIELDS
+            and doc["format_version"] == FORMAT_VERSION):
+        return False
+    raw_vars, raw_cpts = doc["variables"], doc["cpts"]
+    if not (type(raw_vars) is list and type(raw_cpts) is list and raw_vars
+            and set(map(type, raw_vars)) == {dict}
+            and set(map(type, raw_cpts)) <= {dict}
+            and set(map(len, raw_vars)) == {2}
+            and set(map(len, raw_cpts)) <= {3}):
+        return False
+    try:
+        names = [entry["name"] for entry in raw_vars]
+        levels = [entry["levels"] for entry in raw_vars]
+        children = [entry["child"] for entry in raw_cpts]
+        parents = [entry["parents"] for entry in raw_cpts]
+        rows = [entry["rows"] for entry in raw_cpts]
+    except KeyError:
+        return False
+    chain = itertools.chain.from_iterable
+    # each test runs only once those before it hold
+    return (set(map(type, names)) == {str}
+            and set(map(type, levels)) == {list} and all(levels)
+            and set(map(type, chain(levels))) == {str}
+            and len(set(names)) == len(names) == len(children)
+            and set(map(type, children)) == {str}
+            and set(children) == set(names)
+            and set(map(type, parents)) <= {list}
+            and set(map(type, chain(parents))) <= {str}
+            and set(names).issuperset(chain(parents))
+            and set(map(type, rows)) <= {list}
+            and set(map(type, chain(rows))) <= {list}
+            and set(map(type, chain(chain(rows)))) <= {float})
+
+
+def _locate_defect(doc) -> None:
+    """Raise a ParseError naming the first structural defect of ``doc``
+    in document order, with its location; return if there is none."""
+    if type(doc) is not dict:
+        raise ParseError("top level must be an object", location="document")
+    _no_extras(doc, _DOCUMENT_FIELDS, "document")
+    version = _field(doc, "format_version", str, "document")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}",
+                         location="format_version")
+    raw_vars = _field(doc, "variables", list, "document")
+    if not raw_vars:
+        raise ParseError("empty variables list", location="variables")
+    names: set[str] = set()
+    for i, entry in enumerate(raw_vars):
+        if type(entry) is not dict:
+            raise ParseError("variable must be an object",
+                             location=_where("variables", i))
+        _no_extras(entry, _VARIABLE_FIELDS, "variables", i)
+        name = _field(entry, "name", str, "variables", i)
+        levels = _field(entry, "levels", list, "variables", i)
+        if not levels:
+            raise ParseError(f"variable {name!r} has no levels",
+                             location=f"variables[{i}].levels")
+        for j, lv in enumerate(levels):
+            if type(lv) is not str:
+                raise ParseError("level must be a string",
+                                 location=f"variables[{i}].levels[{j}]")
+        if name in names:
+            raise ParseError(f"duplicate variable {name!r}",
+                             location=f"variables[{i}].name")
+        names.add(name)
+    raw_cpts = _field(doc, "cpts", list, "document")
+    children: set[str] = set()
+    for i, entry in enumerate(raw_cpts):
+        if type(entry) is not dict:
+            raise ParseError("cpt must be an object",
+                             location=_where("cpts", i))
+        _no_extras(entry, _CPT_FIELDS, "cpts", i)
+        child = _field(entry, "child", str, "cpts", i)
+        if child not in names:
+            raise ParseError(f"unknown variable {child!r}",
+                             location=f"cpts[{i}].child")
+        if child in children:
+            raise ParseError(f"duplicate cpt for {child!r}",
+                             location=f"cpts[{i}].child")
+        children.add(child)
+        for j, p in enumerate(_field(entry, "parents", list, "cpts", i)):
+            if type(p) is not str:
+                raise ParseError("parent must be a string",
+                                 location=f"cpts[{i}].parents[{j}]")
+            if p not in names:
+                raise ParseError(f"unknown variable {p!r}",
+                                 location=f"cpts[{i}].parents[{j}]")
+        for k, raw in enumerate(_field(entry, "rows", list, "cpts", i)):
+            if type(raw) is not list:
+                raise ParseError("row must be an array",
+                                 location=f"cpts[{i}].rows[{k}]")
+            for m, x in enumerate(raw):
+                if type(x) is not float:
+                    raise ParseError("probability must be a number",
+                                     location=f"cpts[{i}].rows[{k}][{m}]")
+    missing = [e["name"] for e in raw_vars if e["name"] not in children]
+    if missing:
+        raise ParseError("missing cpt for " + ", ".join(map(repr, missing)),
+                         location="cpts")
 
 
 def parse_model(text: str, strict: bool = True):
@@ -90,7 +206,9 @@ def parse_model(text: str, strict: bool = True):
     ParseError; with ``strict=False`` the pair (net, violations) comes
     back instead so a caller can report the violations itself.
     Structural problems (bad JSON, unknown names, wrong shapes) raise
-    either way, with the offending location in the message.
+    either way, with the offending location in the message.  A
+    well-formed document costs a few checks over whole lists; only a
+    malformed one is walked field by field, to locate its first defect.
     """
     try:
         # an integer too large for a float reads as inf, a violation
@@ -100,64 +218,16 @@ def parse_model(text: str, strict: bool = True):
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply",
                          location="document")
-    _expect(isinstance(doc, dict), "top level must be an object", "document")
-    _no_extras(doc, ("format_version", "variables", "cpts"), "document")
-    version = _field(doc, "format_version", str, "document")
-    _expect(version == FORMAT_VERSION,
-            f"unsupported format_version {version!r}", "format_version")
-
-    raw_vars = _field(doc, "variables", list, "document")
-    _expect(len(raw_vars) > 0, "empty variables list", "variables")
-    variables = []
-    by_name: dict[str, Variable] = {}
-    for i, entry in enumerate(raw_vars):
-        loc = f"variables[{i}]"
-        _expect(isinstance(entry, dict), "variable must be an object", loc)
-        _no_extras(entry, ("name", "levels"), loc)
-        name = _field(entry, "name", str, loc)
-        levels = _field(entry, "levels", list, loc)
-        _expect(len(levels) > 0, f"variable {name!r} has no levels",
-                f"{loc}.levels")
-        for j, lv in enumerate(levels):
-            _expect(isinstance(lv, str), "level must be a string",
-                    f"{loc}.levels[{j}]")
-        _expect(name not in by_name, f"duplicate variable {name!r}",
-                f"{loc}.name")
-        var = Variable(name, tuple(levels))
-        variables.append(var)
-        by_name[name] = var
-
-    raw_cpts = _field(doc, "cpts", list, "document")
+    if not _well_formed(doc):
+        _locate_defect(doc)
+    by_name = {entry["name"]: Variable(entry["name"], tuple(entry["levels"]))
+               for entry in doc["variables"]}
     table_for: dict[str, Cpt] = {}
-    for i, entry in enumerate(raw_cpts):
-        loc = f"cpts[{i}]"
-        _expect(isinstance(entry, dict), "cpt must be an object", loc)
-        _no_extras(entry, ("child", "parents", "rows"), loc)
-        child = _field(entry, "child", str, loc)
-        _expect(child in by_name, f"unknown variable {child!r}",
-                f"{loc}.child")
-        _expect(child not in table_for, f"duplicate cpt for {child!r}",
-                f"{loc}.child")
-        parents = _field(entry, "parents", list, loc)
-        parent_levels = []
-        for j, p in enumerate(parents):
-            ploc = f"{loc}.parents[{j}]"
-            _expect(isinstance(p, str), "parent must be a string", ploc)
-            _expect(p in by_name, f"unknown variable {p!r}", ploc)
-            parent_levels.append(by_name[p].levels)
-        raw_rows = _field(entry, "rows", list, loc)
-        # every number reads as a float, so one check per table suffices;
-        # the cell loop runs only to locate the first offender
-        if not (set(map(type, raw_rows)) <= {list} and set(map(
-                type, itertools.chain.from_iterable(raw_rows))) <= {float}):
-            for k, raw in enumerate(raw_rows):
-                rloc = f"{loc}.rows[{k}]"
-                _expect(isinstance(raw, list), "row must be an array", rloc)
-                for m, x in enumerate(raw):
-                    _expect(isinstance(x, (int, float))
-                            and not isinstance(x, bool),
-                            "probability must be a number", f"{rloc}[{m}]")
+    for entry in doc["cpts"]:
+        child, parents, raw_rows = (entry["child"], entry["parents"],
+                                    entry["rows"])
         levels = by_name[child].levels
+        parent_levels = tuple([by_name[p].levels for p in parents])
         # rows that fit become the grid; a misfit stays for validate to name
         if (len(raw_rows) == math.prod(map(len, parent_levels))
                 and set(map(len, raw_rows)) <= {len(levels)}):
@@ -165,15 +235,11 @@ def parse_model(text: str, strict: bool = True):
                                np.float64, len(raw_rows) * len(levels))
         else:
             rows = tuple(ProbVec(levels, raw) for raw in raw_rows)
-        table_for[child] = Cpt(child, levels, tuple(parents),
-                               tuple(parent_levels), rows)
+        table_for[child] = Cpt(child, levels, tuple(parents), parent_levels,
+                               rows)
 
-    missing = [v.name for v in variables if v.name not in table_for]
-    _expect(not missing, "missing cpt for " + ", ".join(map(repr, missing)),
-            "cpts")
-
-    net = BayesNet(tuple(variables),
-                   tuple(table_for[v.name] for v in variables))
+    net = BayesNet(tuple(by_name.values()),
+                   tuple(table_for[name] for name in by_name))
     violations = _validate_and_mark(net)
     if strict:
         if violations:
@@ -618,18 +684,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
-    def add(name: str, help_: str):
+    def add(name: str, help_: str, dot_help: str | None = None):
+        """A subcommand; with ``dot_help`` it also takes ``--dot``, which
+        excludes ``--json``."""
         p = sub.add_parser(name, help=help_)
         p.add_argument("model", help="path to a model file")
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable report")
+        out = p.add_mutually_exclusive_group()
+        if dot_help:
+            out.add_argument("--dot", action="store_true", help=dot_help)
+        out.add_argument("--json", action="store_true",
+                         help="emit a machine-readable report")
         return p
 
     add("validate", "check a model file and list any violations")
     add("diameters", "per-table diameters")
-    p = add("edges", "edge deletion costs, largest first")
-    p.add_argument("--dot", action="store_true",
-                   help="emit the annotated DAG as DOT")
+    add("edges", "edge deletion costs, largest first",
+        "emit the annotated DAG as DOT")
     p = add("impact", "impact product from donor variables to targets")
     p.add_argument("--from", dest="donor", required=True, metavar="VARS",
                    help="comma-separated donor variables")
@@ -656,9 +726,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parent end of the edge")
     p.add_argument("--to", dest="target", required=True, metavar="CHILD",
                    help="child end of the edge")
-    p = add("report", "validation, diameters, edges, and the junction tree")
-    p.add_argument("--dot", action="store_true",
-                   help="emit the junction tree as DOT")
+    add("report", "validation, diameters, edges, and the junction tree",
+        "emit the junction tree as DOT")
     return parser
 
 

@@ -94,12 +94,25 @@ class CliquePath:
 
 
 def moralize(net: BayesNet) -> UGraph:
-    """Undirected skeleton plus marriage edges between co-parents."""
-    names = net.names()
-    edges = set(net.edges())
-    for v in names:
-        edges.update(itertools.combinations(net.parents_of(v), 2))
-    return UGraph(names, tuple(edges))
+    """Undirected skeleton plus marriage edges between co-parents:
+    ``_moral_graph`` with every variable kept."""
+    return _moral_graph(net, frozenset(net.names()))
+
+
+def _moral_graph(net: BayesNet, keep) -> UGraph:
+    """``subgraph(moralize(net), keep)`` read straight off the CPTs, for a
+    set ``keep`` that holds the parents of each of its variables: each
+    kept child's edges to its parents, and each pair of kept co-parents,
+    also a pair whose common child is not kept."""
+    edges = []
+    for v, t in zip(net.variables, net.cpts):
+        parents = t.parents
+        if v.name in keep:
+            edges += [(p, v.name) for p in parents]
+        else:
+            parents = [p for p in parents if p in keep]
+        edges += itertools.combinations(parents, 2)
+    return UGraph(tuple(n for n in net.names() if n in keep), tuple(edges))
 
 
 def subgraph(g: UGraph, keep) -> UGraph:
@@ -312,13 +325,14 @@ def donor_target_path(net: BayesNet, donor, target):
 
 def _ancestral_tree(net: BayesNet, keep) -> JunctionTree:
     """Junction tree of the whole net's moral graph restricted to the
-    ancestral set ``keep``, so a marriage through a child outside that
-    set stays (on A, B -> C, A and B share one clique although they are
-    independent); the tree is that of its min-fill triangulation, built
-    from one elimination.  ``donor_target_path`` and
-    ``elicitation_priority`` both price on this tree, so the two agree
-    on every ancestor's path."""
-    return build_junction_tree(subgraph(moralize(net), keep))
+    ancestral set ``keep``, built by ``_moral_graph`` from the CPTs
+    alone, so no edge outside ``keep`` is made.  A marriage through a
+    child outside that set stays (on A, B -> C, A and B share one clique
+    although they are independent).  The tree is that of its min-fill
+    triangulation, built from one elimination.  ``donor_target_path``
+    and ``elicitation_priority`` both price on this tree, so the two
+    agree on every ancestor's path."""
+    return build_junction_tree(_moral_graph(net, keep))
 
 
 def _host_path(jt: JunctionTree, donor, target) -> CliquePath:

@@ -99,8 +99,7 @@ class Cpt:
         object.__setattr__(self, "child_levels", tuple(self.child_levels))
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(
-            self, "parent_levels", tuple(tuple(ls) for ls in self.parent_levels)
-        )
+            self, "parent_levels", tuple(map(tuple, self.parent_levels)))
         k, rows = len(self.child_levels), self.rows
         if not isinstance(rows, np.ndarray):
             rows = tuple(rows)
@@ -109,9 +108,10 @@ class Cpt:
                     for r in rows):
                 rows = np.array([r.mass for r in rows], dtype=np.float64)
         if isinstance(rows, np.ndarray):
-            # the grid owns its data, so no view of it can be made writeable
-            grid = np.array(np.reshape(
-                rows, tuple(map(len, self.parent_levels)) + (k,)), np.float64)
+            # one copy, made after the reshape, so the grid owns its data
+            # and no view of it can be made writeable
+            grid = rows.reshape(tuple(map(len, self.parent_levels))
+                                + (k,)).astype(np.float64)
             grid.setflags(write=False)
             object.__setattr__(self, "_grid", grid)
             object.__delattr__(self, "rows")

@@ -12,6 +12,7 @@ from tvrobust import (
     ProbVec,
     ResourceLimitError,
     Variable,
+    ancestral_set,
     build_junction_tree,
     chain_diameter_bound,
     diameter,
@@ -28,10 +29,11 @@ from tvrobust import (
     propagate_bound,
     run_cli,
     serialize_model,
+    simple_path,
     table_tv,
     tv_distance,
 )
-from tvrobust import exact_oracle
+from tvrobust import bounds, exact_oracle
 from tvrobust.exact_oracle import _ancestral_joint, _factor_table
 from tvrobust.jtree import subgraph
 from tvrobust.tv_core import _pair_scan
@@ -276,6 +278,81 @@ def test_bound_mode_output_in_conditioning_contributes_one(ten_node):
     interior = r.certificate[1]
     assert interior.value == 1.0
     assert any("fixed by conditioning set" in t for t in interior.terms)
+
+
+def _priced_on_the_whole_net(net, path):
+    """Bound ``path_impact`` with its pricer built on all of ``net``: the
+    result, or the text of the DomainError it raises."""
+    try:
+        return bounds._impact_product(path_factor_specs(path),
+                                      bounds._bound_pricer(net), "bound")
+    except DomainError as e:
+        return str(e)
+
+
+def _priced_on_the_path(net, path):
+    try:
+        return path_impact(net, path, "bound")
+    except DomainError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+def test_bound_impact_on_the_ancestral_subnet_equals_the_whole_net(seed, a, b):
+    """Value and certificate, or the gap's message, are those of a pricer
+    built on the whole net, for the donor-to-target path and for a path
+    between two cliques of the whole net's tree, which may condition a
+    variable on its descendants."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 5, 14), rng)
+    names = net.names()
+    _, path = donor_target_path(net, {names[a % len(names)]},
+                                {names[b % len(names)]})
+    whole = build_junction_tree(moralize(net))
+    cliques = whole.cliques
+    paths = [path, simple_path(whole, cliques[a % len(cliques)],
+                               cliques[b % len(cliques)])]
+    for path in paths:
+        assert (_priced_on_the_path(net, path)
+                == _priced_on_the_whole_net(net, path))
+
+
+def test_bound_impact_prices_on_no_more_than_the_ancestral_set(
+        ten_node, monkeypatch):
+    sizes = []
+    descendants = bounds.descendants_map
+    monkeypatch.setattr(bounds, "descendants_map",
+                        lambda net: sizes.append(len(net.variables))
+                        or descendants(net))
+    rng = np.random.default_rng(17)
+    cases = [(ten_node, "X1", "X5"), (ten_node, "X3", "X9")]
+    cases += [(net, f"V{d}", "V39")
+              for net in (random_net(rng, 40, 40) for _ in range(3))
+              for d in (0, 7, 21)]
+    for net, donor, target in cases:
+        _, path = donor_target_path(net, {donor}, {target})
+        sizes.clear()
+        try:
+            path_impact(net, path, "bound")
+        except DomainError:
+            pass  # a gap is found after the pricer is built
+        assert len(sizes) == (len(path.cliques) > 1)
+        assert all(n <= len(ancestral_set(net, {donor, target}))
+                   for n in sizes)
+    # the same on the command line
+    monkeypatch.chdir(TESTS_DIR)
+    sizes.clear()
+    assert run_cli(["impact", "models/ten_node_demo.json", "--from", "X1",
+                    "--to", "X5", "--mode", "bound"]) == 0
+    assert sizes == [5]
+
+
+@pytest.mark.parametrize("mode", ("exact", "bound"))
+def test_path_impact_names_an_unknown_path_variable(ten_node, mode):
+    path = CliquePath((("X1", "ZZ"), ("ZZ", "X2")), (("ZZ",),))
+    with pytest.raises(DomainError, match="^unknown variable 'ZZ'$"):
+        path_impact(ten_node, path, mode)
 
 
 def test_impact_certifies_donor_to_target_attenuation(ten_node):

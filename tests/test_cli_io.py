@@ -519,6 +519,12 @@ def test_cli_usage_errors_exit_two(capsys):
     assert run_cli(["frobnicate", "x.json"]) == 2
     assert run_cli(["impact", "models/ten_node_demo.json"]) == 2
     assert run_cli(["amalgamate", "--var", "Rainfall", "x.json"]) == 2
+    # --dot and --json exclude each other, in either order
+    assert run_cli(["edges", "models/ten_node_demo.json", "--dot",
+                    "--json"]) == 2
+    assert run_cli(["report", "models/ten_node_demo.json", "--json",
+                    "--dot"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_missing_file_exits_one(capsys):

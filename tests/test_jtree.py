@@ -154,6 +154,55 @@ def test_subgraph_restricts_vertices_and_edges():
     assert s.edges == (("A", "B"),)
 
 
+def _collider():
+    """A, B -> C: A and B are married only through C."""
+    from tvrobust import BayesNet, Cpt, Variable
+    levels = ("t", "f")
+    rows = np.array([[0.9, 0.1], [0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])
+    return BayesNet.of(
+        [Variable(n, levels) for n in "ABC"],
+        [Cpt.of("A", levels, (), (), np.array([[0.5, 0.5]])),
+         Cpt.of("B", levels, (), (), np.array([[0.3, 0.7]])),
+         Cpt.of("C", levels, ("A", "B"), (levels, levels), rows)])
+
+
+def _plain_moralize(net):
+    """Skeleton plus co-parent marriages, taken straight from the tables."""
+    edges = list(net.edges())
+    for t in net.cpts:
+        edges += itertools.combinations(t.parents, 2)
+    return UGraph(net.names(), tuple(edges))
+
+
+def test_ancestral_tree_keeps_a_marriage_through_a_child_outside():
+    net = _collider()
+    keep = ancestral_set(net, ["A", "B"])
+    assert keep == {"A", "B"}
+    jt = jtree._ancestral_tree(net, keep)
+    assert jt == build_junction_tree(subgraph(moralize(net), keep))
+    assert jt.cliques == (("A", "B"),)
+    # so both modes still price A against B as sharing one clique
+    _, path = donor_target_path(net, ["A"], ["B"])
+    assert path_impact(net, path, "bound").value == 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 99),
+                                              min_size=1, max_size=3))
+def test_ancestral_tree_equals_the_restricted_whole_moral_graph(seed, picks):
+    """The moral graph built on an ancestral set alone is the whole net's
+    moral graph restricted to it, and ``moralize`` is still the plain
+    skeleton plus marriages."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 5, 14), rng)
+    names = net.names()
+    keep = ancestral_set(net, [names[i % len(names)] for i in picks])
+    assert moralize(net) == _plain_moralize(net)
+    assert jtree._moral_graph(net, keep) == subgraph(moralize(net), keep)
+    assert jtree._ancestral_tree(net, keep) == build_junction_tree(
+        subgraph(moralize(net), keep))
+
+
 def test_simple_path_endpoints_and_separators(ten_node):
     jt = build_junction_tree(moralize(ten_node))
     path = simple_path(jt, ("X1", "X2"), ("X7", "X9"))
