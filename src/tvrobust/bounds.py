@@ -265,17 +265,17 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     path, and bound mode applies no cap and ignores ``tree``.  Bound
     mode prices on the ancestral subnet of the path's cliques, so its
     graph work grows with the ancestors the path touches, not the net.
-    Either mode names the first unknown path variable in a DomainError.
+    An unknown path variable is a DomainError in either mode.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
     limit = state_limit(limit)
     specs = path_factor_specs(path)
     if mode == "bound":
+        sub = _ancestral_subnet(net, itertools.chain.from_iterable(
+            path.cliques))
         # a single-clique path needs no pricer, so no topological order
-        path_vars = itertools.chain.from_iterable(path.cliques)
-        price = (_bound_pricer(_ancestral_subnet(net, path_vars))
-                 if specs else None)
+        price = _bound_pricer(sub) if specs else None
     else:
         price = _exact_pricer(net, path, specs, limit, tree)
     return _impact_product(specs, price, mode)

@@ -349,8 +349,10 @@ def test_bound_impact_prices_on_no_more_than_the_ancestral_set(
 
 
 @pytest.mark.parametrize("mode", ("exact", "bound"))
-def test_path_impact_names_an_unknown_path_variable(ten_node, mode):
-    path = CliquePath((("X1", "ZZ"), ("ZZ", "X2")), (("ZZ",),))
+@pytest.mark.parametrize("path", (
+    CliquePath((("X1", "ZZ"), ("ZZ", "X2")), (("ZZ",),)),
+    CliquePath((("X1", "ZZ"),), ())))
+def test_path_impact_names_an_unknown_path_variable(ten_node, mode, path):
     with pytest.raises(DomainError, match="^unknown variable 'ZZ'$"):
         path_impact(ten_node, path, mode)
 
