@@ -496,8 +496,8 @@ def reference_parse_error(doc):
             seen.append(child)
         missing = [n for n in names if n not in seen]
         if missing:
-            raise ParseError("missing cpt for " + ", ".join(map(repr, missing)),
-                             location="cpts")
+            raise ParseError("missing cpt for "
+                             + ", ".join(map(repr, missing)), location="cpts")
     except ParseError as e:
         return e
     return None

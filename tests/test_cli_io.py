@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -180,10 +181,11 @@ _DROP = object()
 def _defect(*path, value):
     """Set the field at ``path`` of a document to ``value`` (remove it for
     _DROP; an empty path replaces the document).  A path that no longer
-    leads anywhere, after another defect, leaves the document as it is."""
+    leads anywhere, after another defect, leaves the document as it is.
+    Each document gets its own copy of ``value``."""
     def apply(doc):
         if not path:
-            return value
+            return copy.deepcopy(value)
         node = doc
         try:
             for step in path[:-1]:
@@ -191,7 +193,7 @@ def _defect(*path, value):
             if value is _DROP:
                 del node[path[-1]]
             else:
-                node[path[-1]] = value
+                node[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):
             pass
         return doc
