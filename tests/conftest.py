@@ -157,6 +157,15 @@ def reweight_joint(joint: JointTable, sub: JointTable,
     return JointTable(joint.scope, joint.cards, grid.reshape(-1))
 
 
+def reference_configs(net: BayesNet, names) -> list[tuple[str, ...]]:
+    """Every level configuration of ``names`` by nested loops, first
+    name most significant."""
+    out = [()]
+    for n in names:
+        out = [c + (lv,) for c in out for lv in net.variable(n).levels]
+    return out
+
+
 def reference_transition_table(net: BayesNet, outputs, given) -> Cpt:
     """P(outputs | given) one configuration at a time, off the full joint.
 
@@ -170,16 +179,9 @@ def reference_transition_table(net: BayesNet, outputs, given) -> Cpt:
     union = net.sorted_by_position(set(outs) | set(conds))
     grid = marginal_of(joint_mass(net), union).grid()
     upos = {name: i for i, name in enumerate(union)}
-
-    def configs(names):
-        out = [()]
-        for n in names:
-            out = [c + (lv,) for c in out for lv in net.variable(n).levels]
-        return out
-
-    out_configs = configs(outs)
+    out_configs = reference_configs(net, outs)
     rows = []
-    for cond in configs(conds):
+    for cond in reference_configs(net, conds):
         fixed = dict(zip(conds, cond))
         sel = [slice(None)] * len(union)
         for name, lv in fixed.items():
@@ -632,6 +634,16 @@ def reference_triangulate(g: UGraph) -> UGraph:
         del adj[best_v]
         remaining.remove(best_v)
     return UGraph(g.vertices, g.edges + tuple(fill))
+
+
+def reference_path_tree(net: BayesNet, scopes) -> JunctionTree:
+    """The junction tree of ``net``'s whole moral graph with every pair
+    inside each set of ``scopes`` joined first, so that one clique holds
+    each set: the bare-path tree as exact ``path_impact`` first built
+    it, from ``moralize`` plus the completing pairs."""
+    moral = moralize(net)
+    pairs = tuple(e for s in scopes for e in itertools.combinations(s, 2))
+    return build_junction_tree(UGraph(moral.vertices, moral.edges + pairs))
 
 
 def junction_property_holds(jt: JunctionTree) -> bool:

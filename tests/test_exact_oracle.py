@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvrobust import (
     BayesNet,
@@ -17,7 +18,8 @@ from tvrobust import (
     tv_distance,
 )
 
-from conftest import P_ROWS, random_net, reference_transition_table
+from conftest import (P_ROWS, random_net, reference_configs,
+                      reference_transition_table)
 
 RHO1 = (0.65375, 0.28875, 0.0575)
 
@@ -229,3 +231,19 @@ def test_transition_table_matches_scalar_reference_on_random_nets():
         _assert_matches_reference(net, pick[:2], pick[1:3])
         _assert_matches_reference(net, pick[:1], pick[:3])
         _assert_matches_reference(net, pick[:3], pick[:1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(0, 3))
+def test_multi_output_column_labels_equal_the_nested_loop(seed, n_out,
+                                                          n_given):
+    """Each column of a table over several outputs is labelled by one
+    configuration of them, first output most significant, in the order
+    nested loops over their levels give."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 5, 7)
+    pick = [str(x) for x in rng.permutation(net.names())]
+    outs = pick[:n_out]
+    t = transition_table(net, outs, pick[n_out - 1:n_out - 1 + n_given])
+    want = reference_configs(net, net.sorted_by_position(outs))
+    assert t.child_levels == tuple(",".join(c) for c in want)

@@ -32,6 +32,7 @@ from conftest import (
     load_model,
     random_net,
     reference_donor_target_path,
+    reference_path_tree,
     reference_rip_order,
     reference_simple_path,
     reference_triangulate,
@@ -201,6 +202,27 @@ def test_ancestral_tree_equals_the_restricted_whole_moral_graph(seed, picks):
     assert jtree._moral_graph(net, keep) == subgraph(moralize(net), keep)
     assert jtree._ancestral_tree(net, keep) == build_junction_tree(
         subgraph(moralize(net), keep))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 99), min_size=1, max_size=3),
+       st.lists(st.lists(st.integers(0, 99), min_size=1, max_size=4),
+                max_size=3))
+def test_completed_tree_equals_the_whole_moral_graph_reference(seed, picks,
+                                                               draws):
+    """On an ancestral subnet, the tree built with each scope made
+    complete equals the tree of ``moralize`` plus the completing pairs,
+    and one clique holds each scope."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 5, 14), rng)
+    names = net.names()
+    sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
+    kept = sub.names()
+    scopes = [{kept[i % len(kept)] for i in d} for d in draws]
+    tree = jtree._path_tree(sub, scopes)
+    assert tree == reference_path_tree(sub, scopes)
+    assert all(any(s <= set(c) for c in tree.cliques) for s in scopes)
 
 
 def test_simple_path_endpoints_and_separators(ten_node):
