@@ -193,7 +193,8 @@ def _ancestral_subnet(net: BayesNet, names) -> BayesNet:
 
 
 def descendants_map(net: BayesNet) -> dict[str, set[str]]:
-    """Strict descendants of every variable."""
+    """Strict descendants of every variable, keyed in the order of
+    ``topological_order``, so a caller that needs both sorts once."""
     order = topological_order(net)
     desc: dict[str, set[str]] = {n: set() for n in order}
     for n in reversed(order):

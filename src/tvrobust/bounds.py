@@ -19,27 +19,17 @@ from .bn_model import (
     _ancestral_subnet,
     _require_valid,
     descendants_map,
-    topological_order,
 )
 from .errors import DomainError
 from .exact_oracle import _factor_table, state_limit
 from .jtree import (
     CliquePath,
     JunctionTree,
+    _ancestral_tree,
     _clique_marginals,
-    _path_tree,
     path_factor_specs,
 )
-from .tv_core import (
-    Cpt,
-    ProbVec,
-    _pair_scan,
-    cpt_superbound,
-    cpt_tv_plus,
-    diameter,
-    parent_diameter,
-    tv_distance,
-)
+from .tv_core import Cpt, ProbVec, _pair_scan, diameter, tv_distance
 
 
 @dataclass(frozen=True)
@@ -74,24 +64,35 @@ class OverlapDecomposition:
 
 
 def overlap_decompose(p1: ProbVec, p2: ProbVec) -> OverlapDecomposition:
+    """The mixture form of two aligned vectors over their common mass.
+
+    Each part is scaled by its own sum, so it sums to 1 however small
+    its share of the mass; ``beta`` is 1 - tv_distance(p1, p2), or 0
+    where rounding takes the distance past 1.  Vectors with no common
+    mass are their own residuals over a uniform common part, and one at
+    or below the other everywhere, as the row-sum tolerance allows, has
+    the common part as its residual.
+    """
     if p1.levels != p2.levels:
         raise DomainError("level mismatch")
-    d = tv_distance(p1, p2)
-    beta = 1.0 - d
+    beta = max(0.0, 1.0 - tv_distance(p1, p2))
     floor = tuple(min(a, b) for a, b in zip(p1.mass, p2.mass))
-    if beta <= 0.0:
+    if not any(floor):
         # disjoint supports: no common mass, residuals are the inputs
         n = len(p1.levels)
         common = ProbVec.of(p1.levels, (1.0 / n,) * n)
-        return OverlapDecomposition(0.0, common, p1, p2)
-    common = ProbVec.of(p1.levels, tuple(x / beta for x in floor))
-    if d == 0.0:
-        return OverlapDecomposition(1.0, common, common, common)
-    r1 = ProbVec.of(p1.levels,
-                    tuple((a - m) / d for a, m in zip(p1.mass, floor)))
-    r2 = ProbVec.of(p2.levels,
-                    tuple((b - m) / d for b, m in zip(p2.mass, floor)))
-    return OverlapDecomposition(beta, common, r1, r2)
+        return OverlapDecomposition(beta, common, p1, p2)
+
+    def scaled(part) -> ProbVec:
+        total = sum(part)
+        return ProbVec.of(p1.levels, tuple(x / total for x in part))
+
+    common = scaled(floor)
+    r1 = tuple(a - m for a, m in zip(p1.mass, floor))
+    r2 = tuple(b - m for b, m in zip(p2.mass, floor))
+    return OverlapDecomposition(beta, common,
+                                scaled(r1) if any(r1) else common,
+                                scaled(r2) if any(r2) else common)
 
 
 def propagate_bound(d_pi: float, P: Cpt) -> float:
@@ -99,44 +100,6 @@ def propagate_bound(d_pi: float, P: Cpt) -> float:
     if not 0.0 <= d_pi <= 1.0:
         raise DomainError(f"TV distance out of range: {d_pi}")
     return diameter(P) * d_pi
-
-
-def joint_perturb_bound(d_pi: float, P1: Cpt, P2: Cpt) -> float:
-    """Margin TV bound when the table itself is also perturbed.
-
-    Takes the tightest of the two available forms (the superbound form
-    and the diameter form) clamped to 1.
-    """
-    if not 0.0 <= d_pi <= 1.0:
-        raise DomainError(f"TV distance out of range: {d_pi}")
-    dvp = cpt_tv_plus(P1, P2)
-    star_form = dvp + d_pi * cpt_superbound(P1, P2)
-    diam_form = (1.0 + d_pi) * dvp + d_pi * max(diameter(P1), diameter(P2))
-    return min(1.0, star_form, diam_form)
-
-
-def joint_tv_bound(dv_marginal: float, sup_conditional_tv: float) -> float:
-    """TV between two joints from a margin TV and a conditional TV cap."""
-    for x in (dv_marginal, sup_conditional_tv):
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"TV distance out of range: {x}")
-    return min(1.0, dv_marginal + sup_conditional_tv)
-
-
-def chain_diameter_bound(d1: float, d2: float) -> float:
-    """Diameter bound for a two-block conditional via the chain sum."""
-    for x in (d1, d2):
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"diameter out of range: {x}")
-    return min(1.0, d1 + d2)
-
-
-def diameter_sum_bound(P: Cpt) -> float:
-    """Sum of per-parent diameters, clamped to 1; at least the diameter."""
-    total = 0.0
-    for j in range(len(P.parents)):
-        total += parent_diameter(P, j)
-    return min(1.0, total)
 
 
 def _factor_name(outputs, given) -> str:
@@ -148,8 +111,9 @@ def _factor_name(outputs, given) -> str:
 def _bound_pricer(net: BayesNet):
     """Bound-mode ``price(outputs, given)``; one pricer serves many paths.
 
-    Topological rank, descendants and each used CPT's diameter are
-    computed once per pricer.  A factor is upper-bounded from model CPT
+    Descendants and each used CPT's diameter are computed once per
+    pricer; the topological rank is read off the descendants map's keys,
+    so the net is sorted once.  A factor is upper-bounded from model CPT
     diameters alone, its output variables taken in topological order.  A
     variable that already appears in the conditioning set is an identity
     column and contributes 1.  Otherwise its contribution is its own CPT
@@ -167,8 +131,8 @@ def _bound_pricer(net: BayesNet):
     conditioning set is found there too; every value, certificate and
     gap is that of the whole net.
     """
-    topo_rank = {n: i for i, n in enumerate(topological_order(net))}
     desc = descendants_map(net)
+    topo_rank = {n: i for i, n in enumerate(desc)}
     cpt_diameter = functools.cache(lambda w: diameter(net.cpt(w)))
 
     def price(outputs, given) -> Factor:
@@ -222,10 +186,10 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
 
     Each factor is read off the calibrated marginal of the first clique
     of ``tree`` that holds its path clique and its own variables.
-    Without ``tree``, the tree is that of the path's ancestral moral
-    graph with each such set made complete.  The net is validated on
-    the tree's variables, and the size cap is checked, before any
-    table is built, even for a single-clique path.
+    Without ``tree``, ``_ancestral_tree`` builds it on the path's
+    ancestral subnet with each such set made complete.  The net is
+    validated on the tree's variables, and the size cap is checked,
+    before any table is built, even for a single-clique path.
     """
     priced = [spec for spec in specs if spec[0]]
     scopes = [frozenset(c).union(*spec)
@@ -234,7 +198,7 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
         path.cliques + tuple(scopes) if tree is None else tree.cliques))
     _require_valid(sub)
     if tree is None:
-        tree = _path_tree(sub, scopes)
+        tree = _ancestral_tree(sub, frozenset(sub.names()), scopes)
     tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
 
     def price(outputs, given) -> Factor:
@@ -257,12 +221,13 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     disconnected components, so the factor and the whole product are 0.
 
     Exact mode calibrates ``tree``, the junction tree the path was cut
-    from (as ``donor_target_path`` returns it), or without one a tree
-    of the path's ancestral moral graph in which every path clique is
-    complete.  ``limit`` is resolved by ``state_limit`` in both modes,
-    so a malformed cap is an error in either; exact mode caps the
-    largest clique table of that tree with it, even for a single-clique
-    path, and bound mode applies no cap and ignores ``tree``.  Bound
+    from (as ``donor_target_path`` returns it), or without one the tree
+    that the same builder makes of the path's ancestral set with every
+    path clique, and its factor's variables, made complete.  ``limit``
+    is resolved by ``state_limit`` in both modes, so a malformed cap is
+    an error in either; exact mode caps the largest clique table of
+    that tree with it, even for a single-clique path, and bound mode
+    applies no cap and ignores ``tree``.  Bound
     mode prices on the ancestral subnet of the path's cliques, so its
     graph work grows with the ancestors the path touches, not the net.
     An unknown path variable is a DomainError in either mode.

@@ -12,6 +12,7 @@ memory; exceeding it is a hard error, never a silent truncation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -125,15 +126,6 @@ def table_tv(a: JointTable, b: JointTable) -> float:
     return 0.5 * float(np.abs(a.mass - b.mass).sum())
 
 
-def _config_labels(net: BayesNet, names) -> list[tuple[str, ...]]:
-    """All level configurations of ``names``, first name most significant."""
-    configs: list[tuple[str, ...]] = [()]
-    for n in names:
-        levels = net.variable(n).levels
-        configs = [c + (lv,) for c in configs for lv in levels]
-    return configs
-
-
 def _ancestral_joint(net: BayesNet, names,
                      limit: int | None = None) -> JointTable:
     """Joint of the ancestral set of ``names``.
@@ -195,10 +187,9 @@ def transition_table(net: BayesNet, outputs, given,
     rows = _factor_table(net, joint, outputs, given)
     outs = net.sorted_by_position(set(outputs))
     conds = net.sorted_by_position(set(given))
-    if len(outs) == 1:
-        col_labels = net.variable(outs[0]).levels
-    else:
-        col_labels = tuple(",".join(c) for c in _config_labels(net, outs))
+    # product varies its last factor fastest: first name most significant
+    col_labels = tuple(",".join(c) for c in itertools.product(
+        *(net.variable(n).levels for n in outs)))
     return Cpt(
         child=",".join(outs),
         child_levels=col_labels,

@@ -99,11 +99,12 @@ def moralize(net: BayesNet) -> UGraph:
     return _moral_graph(net, frozenset(net.names()))
 
 
-def _moral_graph(net: BayesNet, keep) -> UGraph:
-    """``subgraph(moralize(net), keep)`` read straight off the CPTs, for a
+def _moral_graph(net: BayesNet, keep, complete=()) -> UGraph:
+    """The moral graph over ``keep`` read straight off the CPTs, for a
     set ``keep`` that holds the parents of each of its variables: each
     kept child's edges to its parents, and each pair of kept co-parents,
-    also a pair whose common child is not kept."""
+    also a pair whose common child is not kept.  Every pair inside each
+    variable set of ``complete`` is joined as well."""
     edges = []
     for v, t in zip(net.variables, net.cpts):
         parents = t.parents
@@ -112,14 +113,9 @@ def _moral_graph(net: BayesNet, keep) -> UGraph:
         else:
             parents = [p for p in parents if p in keep]
         edges += itertools.combinations(parents, 2)
+    for s in complete:
+        edges += itertools.combinations(s, 2)
     return UGraph(tuple(n for n in net.names() if n in keep), tuple(edges))
-
-
-def subgraph(g: UGraph, keep) -> UGraph:
-    keep = set(keep)
-    verts = tuple(v for v in g.vertices if v in keep)
-    edges = tuple((a, b) for a, b in g.edges if a in keep and b in keep)
-    return UGraph(verts, edges)
 
 
 def _eliminate(g: UGraph):
@@ -323,16 +319,18 @@ def donor_target_path(net: BayesNet, donor, target):
     return jt, _host_path(jt, set(donor), set(target))
 
 
-def _ancestral_tree(net: BayesNet, keep) -> JunctionTree:
+def _ancestral_tree(net: BayesNet, keep, complete=()) -> JunctionTree:
     """Junction tree of the whole net's moral graph restricted to the
-    ancestral set ``keep``, built by ``_moral_graph`` from the CPTs
-    alone, so no edge outside ``keep`` is made.  A marriage through a
-    child outside that set stays (on A, B -> C, A and B share one clique
-    although they are independent).  The tree is that of its min-fill
-    triangulation, built from one elimination.  ``donor_target_path``
-    and ``elicitation_priority`` both price on this tree, so the two
-    agree on every ancestor's path."""
-    return build_junction_tree(_moral_graph(net, keep))
+    ancestral set ``keep``, with each variable set in ``complete`` made
+    complete, built by ``_moral_graph`` from the CPTs alone, so no edge
+    outside ``keep`` is made.  A marriage through a child outside that
+    set stays (on A, B -> C, A and B share one clique although they are
+    independent).  The tree is that of its min-fill triangulation, built
+    from one elimination.  Every query's tree comes from here:
+    ``donor_target_path`` and ``elicitation_priority`` complete nothing,
+    so the two agree on every ancestor's path, and exact ``path_impact``
+    on a bare path completes each path clique with its factor."""
+    return build_junction_tree(_moral_graph(net, keep, complete))
 
 
 def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
@@ -377,14 +375,6 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
     first = tuple(v for v in path.cliques[0] if v not in seps[0])
     last = tuple(v for v in path.cliques[-1] if v not in seps[-1])
     return [(seps[0], first), *zip(seps[1:], seps), (last, seps[-1])]
-
-
-def _path_tree(net: BayesNet, scopes) -> JunctionTree:
-    """Junction tree of ``net``'s moral graph with each variable set in
-    ``scopes`` made complete first, so that one clique holds each."""
-    moral = moralize(net)
-    extra = tuple(e for s in scopes for e in itertools.combinations(s, 2))
-    return build_junction_tree(UGraph(moral.vertices, moral.edges + extra))
 
 
 def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,

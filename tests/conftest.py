@@ -7,14 +7,15 @@ import pytest
 
 from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
                       UGraph, Variable, ancestral_set, build_junction_tree,
-                      donor_target_path, moralize, path_impact,
-                      topological_order, triangulate, tv_distance)
+                      cpt_superbound, cpt_tv_plus, diameter,
+                      donor_target_path, moralize, parent_diameter,
+                      path_impact, topological_order, triangulate,
+                      tv_distance)
 from tvrobust import bn_model
 from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError, ParseError
 from tvrobust.exact_oracle import JointTable, joint_mass, marginal_of
-from tvrobust.jtree import subgraph
 
 TESTS_DIR = pathlib.Path(__file__).parent
 MODELS_DIR = TESTS_DIR / "models"
@@ -207,6 +208,48 @@ def reference_transition_table(net: BayesNet, outputs, given) -> Cpt:
     return Cpt(",".join(outs), labels, conds,
                tuple(net.variable(n).levels for n in conds),
                tuple(ProbVec(labels, r) for r in rows))
+
+
+# Closed-form bounds on diameters and margins; the lemma tests and the
+# A7 property suites check them, and no library path prices with them.
+
+
+def joint_perturb_bound(d_pi: float, P1: Cpt, P2: Cpt) -> float:
+    """Margin TV bound when the table itself is also perturbed.
+
+    Takes the tightest of the two available forms (the superbound form
+    and the diameter form) clamped to 1.
+    """
+    if not 0.0 <= d_pi <= 1.0:
+        raise DomainError(f"TV distance out of range: {d_pi}")
+    dvp = cpt_tv_plus(P1, P2)
+    star_form = dvp + d_pi * cpt_superbound(P1, P2)
+    diam_form = (1.0 + d_pi) * dvp + d_pi * max(diameter(P1), diameter(P2))
+    return min(1.0, star_form, diam_form)
+
+
+def joint_tv_bound(dv_marginal: float, sup_conditional_tv: float) -> float:
+    """TV between two joints from a margin TV and a conditional TV cap."""
+    for x in (dv_marginal, sup_conditional_tv):
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"TV distance out of range: {x}")
+    return min(1.0, dv_marginal + sup_conditional_tv)
+
+
+def chain_diameter_bound(d1: float, d2: float) -> float:
+    """Diameter bound for a two-block conditional via the chain sum."""
+    for x in (d1, d2):
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"diameter out of range: {x}")
+    return min(1.0, d1 + d2)
+
+
+def diameter_sum_bound(P: Cpt) -> float:
+    """Sum of per-parent diameters, clamped to 1; at least the diameter."""
+    total = 0.0
+    for j in range(len(P.parents)):
+        total += parent_diameter(P, j)
+    return min(1.0, total)
 
 
 def reference_diameter(rows) -> float:
@@ -605,6 +648,15 @@ def reference_rip_order(m: int, tree_edges) -> tuple[int, ...]:
         rip.append(pick)
         placed.add(pick)
     return tuple(rip)
+
+
+def subgraph(g: UGraph, keep) -> UGraph:
+    """``g`` restricted to the vertices in ``keep`` and the edges
+    between them."""
+    keep = set(keep)
+    verts = tuple(v for v in g.vertices if v in keep)
+    edges = tuple((a, b) for a, b in g.edges if a in keep and b in keep)
+    return UGraph(verts, edges)
 
 
 def reference_triangulate(g: UGraph) -> UGraph:

@@ -21,7 +21,6 @@ from tvrobust import (
     cpt_superbound,
     cpt_tv_plus,
     diameter,
-    diameter_sum_bound,
     donor_target_path,
     joint_mass,
     marginal,
@@ -54,6 +53,7 @@ from conftest import (
     TESTS_DIR,
     TREE_LEVELS,
     Q_ROWS,
+    diameter_sum_bound,
     random_net,
     random_vector,
     reweight_joint,

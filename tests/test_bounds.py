@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,12 +15,9 @@ from tvrobust import (
     Variable,
     ancestral_set,
     build_junction_tree,
-    chain_diameter_bound,
     diameter,
-    diameter_sum_bound,
     donor_target_path,
-    joint_perturb_bound,
-    joint_tv_bound,
+    elicitation_priority,
     marginal,
     mix,
     moralize,
@@ -33,20 +31,24 @@ from tvrobust import (
     table_tv,
     tv_distance,
 )
-from tvrobust import bounds, exact_oracle
+from tvrobust import bn_model, bounds, exact_oracle
 from tvrobust.exact_oracle import _ancestral_joint, _factor_table
-from tvrobust.jtree import subgraph
 from tvrobust.tv_core import _pair_scan
 
 from conftest import (
     Q_ROWS,
     TESTS_DIR,
+    chain_diameter_bound,
     chain_net,
+    diameter_sum_bound,
+    joint_perturb_bound,
+    joint_tv_bound,
     random_net,
     random_vector,
     reference_diameter,
     reference_transition_table,
     shuffle_parents,
+    subgraph,
     tree_cpt,
 )
 
@@ -167,6 +169,64 @@ def test_overlap_decompose_identical_and_disjoint():
     assert dec2.residual_2.mass == q2.mass
     with pytest.raises(DomainError):
         overlap_decompose(p, ProbVec(("a", "c"), (0.4, 0.6)))
+
+
+def _assert_decomposes(p, q):
+    """beta is 1 - tv_distance exactly and each input rebuilds from the
+    parts within 1e-12."""
+    dec = overlap_decompose(p, q)
+    assert dec.beta == 1.0 - tv_distance(p, q)
+    for orig, resid in ((p, dec.residual_1), (q, dec.residual_2)):
+        rebuilt = tuple(dec.beta * c + (1.0 - dec.beta) * r
+                        for c, r in zip(dec.common.mass, resid.mass))
+        assert max(abs(a - b) for a, b in zip(rebuilt, orig.mass)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, q", [
+    ((0.3, 0.7), (0.300000001, 0.699999999)),
+    ((0.999999999, 1e-9), (1e-9, 0.999999999)),
+])
+def test_overlap_decompose_near_equal_and_near_disjoint(p, q):
+    _assert_decomposes(ProbVec.of(("a", "b"), p), ProbVec.of(("a", "b"), q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.floats(-15.0, -6.0),
+       st.booleans())
+def test_overlap_decompose_at_tiny_distance_or_overlap(seed, k, exponent,
+                                                       disjoint):
+    """Pairs at TV distance eps, or sharing about eps of their mass, for
+    eps from 1e-15 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** exponent
+    levels = tuple(f"l{j}" for j in range(k))
+    if disjoint:
+        # p holds 1 - eps below level h and eps from it on; q the reverse
+        h = int(rng.integers(1, k))
+        p, q = (np.concatenate([
+            w * np.array(random_vector(rng, h).mass),
+            (1 - w) * np.array(random_vector(rng, k - h).mass)])
+            for w in (1 - eps, eps))
+    else:
+        # eps of p's mass moves from level i to level j
+        p = np.array(random_vector(rng, k).mass)
+        i, j = rng.choice(k, size=2, replace=False)
+        q = p.copy()
+        q[i] -= eps
+        q[j] += eps
+    _assert_decomposes(ProbVec.of(levels, p), ProbVec.of(levels, q))
+
+
+def test_overlap_decompose_when_one_input_lies_below_the_other():
+    """Within the row-sum tolerance one input can sit at or below the
+    other everywhere; it has no mass of its own, and its residual is the
+    common part."""
+    p = ProbVec.of(("a", "b"), (0.3, 0.7))
+    q = ProbVec.of(("a", "b"), (0.3, 0.7000000001))
+    dec = overlap_decompose(p, q)
+    assert dec.beta == 1.0 - tv_distance(p, q)
+    assert dec.residual_1 == dec.common
+    assert dec.residual_2.mass == (0.0, 1.0)
 
 
 def test_path_impact_single_clique_is_one(fragment):
@@ -316,6 +376,25 @@ def test_bound_impact_on_the_ancestral_subnet_equals_the_whole_net(seed, a, b):
     for path in paths:
         assert (_priced_on_the_path(net, path)
                 == _priced_on_the_whole_net(net, path))
+
+
+def test_each_bound_pricer_sorts_the_net_once(ten_node, monkeypatch):
+    """A bound query on a parsed net, which is already validated, runs
+    ``topological_order`` once, wherever the library binds the name."""
+    calls = []
+    real = bn_model.topological_order
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "tvrobust"
+                and getattr(module, "topological_order", None) is real):
+            monkeypatch.setattr(module, "topological_order",
+                                lambda net: calls.append(net) or real(net))
+    _, path = donor_target_path(ten_node, {"X1"}, {"X9"})
+    assert len(path.cliques) > 1
+    path_impact(ten_node, path, "bound")
+    assert len(calls) == 1
+    calls.clear()
+    elicitation_priority(ten_node, ["X9"])
+    assert len(calls) == 1
 
 
 def test_bound_impact_prices_on_no_more_than_the_ancestral_set(
