@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .tv_core import Cpt, _rows_to_check
+from .tv_core import Cpt
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def validate(net: BayesNet) -> list[str]:
     problems: list[str] = []
     names = [v.name for v in net.variables]
     if len(set(names)) != len(names):
-        problems.append("duplicate variable names")
-        return problems
+        return ["duplicate variable names"]
     for v in net.variables:
         if not v.name:
             problems.append("empty variable name")
@@ -102,7 +101,7 @@ def validate(net: BayesNet) -> list[str]:
         )
         return problems
     by_name = {v.name: v for v in net.variables}
-    for v, t, rows in zip(net.variables, net.cpts, _rows_to_check(net.cpts)):
+    for v, t in zip(net.variables, net.cpts):
         if t.child != v.name:
             problems.append(f"CPT for {t.child!r} attached to {v.name!r}")
             continue
@@ -114,7 +113,7 @@ def validate(net: BayesNet) -> list[str]:
             elif (j < len(t.parent_levels)
                   and t.parent_levels[j] != by_name[p].levels):
                 problems.append(f"{v.name}: parent {p!r} levels disagree")
-        problems.extend(t._violations(rows))
+        problems.extend(t.violations())
     try:
         topological_order(net)
     except DomainError as e:
@@ -123,25 +122,31 @@ def validate(net: BayesNet) -> list[str]:
 
 
 def _validate_and_mark(net: BayesNet) -> list[str]:
-    """``validate(net)``, marking ``net`` valid when nothing is found."""
-    problems = validate(net)
+    """``validate(net)`` unless ``net`` is marked valid, marking it valid
+    when nothing is found."""
+    problems = [] if net._validated else validate(net)
     object.__setattr__(net, "_validated", not problems)
     return problems
 
 
 def _require_valid(net: BayesNet) -> None:
     """Raise DomainError if ``net`` is invalid; mark it valid otherwise."""
-    if not net._validated:
-        problems = _validate_and_mark(net)
-        if problems:
-            raise DomainError("invalid network: " + "; ".join(problems))
+    problems = _validate_and_mark(net)
+    if problems:
+        raise DomainError("invalid network: " + "; ".join(problems))
 
 
 def topological_order(net: BayesNet) -> tuple[str, ...]:
     """Parents before children; ties broken by declaration order (Kahn's
-    algorithm, the first-declared ready variable always placed next)."""
+    algorithm, the first-declared ready variable always placed next).  A
+    net with unique names that declares every parent first is returned
+    in declaration order after one pass over the edges."""
     names = [v.name for v in net.variables]
     first = net._index
+    if len(first) == len(names) == len(net.cpts) and all(
+            first.get(p, -1) < i
+            for i, t in enumerate(net.cpts) for p in t.parents):
+        return tuple(names)
     pending = {
         v.name: {p for p in t.parents if p in first}
         for v, t in zip(net.variables, net.cpts)

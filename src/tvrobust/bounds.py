@@ -21,7 +21,7 @@ from .bn_model import (
     descendants_map,
 )
 from .errors import DomainError
-from .exact_oracle import _factor_table, state_limit
+from .exact_oracle import _conditional, _factor_table, state_limit
 from .jtree import (
     CliquePath,
     JunctionTree,
@@ -202,9 +202,15 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
     tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
 
     def price(outputs, given) -> Factor:
-        rows = _factor_table(net, tables[outputs, given], outputs, given)
-        return Factor(_factor_name(outputs, given), _pair_scan(rows)[0],
-                      "oracle")
+        joint, name = tables[outputs, given], _factor_name(outputs, given)
+        if any(len(net.variable(n).levels) > 1
+               for n in set(outputs) & set(given)):
+            # once every row has mass, rows that disagree on a shared
+            # variable of 2+ levels have disjoint supports: diameter 1
+            _conditional(net, joint, net.sorted_by_position(set(given)), ())
+            return Factor(name, 1.0, "oracle")
+        rows = _factor_table(net, joint, outputs, given)
+        return Factor(name, _pair_scan(rows)[0], "oracle")
     return price
 
 

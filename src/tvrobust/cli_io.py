@@ -38,12 +38,13 @@ from .advisors import (
     delete_edge,
     edge_deletion_report,
 )
-from .bn_model import BayesNet, Variable, _validate_and_mark
+from .bn_model import (BayesNet, Variable, _validate_and_mark,
+                       topological_order)
 from .bounds import path_impact
 from .errors import DomainError, ParseError, ResourceLimitError
 from .jtree import (JunctionTree, build_junction_tree, donor_target_path,
                     moralize)
-from .tv_core import Cpt, ProbVec, diameter
+from .tv_core import Cpt, ProbVec, _bad_rows, diameter
 
 FORMAT_VERSION = "1"
 
@@ -199,6 +200,52 @@ def _locate_defect(doc) -> None:
                          location="cpts")
 
 
+def _parsed_net(doc) -> BayesNet:
+    """The net of a well-formed ``doc``, marked valid unless ``validate``
+    may find something: building it gives unique names and known parents
+    over their levels, so it checks for empty names, duplicate levels or
+    parents, row counts and widths, masses and cycles."""
+    levels = {v["name"]: tuple(v["levels"]) for v in doc["variables"]}
+    entries = {t["child"]: t for t in doc["cpts"]}
+    clean = all(levels) and all(len(set(ls)) == len(ls)
+                                for ls in levels.values())
+    span, by_width = {}, {}  # a fitting table's rows in its width's block
+    for name, ls in levels.items():
+        parents, rows = entries[name]["parents"], entries[name]["rows"]
+        if (len(rows) == math.prod(len(levels[p]) for p in parents)
+                and set(map(len, rows)) == {len(ls)}):
+            block = by_width.setdefault(len(ls), [])
+            span[name] = slice(len(block), len(block) + len(rows))
+            block.extend(rows)
+        clean = clean and name in span and len(set(parents)) == len(parents)
+    blocks = {}
+    for k, rows in by_width.items():
+        flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
+                           len(rows) * k)
+        flat.setflags(write=False)  # then no view of it can be writeable
+        blocks[k] = flat.reshape(-1, k)
+        clean = clean and not _bad_rows(blocks[k]).any()
+    cpts = []
+    for name, ls in levels.items():
+        parents = tuple(entries[name]["parents"])
+        parent_levels = tuple([levels[p] for p in parents])
+        if name in span:
+            grid = blocks[len(ls)][span[name]].reshape(
+                tuple(map(len, parent_levels)) + (len(ls),))
+            cpts.append(Cpt._over(name, ls, parents, parent_levels, grid))
+        else:
+            rows = [ProbVec(ls, raw) for raw in entries[name]["rows"]]
+            cpts.append(Cpt(name, ls, parents, parent_levels, rows))
+    net = BayesNet(tuple(itertools.starmap(Variable, levels.items())),
+                   tuple(cpts))
+    try:
+        topological_order(net)
+    except DomainError:  # a cycle
+        clean = False
+    object.__setattr__(net, "_validated", clean)
+    return net
+
+
 def parse_model(text: str, strict: bool = True):
     """Read a model document into a BayesNet.
 
@@ -209,6 +256,9 @@ def parse_model(text: str, strict: bool = True):
     either way, with the offending location in the message.  A
     well-formed document costs a few checks over whole lists; only a
     malformed one is walked field by field, to locate its first defect.
+    It is then built and checked in passes over the whole model, each
+    grid a read-only view into one array per row width; ``validate`` runs
+    only to name what that finds.  Nothing is cached between calls.
     """
     try:
         # an integer too large for a float reads as inf, a violation
@@ -220,33 +270,11 @@ def parse_model(text: str, strict: bool = True):
                          location="document")
     if not _well_formed(doc):
         _locate_defect(doc)
-    by_name = {entry["name"]: Variable(entry["name"], tuple(entry["levels"]))
-               for entry in doc["variables"]}
-    table_for: dict[str, Cpt] = {}
-    for entry in doc["cpts"]:
-        child, parents, raw_rows = (entry["child"], entry["parents"],
-                                    entry["rows"])
-        levels = by_name[child].levels
-        parent_levels = tuple([by_name[p].levels for p in parents])
-        # rows that fit become the grid; a misfit stays for validate to name
-        if (len(raw_rows) == math.prod(map(len, parent_levels))
-                and set(map(len, raw_rows)) <= {len(levels)}):
-            rows = np.fromiter(itertools.chain.from_iterable(raw_rows),
-                               np.float64, len(raw_rows) * len(levels))
-        else:
-            rows = tuple(ProbVec(levels, raw) for raw in raw_rows)
-        table_for[child] = Cpt(child, levels, tuple(parents), parent_levels,
-                               rows)
-
-    net = BayesNet(tuple(by_name.values()),
-                   tuple(table_for[name] for name in by_name))
+    net = _parsed_net(doc)
     violations = _validate_and_mark(net)
-    if strict:
-        if violations:
-            raise ParseError("model failed validation: "
-                             + "; ".join(violations))
-        return net
-    return net, violations
+    if strict and violations:
+        raise ParseError("model failed validation: " + "; ".join(violations))
+    return net if strict else (net, violations)
 
 
 # ---------------------------------------------------------------------------

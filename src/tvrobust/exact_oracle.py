@@ -136,6 +136,25 @@ def _ancestral_joint(net: BayesNet, names,
     return joint_mass(_ancestral_subnet(net, names), limit)
 
 
+def _conditional(net: BayesNet, joint: JointTable, conds, free):
+    """P(free | conds) read off ``joint`` as a 2-d array, a row per
+    configuration of ``conds`` (the first most significant); a
+    configuration of zero probability is an error."""
+    m = marginal_of(joint, conds + free)
+    grid = m.grid().transpose([m.scope.index(n) for n in conds + free])
+    cond_cards = grid.shape[:len(conds)]
+    block = grid.reshape(math.prod(cond_cards), -1)
+    denom = block.sum(axis=1)
+    zero = np.flatnonzero(denom <= 0.0)
+    if zero.size:
+        config = np.unravel_index(zero[0], cond_cards)
+        raise DomainError(
+            "conditioning configuration has zero probability: "
+            + ", ".join(f"{n}={net.variable(n).levels[i]}"
+                        for n, i in zip(conds, config)))
+    return block / denom[:, None]
+
+
 def _factor_table(net: BayesNet, joint: JointTable, outputs,
                   given) -> np.ndarray:
     """Rows of P(outputs | given) read off ``joint``, whose scope holds
@@ -146,22 +165,10 @@ def _factor_table(net: BayesNet, joint: JointTable, outputs,
     if not outs:
         raise DomainError("empty output set")
     free = tuple(n for n in outs if n not in conds)
-    m = marginal_of(joint, conds + free)
-    card = dict(zip(m.scope, m.cards))
+    card = dict(zip(joint.scope, joint.cards))
     cond_cards = [card[n] for n in conds]
-    grid = m.grid().transpose([m.scope.index(n) for n in conds + free])
-    block = grid.reshape(math.prod(cond_cards), -1)
-    denom = block.sum(axis=1)
-    zero = np.flatnonzero(denom <= 0.0)
-    if zero.size:
-        config = np.unravel_index(zero[0], cond_cards)
-        raise DomainError(
-            "conditioning configuration has zero probability: "
-            + ", ".join(f"{n}={net.variable(n).levels[i]}"
-                        for n, i in zip(conds, config))
-        )
     # columns of outputs fixed by the row hold the indicator of agreement
-    table = (block / denom[:, None]).reshape(
+    table = _conditional(net, joint, conds, free).reshape(
         cond_cards + [1 if n in conds else card[n] for n in outs])
     for n in outs:
         if n in conds:
@@ -169,7 +176,7 @@ def _factor_table(net: BayesNet, joint: JointTable, outputs,
             shape[conds.index(n)] = card[n]
             shape[len(conds) + outs.index(n)] = card[n]
             table = table * np.eye(card[n]).reshape(shape)
-    return table.reshape(len(block), -1)
+    return table.reshape(math.prod(cond_cards), -1)
 
 
 def transition_table(net: BayesNet, outputs, given,

@@ -87,6 +87,7 @@ class Cpt:
     A CPT with no parents has exactly one row.  ``rows`` takes ProbVecs
     or an array of masses.  Rows that fit are stored as one read-only
     grid and derived again on first use; a misfit keeps them as given.
+    A parsed table's grid is a read-only view into one array per width.
     """
 
     child: str
@@ -118,6 +119,15 @@ class Cpt:
         else:
             object.__setattr__(self, "_grid", None)
             object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _over(cls, child, child_levels, parents, parent_levels, grid):
+        """A table over a read-only float64 ``grid``, fields as given."""
+        t = object.__new__(cls)
+        t.__dict__.update(child=child, child_levels=child_levels,
+                          parents=parents, parent_levels=parent_levels,
+                          _grid=grid)
+        return t
 
     def __getattr__(self, name):
         # reached only for the rows of a grid-backed table, until derived
@@ -181,10 +191,12 @@ class Cpt:
                 else _flat(self).tolist())
 
     def violations(self) -> list[str]:
-        return self._violations(_rows_to_check([self])[0])
-
-    def _violations(self, to_check) -> list[str]:
-        """The table's problems, row problems only for rows in ``to_check``."""
+        """The table's problems; ``ProbVec.violations`` sees only the rows
+        ``_bad_rows`` flags, unless the table is raw or repeats a level."""
+        k = len(self.child_levels)
+        raw = self._grid is None or not k or len(set(self.child_levels)) < k
+        to_check = (range(len(self.rows)) if raw
+                    else np.flatnonzero(_bad_rows(_flat(self))).tolist())
         problems = []
         if len(self.child_levels) < 1:
             problems.append(f"{self.child}: no child levels")
@@ -215,32 +227,14 @@ class Cpt:
         return t
 
 
-def _rows_to_check(tables) -> list:
-    """Per table, the rows ``ProbVec.violations`` must see: all rows of a
-    raw table or one with duplicate child levels, else those with a
-    negative mass or a left-to-right sum not within ROW_SUM_TOLERANCE / 2
-    of 1 (the margin dwarfs the k * 2**-52 by which Python's compensated
-    ``sum`` of 3.12+ can differ), found in one pass per row width."""
-    out: list = []
-    by_width: dict[int, list[int]] = {}
-    for i, t in enumerate(tables):
-        k = len(t.child_levels)
-        if t._grid is None or not k or len(set(t.child_levels)) < k:
-            out.append(range(len(t.rows)))
-        else:
-            out.append([])
-            by_width.setdefault(k, []).append(i)
-    for k, ids in by_width.items():
-        X = np.concatenate([tables[i]._grid.reshape(-1, k) for i in ids])
-        with np.errstate(all="ignore"):  # an overflow is a flagged row
-            total = np.add.accumulate(X, axis=1)[:, -1]  # left to right
-        bad = (X < 0).any(axis=1) | ~(np.abs(total - 1.0)
-                                       <= ROW_SUM_TOLERANCE / 2)
-        if bad.any():
-            ends = np.cumsum([tables[i].n_rows for i in ids])[:-1]
-            for i, b in zip(ids, np.split(bad, ends)):
-                out[i] = np.flatnonzero(b).tolist()
-    return out
+def _bad_rows(X: np.ndarray) -> np.ndarray:
+    """Rows of the 2-d ``X`` with a negative mass or a left-to-right sum
+    off 1 by more than ROW_SUM_TOLERANCE / 2, NaN and inf included (the
+    margin dwarfs the k * 2**-52 by which Python's ``sum`` can differ)."""
+    with np.errstate(all="ignore"):  # an overflow is a flagged row
+        total = np.add.accumulate(X, axis=1)[:, -1]  # left to right
+    return (X < 0).any(axis=1) | ~(np.abs(total - 1.0)
+                                   <= ROW_SUM_TOLERANCE / 2)
 
 
 def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import sys
 
@@ -11,7 +12,7 @@ from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
                       donor_target_path, moralize, parent_diameter,
                       path_impact, topological_order, triangulate,
                       tv_distance)
-from tvrobust import bn_model
+from tvrobust import bn_model, cli_io
 from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError, ParseError
@@ -608,20 +609,82 @@ def reference_validate(net: BayesNet) -> list[str]:
     return problems
 
 
+def reference_parse_model(text: str):
+    """``parse_model(text, strict=False)`` as one plain build and a full
+    check: decode, raise the per-field reference's ParseError, build
+    each table on its own (rows that fit as an array, others as
+    ProbVecs) and list the violations with ``reference_validate``."""
+    doc = json.loads(text, parse_int=float)
+    error = reference_parse_error(doc)
+    if error is not None:
+        raise error
+    variables = [Variable(e["name"], tuple(e["levels"]))
+                 for e in doc["variables"]]
+    levels = {v.name: v.levels for v in variables}
+    entry = {e["child"]: e for e in doc["cpts"]}
+    cpts = []
+    for v in variables:
+        parents = tuple(entry[v.name]["parents"])
+        parent_levels = tuple(levels[p] for p in parents)
+        raw = entry[v.name]["rows"]
+        n_rows = 1
+        for ls in parent_levels:
+            n_rows *= len(ls)
+        if len(raw) == n_rows and all(len(r) == len(v.levels) for r in raw):
+            rows = np.array(raw, dtype=np.float64).reshape(-1)
+        else:
+            rows = tuple(ProbVec(v.levels, r) for r in raw)
+        cpts.append(Cpt(v.name, v.levels, parents, parent_levels, rows))
+    net = BayesNet(tuple(variables), tuple(cpts))
+    return net, reference_validate(net)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_net(got: BayesNet, want: BayesNet) -> None:
+    """Equal variables and table labels, and bit-identical masses: the
+    same grids where ``want`` has one, else the same rows."""
+    assert got.variables == want.variables
+    for a, b in zip(got.cpts, want.cpts, strict=True):
+        assert ((a.child, a.child_levels, a.parents, a.parent_levels)
+                == (b.child, b.child_levels, b.parents, b.parent_levels))
+        assert (a._grid is None) == (b._grid is None)
+        if b._grid is None:
+            assert [r.levels for r in a.rows] == [r.levels for r in b.rows]
+            assert [_bits(r.mass) for r in a.rows] == \
+                [_bits(r.mass) for r in b.rows]
+        else:
+            assert a.grid().shape == b.grid().shape
+            assert _bits(a.grid()) == _bits(b.grid())
+            assert not a.grid().flags.writeable
+
+
 def count_validate(monkeypatch) -> list:
     """Record every net passed to ``validate``, under every name that the
-    tvrobust modules bind it to; returns the list of nets."""
+    tvrobust modules bind it to, and every net that ``parse_model``
+    accepts without it (marked valid by ``cli_io._parsed_net``); returns
+    the list of nets, one per whole-model check."""
     calls = []
     real = bn_model.validate
+    real_parsed = cli_io._parsed_net
 
     def counted(net):
         calls.append(net)
         return real(net)
 
+    def counted_parsed(doc):
+        net = real_parsed(doc)
+        if net._validated:
+            calls.append(net)
+        return net
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "tvrobust" and \
                 getattr(module, "validate", None) is real:
             monkeypatch.setattr(module, "validate", counted)
+    monkeypatch.setattr(cli_io, "_parsed_net", counted_parsed)
     return calls
 
 

@@ -246,7 +246,11 @@ def test_topological_order_equals_rescan_loop():
     rng = np.random.default_rng(404)
     shuffled_out_of_order = cycles = 0
     for _ in range(60):
+        # random_net declares every parent before its child, so its order
+        # is the declaration order, as the rescan loop finds it too
         base = random_net(rng, 4, 14)
+        assert topological_order(base) == scalar_topological_order(base) \
+            == base.names()
         perm = rng.permutation(len(base.variables))
         net = _net([base.variables[i] for i in perm],
                    [base.cpts[i] for i in perm])
@@ -254,15 +258,17 @@ def test_topological_order_equals_rescan_loop():
         assert order == scalar_topological_order(net)
         shuffled_out_of_order += order != net.names()
         # a back edge from the last declared variable of the base order
-        # onto an ancestor of it closes a cycle
+        # onto an ancestor of it closes a cycle, in either declaration
         names = base.names()
         for child in names[:-1]:
             if names[-1] in descendants_map(base)[child]:
-                cyclic = _with_parent(net, child, names[-1])
-                got = _order_or_message(topological_order, cyclic)
-                assert got.startswith("DomainError: cycle detected involving")
-                assert got == _order_or_message(scalar_topological_order,
-                                                cyclic)
+                for n in (net, base):
+                    cyclic = _with_parent(n, child, names[-1])
+                    got = _order_or_message(topological_order, cyclic)
+                    assert got.startswith(
+                        "DomainError: cycle detected involving")
+                    assert got == _order_or_message(
+                        scalar_topological_order, cyclic)
                 cycles += 1
                 break
     assert shuffled_out_of_order >= 50

@@ -520,6 +520,47 @@ def test_calibrated_factors_match_dense_joint_on_chains(n):
         _assert_calibrated_matches_dense(net, {f"X{d}"}, {f"X{n}"})
 
 
+def _shared_factors(net, donor, target) -> list[float]:
+    """Check each exact factor whose outputs share a variable of two or
+    more levels with its conditioning set: path_impact prices it 1.0, and
+    its dense table's diameter is within 4e-16 of 1; returns those
+    diameters."""
+    tree, path = donor_target_path(net, donor, target)
+    joint = _ancestral_joint(net, {v for c in path.cliques for v in c})
+    results = [path_impact(net, path, "exact", tree=tree),
+               path_impact(net, path, "exact")]
+    shared = []
+    for i, (outputs, given) in enumerate(path_factor_specs(path)):
+        if not any(len(net.variable(n).levels) > 1
+                   for n in set(outputs) & set(given)):
+            continue
+        dense = _pair_scan(_factor_table(net, joint, outputs, given))[0]
+        assert abs(dense - 1.0) <= 4e-16
+        assert [r.certificate[i].value for r in results] == [1.0, 1.0]
+        shared.append(dense)
+    return shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+def test_factors_sharing_a_variable_are_exactly_one(seed, d, t):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 4, 10)
+    names = net.names()
+    for n in (net, shuffle_parents(net, rng)):
+        _shared_factors(n, {names[d % len(names)]}, {names[t % len(names)]})
+
+
+def test_chain_factors_sharing_a_variable_are_exactly_one():
+    # each interior step of a two-parent chain shares one variable; on
+    # this chain rounding takes some dense diameters off 1
+    net = chain_net(np.random.default_rng(31), 8)
+    dense = [d for v in range(1, 8)
+             for d in _shared_factors(net, {f"X{v}"}, {"X8"})]
+    assert len(dense) >= 15
+    assert any(d != 1.0 for d in dense)
+
+
 def test_exact_impact_does_not_build_a_joint(ten_node, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exact mode built a dense joint")
@@ -620,3 +661,50 @@ def test_exact_impact_under_an_interior_structural_zero():
         with pytest.raises(DomainError, match="^conditioning configuration "
                                               "has zero probability: B=f$"):
             path_impact(net, path, "exact", tree=t)
+
+
+def _two_parent_chain(levels=None, fixed=None) -> BayesNet:
+    """X1..X5, each Xi with parents X(i-2) and X(i-1); binary unless
+    ``levels`` names other levels, rows random and positive unless
+    ``fixed`` gives them."""
+    levels, fixed = levels or {}, fixed or {}
+    rng = np.random.default_rng(5)
+    names = ("X1", "X2", "X3", "X4", "X5")
+    variables, cpts = [], []
+    for i, n in enumerate(names):
+        ps = names[max(0, i - 2):i]
+        ls = levels.get(n, ("s0", "s1"))
+        pl = tuple(levels.get(p, ("s0", "s1")) for p in ps)
+        w = rng.uniform(0.05, 1.0, size=(int(np.prod([len(x) for x in pl])),
+                                         len(ls)))
+        w = np.array(fixed[n], dtype=np.float64) if n in fixed \
+            else w / w.sum(axis=1, keepdims=True)
+        variables.append(Variable(n, ls))
+        cpts.append(Cpt.of(n, ls, ps, pl, w))
+    return BayesNet.of(variables, cpts)
+
+
+def test_a_shared_factor_keeps_the_zero_probability_check():
+    # X3 copies X2, so (X2=s0, X3=s1) has probability 0; only the
+    # interior factor P(X3, X4 | X2, X3), which shares X3, conditions on it
+    net = _two_parent_chain(fixed={"X3": [(1.0, 0.0), (0.0, 1.0)] * 2})
+    tree, path = donor_target_path(net, {"X1"}, {"X5"})
+    specs = path_factor_specs(path)
+    assert specs[1] == (("X3", "X4"), ("X2", "X3"))
+    joint = _ancestral_joint(net, net.names())
+    message = "^conditioning configuration has zero probability: X2=s0, X3=s1$"
+    with pytest.raises(DomainError, match=message):
+        _factor_table(net, joint, *specs[1])
+    for t in (tree, None):
+        with pytest.raises(DomainError, match=message):
+            path_impact(net, path, "exact", tree=t)
+
+
+def test_a_shared_variable_of_one_level_is_priced_from_its_table():
+    net = _two_parent_chain(levels={"X3": ("only",)},
+                            fixed={"X3": [(1.0,)] * 4})
+    _, path = donor_target_path(net, {"X1"}, {"X5"})
+    assert path_factor_specs(path)[1] == (("X3", "X4"), ("X2", "X3"))
+    assert _shared_factors(net, {"X1"}, {"X5"}) == []
+    _assert_calibrated_matches_dense(net, {"X1"}, {"X5"})
+    assert path_impact(net, path, "exact").certificate[1].value < 1.0

@@ -25,8 +25,9 @@ from tvrobust import (
 from tvrobust import cli_io
 from tvrobust.cli_io import _emit_json
 
-from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, count_validate,
-                      reference_parse_error, reference_row_error)
+from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, assert_same_net,
+                      count_validate, random_net, reference_parse_error,
+                      reference_parse_model, reference_row_error)
 
 FIXTURES = ("native_fish_fragment", "native_fish_variant",
             "ten_node_demo", "broken_model")
@@ -302,6 +303,136 @@ def test_parse_keeps_an_empty_row_for_validation(k):
     assert violations == [f"B: row {k}: 0 masses for 3 levels"]
     with pytest.raises(ParseError, match="0 masses for 3 levels"):
         parse_model(text)
+
+
+# Loading against the plain build: parse_model accepts a clean document
+# in whole-model passes and hands anything else to validate, so every
+# defect below must come out as the table-by-table build plus a full
+# check would report it.
+
+def _grow_parents(doc, entry, parent) -> None:
+    """Add ``parent`` last to ``entry``'s parents, each row repeated once
+    per level of it, so the row count still fits."""
+    card = next(len(v["levels"]) for v in doc["variables"]
+                if v["name"] == parent)
+    entry["parents"].append(parent)
+    entry["rows"] = [list(r) for r in entry["rows"] for _ in range(card)]
+
+
+def _mutate(doc, kind: str, rng) -> None:
+    variables, cpts = doc["variables"], doc["cpts"]
+    names = [v["name"] for v in variables]
+    entry = cpts[int(rng.integers(len(cpts)))]
+    rows = entry["rows"]
+    row = rows[int(rng.integers(len(rows)))] if rows else []
+    m = int(rng.integers(len(row))) if row else 0
+    if kind == "drop row" and rows:
+        rows.pop()
+    elif kind == "extra row":
+        rows.append(list(rows[0]) if rows else [])
+    elif kind == "long row":
+        row.append(0.0)
+    elif kind == "short row" and row:
+        row.pop()
+    elif kind in ("negative", "nan", "inf", "-inf") and row:
+        row[m] = {"negative": -abs(row[m]) - 0.1, "nan": math.nan,
+                  "inf": math.inf, "-inf": -math.inf}[kind]
+    elif kind.startswith("sum") and row:
+        row[m] += float(kind.split()[1])
+    elif kind == "duplicate level":
+        levels = variables[int(rng.integers(len(variables)))]["levels"]
+        levels[-1] = levels[0]
+    elif kind == "duplicate parent":
+        for c in cpts:
+            if c["parents"]:
+                _grow_parents(doc, c, c["parents"][0])
+                break
+    elif kind == "empty name":
+        old = names[int(rng.integers(len(names)))]
+        for v in variables:
+            v["name"] = "" if v["name"] == old else v["name"]
+        for c in cpts:
+            c["child"] = "" if c["child"] == old else c["child"]
+            c["parents"] = ["" if p == old else p for p in c["parents"]]
+    elif kind == "self-loop":
+        _grow_parents(doc, entry, entry["child"])
+    elif kind == "back edge":
+        # a later variable as parent of an earlier one: a cycle when the
+        # earlier one is its ancestor, else an order that is not
+        # topological
+        i, j = sorted(rng.choice(len(names), size=2, replace=False))
+        child = next(c for c in cpts if c["child"] == names[i])
+        if names[j] not in child["parents"]:
+            _grow_parents(doc, child, names[j])
+    elif kind == "shuffle":
+        rng.shuffle(variables)
+        rng.shuffle(cpts)
+
+
+LOAD_DEFECTS = ("drop row", "extra row", "long row", "short row", "negative",
+                "nan", "inf", "-inf", "sum 4e-10", "sum -4e-10", "sum 6e-10",
+                "sum -6e-10", "duplicate level", "duplicate parent",
+                "empty name", "self-loop", "back edge", "shuffle")
+
+
+def _assert_loads_as_reference(text: str) -> list[str] | None:
+    """``parse_model`` in both modes against ``reference_parse_model``;
+    returns the violations, or None for a ParseError."""
+    try:
+        want, violations = reference_parse_model(text)
+    except ParseError as e:
+        for strict in (False, True):
+            with pytest.raises(ParseError) as err:
+                parse_model(text, strict=strict)
+            assert str(err.value) == str(e)
+        return None
+    got, got_violations = parse_model(text, strict=False)
+    assert got_violations == violations
+    assert_same_net(got, want)
+    assert got._validated == (not violations)
+    if violations:
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert str(err.value) == str(ParseError(
+            "model failed validation: " + "; ".join(violations)))
+    else:
+        assert_same_net(parse_model(text), want)
+    return violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(LOAD_DEFECTS), max_size=3))
+def test_parse_model_matches_the_plain_build_and_validate(seed, kinds):
+    rng = np.random.default_rng(seed)
+    doc = model_document(random_net(rng, 2, 8))
+    for kind in kinds:
+        _mutate(doc, kind, rng)
+    _assert_loads_as_reference(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", LOAD_DEFECTS)
+def test_each_load_defect_is_named_as_the_plain_build_names_it(kind):
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        doc = model_document(random_net(rng, 4, 8))
+        _mutate(doc, kind, rng)
+        text = json.dumps(doc)
+        violations = _assert_loads_as_reference(text)
+        # an unmarked net is left to validate, which names any violation
+        net = cli_io._parsed_net(json.loads(text, parse_int=float))
+        seen.add(("violation" if violations else "clean",
+                  "whole-model" if net._validated else "validate"))
+    if kind in ("sum 4e-10", "sum -4e-10", "shuffle"):
+        assert seen == {("clean", "whole-model")}
+    elif kind in ("sum 6e-10", "sum -6e-10"):
+        # past the bulk margin but within tolerance: validate clears it
+        assert seen == {("clean", "validate")}
+    elif kind == "back edge":
+        assert seen == {("clean", "whole-model"), ("violation", "validate")}
+    else:
+        assert seen == {("violation", "validate")}
 
 
 def test_huge_integer_mass_is_a_nonfinite_violation(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """A ratchet on the public surface and on the library's definitions.
 
 Every name in ``tvrobust.__all__``, and every module-level function and
-class in ``src/tvrobust``, should be used by other library code, by the
-benchmark, or be documented in README.md.  The sets below name the
-exceptions, which are used only by tests today.  They may only shrink:
-a new definition that nothing else uses fails these tests, and so does
-a listed name that has since found a use and should leave its list.
+class in ``src/tvrobust``, should be used by other library code or by
+the benchmark, as a name or attribute in code (a mention in a docstring
+or comment is not a use), or be documented in README.md.  The sets
+below name the exceptions, which are used only by tests today.  They
+may only shrink: a new definition that nothing else uses fails these
+tests, and so does a listed name that has since found a use and should
+leave its list.
 """
 
 import ast
@@ -24,47 +26,47 @@ TEST_ONLY = set()
 UNUSED_DEFINITIONS = {"counterpart_cost"}
 
 
+def _identifiers(tree) -> set:
+    """Every name that ``tree`` reads or writes as code: each
+    ``ast.Name`` and the attribute of each ``ast.Attribute``; docstrings,
+    comments and other strings do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 @functools.cache
 def _modules() -> tuple:
-    """(file name, lines, {name: (first, last) line}) of each module,
-    spanning its top-level functions and classes, decorators included."""
+    """(file name, [(definition name or None, identifiers)]) of each
+    module, one pair per top-level statement; a function or class is
+    named, with its decorators."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        spans = {node.name: (min([node.lineno] + [d.lineno for d in
-                                                  node.decorator_list]),
-                             node.end_lineno)
-                 for node in ast.parse(text).body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        out.append((path.name, text.splitlines(), spans))
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        out.append((path.name, [
+            (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             else None, _identifiers(node))
+            for node in body]))
     return tuple(out)
 
 
-def _library_text(name: str) -> str:
-    """The package's modules, bar ``__init__``, without the top-level
-    definition of ``name`` itself."""
-    parts = []
-    for file_name, lines, spans in _modules():
-        if file_name == "__init__.py":
-            continue
-        if name in spans:
-            start, end = spans[name]
-            lines = lines[:start - 1] + lines[end:]
-        parts.append("\n".join(lines))
-    return "\n".join(parts)
-
-
 @functools.cache
-def _benchmark_and_readme() -> str:
-    return "\n".join(
-        [p.read_text(encoding="utf-8")
-         for p in sorted((ROOT / "perfbench").glob("*.py"))]
-        + [(ROOT / "README.md").read_text(encoding="utf-8")])
+def _benchmark() -> set:
+    return set().union(*(_identifiers(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in sorted((ROOT / "perfbench").glob("*.py"))))
 
 
 def _used(name: str) -> bool:
-    return any(re.search(rf"\b{re.escape(name)}\b", text)
-               for text in (_library_text(name), _benchmark_and_readme()))
+    """Used in the code of another definition of the package (bar
+    ``__init__``) or of the benchmark, or mentioned in README.md."""
+    return (any(name in ids and defined != name
+                for file_name, statements in _modules()
+                if file_name != "__init__.py"
+                for defined, ids in statements)
+            or name in _benchmark()
+            or re.search(rf"\b{re.escape(name)}\b",
+                         (ROOT / "README.md").read_text(encoding="utf-8"))
+            is not None)
 
 
 def test_exports_used_only_by_tests_are_exactly_the_listed_ones():
@@ -73,5 +75,6 @@ def test_exports_used_only_by_tests_are_exactly_the_listed_ones():
 
 
 def test_definitions_used_only_by_tests_are_exactly_the_listed_ones():
-    names = {name for _, _, spans in _modules() for name in spans}
+    names = {name for _, statements in _modules()
+             for name, _ in statements if name is not None}
     assert {name for name in names if not _used(name)} == UNUSED_DEFINITIONS
