@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvrobust import (
     Cpt,
@@ -22,6 +23,7 @@ from tvrobust import (
     tv_distance,
     variation_matrix,
 )
+from tvrobust import tv_core
 
 from conftest import (
     DROUGHT_LEVELS,
@@ -122,6 +124,18 @@ def test_diameter_of_worked_table():
 def test_diameter_single_row_is_zero():
     t = Cpt.of("A", ("x", "y"), (), (), [ProbVec(("x", "y"), (0.3, 0.7))])
     assert diameter(t) == 0.0
+
+
+def test_a_table_without_columns_or_rows_has_diameter_zero():
+    """Rows with no child levels are all equal, as empty ProbVecs are."""
+    t = Cpt("A", (), ("P",), (("x", "y", "z"),), np.zeros((3, 0)))
+    assert tv_distance(ProbVec((), ()), ProbVec((), ())) == 0.0
+    assert (diameter(t), diameter_witness(t)) == (0.0, (0, 0))
+    assert parent_diameter(t, 0) == cpt_tv_plus(t, t) == 0.0
+    assert variation_matrix(t).entries == ((0.0,) * 3,) * 3
+    # a parent with no levels leaves no rows and no pair
+    none = Cpt("A", ("a", "b"), ("P",), ((),), np.zeros((0, 2)))
+    assert (diameter(none), diameter_witness(none)) == (0.0, (0, 0))
 
 
 def test_local_diameter_restricts_rows():
@@ -338,6 +352,93 @@ def test_pair_scan_blocks_keep_the_lowest_witness():
     assert (cpt_superbound(t, t), superbound_witness(t, t)) == \
         scalar_superbound(t, t) == (1.0, (40, 250))
     assert local_diameter(t, range(100, 300)) == 1.0
+
+
+def _with_permuted_far_pairs(rng, X, copies=3):
+    """``X`` with copies of its farthest row pair, each under its own
+    order of the levels: TVs equal in exact arithmetic, reached through
+    other events, so rounding decides the witness."""
+    r, k = X.shape
+    if r > 1:
+        i, j = divmod(int(np.abs(X[:, None] - X).sum(axis=-1).argmax()), r)
+        for _ in range(copies):
+            at = rng.choice(r, 2, replace=False)
+            X[at] = X[[i, j]][:, rng.permutation(k)]
+    return X
+
+
+@st.composite
+def _scan_tables(draw):
+    """A table of 1-300 rows and 1 to one past _EVENT_LEVELS levels, of
+    one of the kinds that the event-sum path must read as the scan does.
+    Rows drawn by hypothesis are planted among numpy-drawn ones."""
+    r = draw(st.integers(1, 300))
+    k = draw(st.integers(1, tv_core._EVENT_LEVELS + 1))
+    kind = draw(st.sampled_from(["mass", "scaled", "repeated", "quarter",
+                                 "one-hot", "equal", "non-finite",
+                                 "permuted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "mass":
+        X = rng.dirichlet(np.ones(k), size=r)
+    elif kind == "scaled":  # rows that do not sum to 1
+        X = rng.uniform(-1.0, 1.0, (r, k)) * 10.0 ** draw(st.integers(-12, 6))
+    elif kind == "repeated":
+        X = rng.dirichlet(np.ones(k), size=3)[rng.integers(3, size=r)]
+    elif kind == "quarter":
+        X = rng.integers(0, 5, (r, k)) / 4
+    elif kind == "one-hot":  # ties well past the candidate cap
+        X = np.eye(k)[rng.integers(k, size=r)]
+    elif kind == "equal":
+        X = np.tile(rng.dirichlet(np.ones(k)), (r, 1))
+    elif kind == "permuted":
+        X = _with_permuted_far_pairs(rng, rng.dirichlet(np.ones(k), size=r))
+    else:
+        X = rng.dirichlet(np.ones(k), size=r)
+        X.flat[rng.integers(X.size, size=3)] = draw(st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf]), min_size=3,
+            max_size=3))
+    if kind != "equal":
+        row = st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)
+        for planted in draw(st.lists(row, max_size=3)):
+            X[rng.integers(r)] = planted
+    levels = tuple(f"l{c}" for c in range(k))
+    return Cpt("C", levels, ("P",), (tuple(f"p{i}" for i in range(r)),), X)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@settings(max_examples=80, deadline=None)
+@given(_scan_tables())
+def test_diameter_and_witness_equal_the_scalar_scan(t):
+    got = (diameter(t), diameter_witness(t))
+    assert got == scalar_diameter(t)
+    assert type(got[0]) is float
+    if len(set(t.rows)) == 1:
+        assert got == (0.0, (0, 0))
+
+
+def test_rounding_ties_between_events_keep_the_witness():
+    """Far pairs whose TVs differ only by rounding, in other events."""
+    rng = np.random.default_rng(81)
+    for _ in range(300):
+        k = int(rng.integers(3, tv_core._EVENT_LEVELS + 1))
+        r = int(rng.integers(max(tv_core._EVENT_ROWS,
+                                 tv_core._EVENT_CELLS // k + 1), 200))
+        X = _with_permuted_far_pairs(rng, rng.dirichlet(np.ones(k), size=r))
+        X *= rng.uniform(0.5, 3.0)
+        assert tv_core._pair_scan(X) == tv_core._block_scan(X, None, 0.0)
+
+
+@pytest.mark.parametrize("k,cards", [(8, (4, 4, 4, 4)), (10, (4, 4, 8)),
+                                     (10, (4, 4, 4))])
+def test_wide_tables_take_the_event_sum_path(monkeypatch, k, cards):
+    """256 x 8, 128 x 10 and 64 x 10 tables never compare every pair."""
+    t = random_table(np.random.default_rng(80), k, cards)
+    want = scalar_diameter(t)
+
+    def no_block_scan(*args):
+        raise AssertionError("block scan taken")
+    monkeypatch.setattr(tv_core, "_block_scan", no_block_scan)
+    assert (diameter(t), diameter_witness(t)) == want
 
 
 def _tables_of_every_origin():
