@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bn_model import (BayesNet, Variable, _ancestral_subnet, _require_valid,
-                       ancestral_set)
-from .bounds import _bound_pricer, _impact_product
+                       topological_order)
 from .errors import DomainError
-from .jtree import _ancestral_tree, _host_path, path_factor_specs
 from .tv_core import (
     Cpt,
     _convex_sum,
@@ -213,58 +211,63 @@ def amalgamation_suggest(net: BayesNet, variable: str):
 @dataclass(frozen=True)
 class PriorityRecord:
     variable: str
-    score: float | None
+    score: float
     note: str
 
 
 def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
-    """Rank every CPT by its worst-case influence on the target margin.
+    """Rank every CPT by how far an error in it can move the target margin.
 
-    A variable outside the ancestral set of the targets cannot move
-    their margin at all, since summing out its table leaves the rest of
-    the joint unchanged (a barren node, Shachter 1986); it scores 0 with
-    the note "not an ancestor of the target".  Every ancestor's family
-    lies inside that set, so the ancestral set of the family and the
-    targets is the targets' own: one moral graph, one junction tree and
-    one bound pricer, all built on that set alone, serve every ancestor.
-    The clique holding its family (itself plus its parents) is connected
-    to the clique holding the targets on that tree, and the score is the
-    impact product along that path assembled from elicited CPT diameters
-    alone.  Families
-    sharing the target clique score 1; a path crossing a table with
-    identical rows scores 0; a family whose path cannot be priced
-    without fresh elicitation gets a note instead of a score, as does
-    one the path search itself rejects.  An empty or unknown target
-    raises ``DomainError``.  Records are sorted by descending score,
-    declaration order on ties; scoreless entries sort last.
+    A table edit that moves each row by at most ε (``cpt_tv_plus``)
+    moves the joint law of the targets by at most ε times the score.
+    Couple the nets before and after the edit variable by variable in
+    topological order: a child whose parents differ on a set S differs
+    with probability at most the sum of its ``parent_diameter`` over S,
+    and the targets' law moves by at most the chance that the first
+    target to differ does (Dobrushin's comparison theorem on a DAG).  So
+    the score of an ancestor is min(1, w), where w sums, over the
+    directed paths from the variable that stop at the first target,
+    the product of the ``parent_diameter`` of each edge: the deltas
+    that ``edge_deletion_report`` prints.  One pass over the ancestral
+    set in reverse topological order gives every w, and no junction tree
+    is built.  Edits to several tables move the margin by at most the
+    sum of ε times score over the tables edited.
+
+    A target scores 1 with the note "a target".  A variable outside the
+    ancestral set of the targets cannot move their margin, since summing
+    out its table leaves the rest of the joint unchanged (a barren node,
+    Shachter 1986); it scores 0 with the note "not an ancestor of the
+    target".  An ancestor whose every path crosses a table with
+    identical rows in the parent on the path scores 0 with the note "no
+    influence path to the target".  An empty or unknown target raises
+    ``DomainError``.  Records are sorted by descending score,
+    declaration order on ties.
     """
     _require_valid(net)
     targets = list(targets)
     if not targets:
         raise DomainError("target set must be nonempty")
     # checked in the order given, so an unknown name is reported stably
-    ancestors = ancestral_set(net, targets)
+    order = topological_order(_ancestral_subnet(net, targets))
     targets = set(targets)
-    jt = _ancestral_tree(net, ancestors)
-    price = _bound_pricer(_ancestral_subnet(net, ancestors))
+    weight = {n: float(n in targets) for n in order}
+    for c in reversed(order):
+        if weight[c]:
+            t = net.cpt(c)
+            for j, p in enumerate(t.parents):
+                if p not in targets:
+                    weight[p] += parent_diameter(t, j) * weight[c]
     records = []
-    for v, t in zip(net.variables, net.cpts):
-        if v.name not in ancestors:
+    for v in net.variables:
+        if v.name in targets:
+            records.append(PriorityRecord(v.name, 1.0, "a target"))
+        elif v.name not in weight:
             records.append(PriorityRecord(v.name, 0.0,
                                           "not an ancestor of the target"))
-            continue
-        try:
-            path = _host_path(jt, {v.name, *t.parents}, targets)
-            result = _impact_product(path_factor_specs(path), price, "bound")
-        except DomainError as e:
-            records.append(PriorityRecord(v.name, None, str(e)))
-            continue
-        note = ""
-        if len(path.cliques) == 1:
-            note = "family shares the target clique"
-        elif result.value == 0.0:
-            note = "no influence path to the target"
-        records.append(PriorityRecord(v.name, result.value, note))
-    records.sort(key=lambda r: -_rank_key(r.score)
-                 if r.score is not None else 1.0)
+        else:
+            w = weight[v.name]
+            records.append(PriorityRecord(
+                v.name, min(1.0, w),
+                "" if w else "no influence path to the target"))
+    records.sort(key=lambda r: -_rank_key(r.score))
     return tuple(records)
