@@ -8,9 +8,8 @@ import pytest
 
 from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
                       UGraph, Variable, ancestral_set, build_junction_tree,
-                      cpt_superbound, cpt_tv_plus, diameter,
-                      donor_target_path, moralize, parent_diameter,
-                      path_impact, topological_order, triangulate,
+                      cpt_superbound, cpt_tv_plus, diameter, moralize,
+                      parent_diameter, topological_order, triangulate,
                       tv_distance)
 from tvrobust import bn_model, cli_io
 from tvrobust.advisors import PriorityRecord
@@ -413,33 +412,40 @@ def scalar_topological_order(net: BayesNet) -> tuple[str, ...]:
 
 
 def reference_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
-    """``elicitation_priority`` as the plain per-variable composition:
-    a variable outside the ancestral set of the targets gets the fixed
-    record (0.0, "not an ancestor of the target"); every other family
-    gets ``donor_target_path`` then bound ``path_impact``, each call
-    redoing its own net-wide work and building its own tree."""
+    """``elicitation_priority`` as a plain enumeration of directed paths:
+    every walk backwards over parent edges from a target that steps onto
+    no target is a path from its last variable to the first target it
+    meets, worth the product of ``scalar_parent_diameter`` over its
+    edges; a variable scores min(1, the sum of its paths).  Targets get
+    (1.0, "a target") and variables outside the ancestral set of the
+    targets (0.0, "not an ancestor of the target")."""
     ancestors = ancestral_set(net, targets)
+    targets = set(targets)
+    total = dict.fromkeys(ancestors, 0.0)
+
+    def walk(child, product):
+        t = net.cpt(child)
+        for j, p in enumerate(t.parents):
+            if p not in targets:
+                term = product * scalar_parent_diameter(t, j)
+                total[p] += term
+                walk(p, term)
+
+    for t in targets:
+        walk(t, 1.0)
     records = []
-    for v, t in zip(net.variables, net.cpts):
-        if v.name not in ancestors:
+    for v in net.variables:
+        if v.name in targets:
+            records.append(PriorityRecord(v.name, 1.0, "a target"))
+        elif v.name not in ancestors:
             records.append(PriorityRecord(v.name, 0.0,
                                           "not an ancestor of the target"))
-            continue
-        family = {v.name} | set(t.parents)
-        try:
-            _, path = donor_target_path(net, family, set(targets))
-            result = path_impact(net, path, "bound")
-        except DomainError as e:
-            records.append(PriorityRecord(v.name, None, str(e)))
-            continue
-        note = ""
-        if len(path.cliques) == 1:
-            note = "family shares the target clique"
-        elif result.value == 0.0:
-            note = "no influence path to the target"
-        records.append(PriorityRecord(v.name, result.value, note))
-    records.sort(key=lambda r: -round(r.score, 9)
-                 if r.score is not None else 1.0)
+        else:
+            w = total[v.name]
+            records.append(PriorityRecord(
+                v.name, min(1.0, w),
+                "" if w else "no influence path to the target"))
+    records.sort(key=lambda r: -round(r.score, 9))
     return tuple(records)
 
 

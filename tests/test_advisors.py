@@ -278,39 +278,50 @@ def test_counterpart_cost_against_externally_given_table(fragment):
     assert abs(cost - 0.075) <= 1e-12
 
 
-def test_priority_fragment_all_share_target_clique(fragment):
+def test_priority_fragment_scores_are_the_edges_deltas(fragment):
+    """Each parent of the target scores the delta ``edges`` prints for
+    its edge into it."""
     got = elicitation_priority(fragment, ("TreeCondition",))
-    assert [r.variable for r in got] == ["Drought", "Rainfall",
-                                         "TreeCondition"]
-    for r in got:
-        assert r.score == 1.0
-        assert r.note == "family shares the target clique"
+    assert [(r.variable, r.note) for r in got] == [
+        ("TreeCondition", "a target"), ("Drought", ""), ("Rainfall", "")]
+    assert got[0].score == 1.0
+    assert abs(got[1].score - 0.6) <= 1e-12
+    assert abs(got[2].score - 0.2) <= 1e-12
+    deltas = {r.parent: r.delta
+              for r in edge_deletion_report(fragment).records}
+    assert [r.score for r in got[1:]] == [deltas["Drought"],
+                                          deltas["Rainfall"]]
 
 
 def test_priority_demo_target_x9(ten_node):
     got = elicitation_priority(ten_node, ("X9",))
     by_name = {r.variable: r for r in got}
-    assert got[0].variable == "X9"
-    assert got[0].score == 1.0
+    assert got[0] == PriorityRecord("X9", 1.0, "a target")
     # X6, X8 and X10 are not ancestors of X9: their tables cannot move
-    # it, so they score 0 and sort last, and no record is scoreless
+    # it, so they score 0 and sort last
     assert got[-3:] == tuple(
         PriorityRecord(n, 0.0, "not an ancestor of the target")
         for n in ("X6", "X8", "X10"))
-    assert all(r.score is not None for r in got)
-    d = {n: diameter(ten_node.cpt(n)) for n in by_name}
-    assert by_name["X7"].score == pytest.approx(d["X7"] * d["X9"], abs=1e-12)
-    assert by_name["X5"].score == pytest.approx(
-        d["X5"] * d["X7"] * d["X9"], abs=1e-12)
-    assert by_name["X3"].score == pytest.approx(by_name["X4"].score,
-                                                abs=1e-15)
-    assert by_name["X1"].score == pytest.approx(by_name["X2"].score,
-                                                abs=1e-15)
-    assert by_name["X1"].score == pytest.approx(
-        d["X2"] * d["X4"] * d["X5"] * d["X7"] * d["X9"], abs=1e-12)
-    # attenuation only shrinks scores walking away from the target
-    chain = [by_name[n].score for n in ("X1", "X4", "X5", "X7", "X9")]
-    assert chain == sorted(chain)
+
+    def c(parent, child):
+        t = ten_node.cpt(child)
+        return parent_diameter(t, parent_index(t, parent))
+
+    # X7's only path to X9 is its edge into X9
+    assert abs(by_name["X7"].score - 0.118671) <= 5e-7
+    assert by_name["X7"].score == c("X7", "X9")
+    want = {"X7": c("X7", "X9")}
+    want["X5"] = c("X5", "X7") * want["X7"]
+    want["X4"] = c("X4", "X5") * want["X5"]
+    want["X3"] = c("X3", "X4") * want["X4"]
+    # X2 reaches X4 directly and through X3: the two paths add up
+    want["X2"] = (c("X2", "X4") + c("X2", "X3") * c("X3", "X4")) * want["X4"]
+    want["X1"] = c("X1", "X2") * want["X2"]
+    for n, w in want.items():
+        assert by_name[n].score == pytest.approx(w, rel=1e-12)
+        assert by_name[n].note == ""
+    assert [r.variable for r in got[1:7]] == ["X7", "X5", "X4", "X2", "X3",
+                                             "X1"]
 
 
 def test_priority_disconnected_family_scores_zero():
@@ -327,8 +338,6 @@ def test_priority_disconnected_family_scores_zero():
     assert by_name["A"].score == 0.0
     assert by_name["A"].note == "not an ancestor of the target"
     assert by_name["C"].score == 1.0
-    # zero-scored families still outrank scoreless ones, of which
-    # this net has none
     assert got[-1].score == 0.0
 
 
@@ -354,22 +363,18 @@ def test_priority_rejects_an_empty_target_set(fragment, monkeypatch):
             elicitation_priority(fragment, targets)
 
 
-def test_priority_builds_one_junction_tree_per_call(ten_node, monkeypatch):
-    """Every ancestor is priced on one tree, however many there are."""
-    built = []
-    build = jtree.build_junction_tree
-    monkeypatch.setattr(jtree, "build_junction_tree",
-                        lambda g: built.append(g) or build(g))
+def test_priority_builds_no_junction_tree(ten_node, monkeypatch):
+    """Every ancestor is scored off the CPTs alone, with no moral graph
+    and no junction tree, however many ancestors there are."""
+    for name in ("moralize", "_moral_graph", "build_junction_tree"):
+        monkeypatch.setattr(jtree, name, None)
     rng = np.random.default_rng(11)
     cases = [(ten_node, ("X9",)), (ten_node, ("X1", "X9")),
              (random_net(rng, 40, 40), ("V39",))]
     for net, targets in cases:
-        built.clear()
         got = elicitation_priority(net, targets)
-        assert len(built) == 1
-        assert len(built[0].vertices) == len(ancestral_set(net, targets))
         assert sum(r.note != "not an ancestor of the target"
-                   for r in got) == len(built[0].vertices)
+                   for r in got) == len(ancestral_set(net, targets))
 
 
 @settings(max_examples=60, deadline=None)
@@ -462,18 +467,18 @@ def _flat_middle_chain() -> BayesNet:
 
 
 def test_priority_equals_per_variable_composition(ten_node):
-    """One moral graph, one junction tree and one pricer per call give
-    the same records, ``==`` on every score, as the plain per-variable
-    composition, which builds a tree for each ancestor's family."""
+    """The one reverse pass gives the same records, every score within
+    1e-12, as the plain enumeration of each variable's directed paths to
+    the first target they meet."""
     rng = np.random.default_rng(2024)
     cases = [(ten_node, ("X9",)), (ten_node, ("X7", "X9")),
              (ten_node, ("X3",)), (ten_node, ("X1", "X9")),
-             (_flat_middle_chain(), ("C",))]
+             (ten_node, ("X4", "X9")), (_flat_middle_chain(), ("C",))]
     for _ in range(12):
         net = random_net(rng, 6, 16)
         names = net.names()
         cases.append((net, (names[int(rng.integers(len(names)))],)))
-        # a child with one of its parents always shares a clique
+        # a child with one of its parents: paths stop at the parent
         child = next(v for v in reversed(names) if net.parents_of(v))
         cases.append((net, (child, net.parents_of(child)[0])))
     # larger nets, where most variables are not ancestors of the target
@@ -490,13 +495,16 @@ def test_priority_equals_per_variable_composition(ten_node):
     notes = set()
     for net, targets in cases:
         got = elicitation_priority(net, targets)
-        assert got == reference_priority(net, targets)
-        notes |= {r.note.split(" ")[0] for r in got}
-    # every kind of record shows up: scored, shared clique, not an
-    # ancestor, a path across a table with identical rows, rejected
-    # target set ("... spans multiple cliques ...") and a factor
-    # conditioned on a descendant ("cannot bound ...")
-    assert {"", "family", "not", "no", "target", "cannot"} <= notes
+        want = reference_priority(net, targets)
+        assert [(r.variable, r.note) for r in got] == \
+            [(r.variable, r.note) for r in want]
+        for g, w in zip(got, want):
+            assert abs(g.score - w.score) <= 1e-12
+        notes |= {r.note for r in got}
+    # every kind of record shows up: scored, a target, not an ancestor
+    # and a path across a table with identical rows
+    assert notes == {"", "a target", "not an ancestor of the target",
+                     "no influence path to the target"}
     flat = {r.variable: r for r in
             elicitation_priority(_flat_middle_chain(), ("C",))}
     assert flat["A"] == PriorityRecord("A", 0.0,
