@@ -218,30 +218,22 @@ class PriorityRecord:
 def elicitation_priority(net: BayesNet, targets) -> tuple[PriorityRecord, ...]:
     """Rank every CPT by how far an error in it can move the target margin.
 
-    A table edit that moves each row by at most ε (``cpt_tv_plus``)
-    moves the joint law of the targets by at most ε times the score.
-    Couple the nets before and after the edit variable by variable in
-    topological order: a child whose parents differ on a set S differs
-    with probability at most the sum of its ``parent_diameter`` over S,
-    and the targets' law moves by at most the chance that the first
-    target to differ does (Dobrushin's comparison theorem on a DAG).  So
-    the score of an ancestor is min(1, w), where w sums, over the
-    directed paths from the variable that stop at the first target,
-    the product of the ``parent_diameter`` of each edge: the deltas
-    that ``edge_deletion_report`` prints.  One pass over the ancestral
-    set in reverse topological order gives every w, and no junction tree
-    is built.  Edits to several tables move the margin by at most the
-    sum of ε times score over the tables edited.
+    Couple the nets before and after a table edit variable by variable
+    (Dobrushin's comparison theorem on a DAG): an ancestor of the
+    targets scores min(1, w), where w sums, over the directed paths from
+    it that stop at the first target, the product of the
+    ``parent_diameter`` of each edge, the deltas ``edge_deletion_report``
+    gives.  One reverse topological pass over the ancestral set gives
+    every w, with no junction tree.  If each row of v's table moves by
+    at most ε_v in TV (``cpt_tv_plus``), the targets' margin moves by at
+    most Σ ε_v · score_v, for one edited table or several.
 
-    A target scores 1 with the note "a target".  A variable outside the
-    ancestral set of the targets cannot move their margin, since summing
-    out its table leaves the rest of the joint unchanged (a barren node,
-    Shachter 1986); it scores 0 with the note "not an ancestor of the
-    target".  An ancestor whose every path crosses a table with
-    identical rows in the parent on the path scores 0 with the note "no
-    influence path to the target".  An empty or unknown target raises
-    ``DomainError``.  Records are sorted by descending score,
-    declaration order on ties.
+    Targets score 1 with the note "a target".  A table outside the
+    ancestral set cannot move the margin (a barren node, Shachter 1986)
+    and scores 0 with the note "not an ancestor of the target"; an
+    ancestor with w = 0 gets "no influence path to the target".  An
+    empty or unknown target raises ``DomainError``.  Records are sorted
+    by descending score, declaration order on ties.
     """
     _require_valid(net)
     targets = list(targets)
