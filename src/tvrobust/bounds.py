@@ -10,7 +10,6 @@ assembled bound, and both are certified factor by factor.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -109,11 +108,13 @@ def _factor_name(outputs, given) -> str:
 
 
 def _bound_pricer(net: BayesNet):
-    """Bound-mode ``price(outputs, given)``; one pricer serves many paths.
+    """Bound-mode ``price(outputs, given)`` for the factors of one path.
 
-    Descendants and each used CPT's diameter are computed once per
-    pricer; the topological rank is read off the descendants map's keys,
-    so the net is sorted once.  A factor is upper-bounded from model CPT
+    Descendants are computed once per pricer; the topological rank is
+    read off the descendants map's keys, so the net is sorted once.  By
+    running intersection, a variable is an output of at most one factor
+    of a junction-tree path, so each CPT diameter is taken at most once
+    and none is cached.  A factor is upper-bounded from model CPT
     diameters alone, its output variables taken in topological order.  A
     variable that already appears in the conditioning set is an identity
     column and contributes 1.  Otherwise its contribution is its own CPT
@@ -124,7 +125,7 @@ def _bound_pricer(net: BayesNet):
     bounded this way and is reported as a gap.
 
     ``net`` may be the ancestral subnet of the variables priced, as
-    ``path_impact`` and ``elicitation_priority`` pass it.  That subnet
+    ``path_impact`` passes it.  That subnet
     keeps their relative topological order, and a directed path from a
     variable to a member of the conditioning set runs through ancestors
     of that member, all inside the subnet, so each descendant in the
@@ -133,7 +134,6 @@ def _bound_pricer(net: BayesNet):
     """
     desc = descendants_map(net)
     topo_rank = {n: i for i, n in enumerate(desc)}
-    cpt_diameter = functools.cache(lambda w: diameter(net.cpt(w)))
 
     def price(outputs, given) -> Factor:
         z = list(given)
@@ -151,7 +151,7 @@ def _bound_pricer(net: BayesNet):
                     f"conditioning set of {w} contains descendant(s) "
                     + ", ".join(sorted(blockers))
                 )
-            d = cpt_diameter(w)
+            d = diameter(net.cpt(w))
             missing = [p for p in net.parents_of(w) if p not in z]
             note = " (absent parents averaged)" if missing else ""
             total += d

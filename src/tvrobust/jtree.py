@@ -327,8 +327,7 @@ def _ancestral_tree(net: BayesNet, keep, complete=()) -> JunctionTree:
     set stays (on A, B -> C, A and B share one clique although they are
     independent).  The tree is that of its min-fill triangulation, built
     from one elimination.  Every query's tree comes from here:
-    ``donor_target_path`` and ``elicitation_priority`` complete nothing,
-    so the two agree on every ancestor's path, and exact ``path_impact``
+    ``donor_target_path`` completes nothing, and exact ``path_impact``
     on a bare path completes each path clique with its factor."""
     return build_junction_tree(_moral_graph(net, keep, complete))
 

@@ -506,10 +506,10 @@ def _outcome(find, net, donor, target):
 
 
 def test_donor_target_path_equals_two_search_reference(ten_node):
-    """Every family/target pair on random nets, the paths
-    ``elicitation_priority`` prices for ancestors, and multi-variable
-    donors and targets on the ten-node demo, give the reference's tree
-    and path, errors included."""
+    """Every family/target pair on random nets, with single-variable
+    targets and targets that hold a child and one of its parents, and
+    multi-variable donors and targets on the ten-node demo, give the
+    reference's tree and path, errors included."""
     rng = np.random.default_rng(903)
     cases = []
     for _ in range(60):
