@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ from tvrobust import (
     amalgamate_levels,
     amalgamation_suggest,
     ancestral_set,
+    cpt_tv_plus,
     delete_edge,
     diameter,
     edge_deletion_report,
@@ -30,6 +35,7 @@ from tvrobust.exact_oracle import marginal_of
 
 from conftest import (
     RAINFALL_LEVELS,
+    TESTS_DIR,
     TREE_LEVELS,
     count_validate,
     random_net,
@@ -402,6 +408,123 @@ def test_non_ancestor_tables_cannot_move_the_target(seed, t):
             fresh if c.child == r.variable else c for c in net.cpts))
         after = marginal_of(joint_mass(edited), (target,)).mass
         assert np.max(np.abs(after - before)) <= 1e-12
+
+
+def _edited_cpt(rng, t: Cpt, mixing: float) -> Cpt:
+    """``t`` with each row moved ``mixing`` of the way to a fresh row:
+    a random vector per row, or one point mass shared by every row, the
+    edit that moves the child's margin furthest."""
+    k = len(t.child_levels)
+    if rng.integers(2):
+        fresh = [random_vector(rng, k).mass for _ in t.rows]
+    else:
+        fresh = [np.eye(k)[int(rng.integers(k))]] * len(t.rows)
+    rows = [(1.0 - mixing) * np.asarray(r.mass) + mixing * np.asarray(f)
+            for r, f in zip(t.rows, fresh)]
+    return Cpt.of(t.child, t.child_levels, t.parents, t.parent_levels,
+                  [ProbVec(t.child_levels, tuple(r / r.sum())) for r in rows])
+
+
+def _with_tables(net: BayesNet, tables) -> BayesNet:
+    return BayesNet.of(net.variables, tuple(tables.get(t.child, t)
+                                            for t in net.cpts))
+
+
+def _random_targets(rng, net: BayesNet, k: int) -> list:
+    names = net.names()
+    picks = rng.choice(len(names), size=min(k, len(names)), replace=False)
+    return [names[int(i)] for i in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.sampled_from([0.1, 0.5, 1.0]))
+def test_one_table_edit_moves_the_targets_by_at_most_eps_times_score(
+        seed, k, mixing):
+    """Editing one table so that each row moves by at most eps in TV
+    (``cpt_tv_plus``) moves the targets' dense margin by at most eps
+    times the table's score."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 4, 8)
+    targets = _random_targets(rng, net, k)
+    before = marginal(net, targets)
+    for r in elicitation_priority(net, targets):
+        old = net.cpt(r.variable)
+        new = _edited_cpt(rng, old, mixing)
+        shift = table_tv(before, marginal(_with_tables(
+            net, {r.variable: new}), targets))
+        assert shift <= cpt_tv_plus(old, new) * r.score + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.sampled_from([0.1, 0.5, 1.0]))
+def test_several_table_edits_move_the_targets_by_at_most_the_score_sum(
+        seed, k, mixing):
+    """Editing several tables at once moves the targets' margin by at
+    most the sum of each table's eps times its score."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 4, 8)
+    targets = _random_targets(rng, net, k)
+    scores = {r.variable: r.score
+              for r in elicitation_priority(net, targets)}
+    names = net.names()
+    edited = rng.choice(len(names), size=int(rng.integers(2, len(names) + 1)),
+                        replace=False)
+    tables = {}
+    budget = 0.0
+    for i in edited:
+        old = net.cpt(names[int(i)])
+        tables[old.child] = _edited_cpt(rng, old, mixing)
+        budget += cpt_tv_plus(old, tables[old.child]) * scores[old.child]
+    shift = table_tv(marginal(net, targets),
+                     marginal(_with_tables(net, tables), targets))
+    assert shift <= budget + 1e-12
+
+
+def test_priority_bounds_the_worst_edit_of_x7(ten_node):
+    """Moving eps of mass between the same two levels in every row of
+    X7's table moves P(X9) by eps times delta(P(X9 | X7)), which is X7's
+    score; the tree-path score it replaced was about a fifth of that."""
+    x7, x9 = ten_node.cpt("X7"), ten_node.cpt("X9")
+    score = {r.variable: r.score
+             for r in elicitation_priority(ten_node, ["X9"])}["X7"]
+    G = x9.grid()
+    gap = max(((a, b) for a in range(len(G)) for b in range(len(G))),
+              key=lambda ab: float(np.abs(G[ab[0]] - G[ab[1]]).sum()))
+    eps = 0.5 * min(float(x7.grid()[:, gap[1]].min()), 0.1)
+    move = np.zeros(len(x7.child_levels))
+    move[list(gap)] = (eps, -eps)
+    new = Cpt.of("X7", x7.child_levels, x7.parents, x7.parent_levels,
+                 x7.grid() + move)
+    assert abs(cpt_tv_plus(x7, new) - eps) <= 1e-15
+    shift = table_tv(marginal(ten_node, ["X9"]),
+                     marginal(_with_tables(ten_node, {"X7": new}), ["X9"]))
+    assert shift == pytest.approx(eps * score, rel=1e-9)
+
+
+def test_priority_records_are_stable_across_hash_seeds():
+    """A target set spanning two cliques of the tree, {X1, X9}, gives
+    every ancestor a score, byte for byte the same under every hash
+    seed."""
+    script = ("import pathlib, tvrobust\n"
+              "net = tvrobust.parse_model(pathlib.Path("
+              "'models/ten_node_demo.json').read_text())\n"
+              "for r in tvrobust.elicitation_priority(net, ['X1', 'X9']):\n"
+              "    print(repr(r))\n")
+    path = [str(TESTS_DIR.parent / "src")] + [
+        p for p in [os.environ.get("PYTHONPATH")] if p]
+    outputs = [subprocess.run(
+        [sys.executable, "-c", script], cwd=TESTS_DIR, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+                 PYTHONHASHSEED=seed),
+        capture_output=True).stdout for seed in ("0", "1", "2", "3")]
+    assert outputs[1:] == outputs[:1] * 3
+    lines = outputs[0].decode().splitlines()
+    assert len(lines) == 10
+    assert lines[:2] == [repr(PriorityRecord(n, 1.0, "a target"))
+                         for n in ("X1", "X9")]
+    assert sum("note=''" in line for line in lines) == 5
 
 
 def _differential_nets():
