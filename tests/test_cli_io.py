@@ -772,6 +772,36 @@ def test_cli_path_command_lists_cliques(capsys, monkeypatch):
     assert "{X7, X9}" in out
 
 
+def _readme_examples():
+    """(argv, expected lines) of each ``$ tvrobust ...`` run in README's
+    "Command line" section; a run whose shown output ends in ``...``
+    expects only the lines before the cut."""
+    text = (TESTS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("A few runs", 1)[1].split("```")[1]
+    runs = []
+    for chunk in block.strip().split("\n\n"):
+        command, *lines = chunk.splitlines()
+        assert command.startswith("$ tvrobust ")
+        runs.append((command.split()[2:], lines))
+    return runs
+
+
+def test_readme_command_line_examples_print_what_readme_shows(
+        capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR.parent)
+    runs = _readme_examples()
+    assert [argv[0] for argv, _ in runs] == ["diameters", "edges", "impact",
+                                            "amalgamate"]
+    for argv, lines in runs:
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        if lines[-1].strip() == "...":
+            lines = lines[:-1]
+            out = out[:len(lines)]
+        assert out == lines, argv
+
+
 def _run_module(argv, **env):
     """(exit code, stdout, stderr) of ``python -m tvrobust`` in a fresh
     process, run in the tests directory on this checkout's source."""
