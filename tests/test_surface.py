@@ -22,7 +22,7 @@ PACKAGE = ROOT / "src" / "tvrobust"
 
 TEST_ONLY = set()
 
-# waits for the target-priced level merge (ROADMAP item 3)
+# waits for the target-priced level merge (ROADMAP item 4)
 UNUSED_DEFINITIONS = {"counterpart_cost"}
 
 
