@@ -186,10 +186,14 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
 
     Each factor is read off the calibrated marginal of the first clique
     of ``tree`` that holds its path clique and its own variables.
-    Without ``tree``, ``_ancestral_tree`` builds it on the path's
-    ancestral subnet with each such set made complete.  The net is
-    validated on the tree's variables, and the size cap is checked,
-    before any table is built, even for a single-clique path.
+    ``tree`` is the one the path was cut from, such as the tree that
+    ``donor_target_path`` builds on the ancestral subnet of the donor
+    and target sets.  Without it, ``_ancestral_tree`` builds one on the
+    path's ancestral subnet with each such set made complete.  A
+    calibrated marginal is the true marginal whichever tree gives it, so
+    the values do not depend on the tree.  The net is validated on the
+    tree's variables, and the size cap is checked, before any table is
+    built, even for a single-clique path.
     """
     priced = [spec for spec in specs if spec[0]]
     scopes = [frozenset(c).union(*spec)
@@ -198,7 +202,7 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
         path.cliques + tuple(scopes) if tree is None else tree.cliques))
     _require_valid(sub)
     if tree is None:
-        tree = _ancestral_tree(sub, frozenset(sub.names()), scopes)
+        tree = _ancestral_tree(sub, scopes)
     tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
 
     def price(outputs, given) -> Factor:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bn_model import BayesNet, ancestral_set
+from .bn_model import BayesNet, _ancestral_subnet
 from .errors import DomainError, ResourceLimitError
 from .exact_oracle import JointTable, state_limit
 
@@ -94,28 +94,21 @@ class CliquePath:
 
 
 def moralize(net: BayesNet) -> UGraph:
-    """Undirected skeleton plus marriage edges between co-parents:
-    ``_moral_graph`` with every variable kept."""
-    return _moral_graph(net, frozenset(net.names()))
+    """Undirected skeleton plus marriage edges between co-parents."""
+    return _moral_graph(net)
 
 
-def _moral_graph(net: BayesNet, keep, complete=()) -> UGraph:
-    """The moral graph over ``keep`` read straight off the CPTs, for a
-    set ``keep`` that holds the parents of each of its variables: each
-    kept child's edges to its parents, and each pair of kept co-parents,
-    also a pair whose common child is not kept.  Every pair inside each
-    variable set of ``complete`` is joined as well."""
+def _moral_graph(net: BayesNet, complete=()) -> UGraph:
+    """The moral graph of ``net`` read straight off the CPTs: each
+    child's edges to its parents and each pair of its co-parents.  Every
+    pair inside each variable set of ``complete`` is joined as well."""
     edges = []
     for v, t in zip(net.variables, net.cpts):
-        parents = t.parents
-        if v.name in keep:
-            edges += [(p, v.name) for p in parents]
-        else:
-            parents = [p for p in parents if p in keep]
-        edges += itertools.combinations(parents, 2)
+        edges += [(p, v.name) for p in t.parents]
+        edges += itertools.combinations(t.parents, 2)
     for s in complete:
         edges += itertools.combinations(s, 2)
-    return UGraph(tuple(n for n in net.names() if n in keep), tuple(edges))
+    return UGraph(net.names(), tuple(edges))
 
 
 def _eliminate(g: UGraph):
@@ -306,56 +299,51 @@ def simple_path(jt: JunctionTree, donor, target) -> CliquePath:
 def donor_target_path(net: BayesNet, donor, target):
     """Clique path of the donor-to-target recipe, graph work only.
 
-    Builds ``_ancestral_tree`` on the ancestral set of both variable
-    sets and takes ``_host_path`` on it.  Returns (junction tree, clique
-    path); no probabilities are touched.
+    Builds ``_ancestral_tree`` on the ancestral subnet of both variable
+    sets, with the donor set and the target set each made complete, and
+    takes ``_host_path`` on it.  Independent variables get cliques joined
+    by an empty separator.  Returns (junction tree, clique path); no
+    probabilities are touched.
     """
     donor = list(donor)
     target = list(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
     # a list, so an unknown name is reported in the order given
-    jt = _ancestral_tree(net, ancestral_set(net, donor + target))
-    return jt, _host_path(jt, set(donor), set(target))
+    sub = _ancestral_subnet(net, donor + target)
+    donor, target = set(donor), set(target)
+    jt = _ancestral_tree(sub, (donor, target))
+    return jt, _host_path(jt, donor, target)
 
 
-def _ancestral_tree(net: BayesNet, keep, complete=()) -> JunctionTree:
-    """Junction tree of the whole net's moral graph restricted to the
-    ancestral set ``keep``, with each variable set in ``complete`` made
-    complete, built by ``_moral_graph`` from the CPTs alone, so no edge
-    outside ``keep`` is made.  A marriage through a child outside that
-    set stays (on A, B -> C, A and B share one clique although they are
-    independent).  The tree is that of its min-fill triangulation, built
-    from one elimination.  Every query's tree comes from here:
-    ``donor_target_path`` completes nothing, and exact ``path_impact``
-    on a bare path completes each path clique with its factor."""
-    return build_junction_tree(_moral_graph(net, keep, complete))
+def _ancestral_tree(sub: BayesNet, complete=()) -> JunctionTree:
+    """Junction tree of the moral graph of the ancestral subnet ``sub``,
+    with each variable set in ``complete`` made complete, built by
+    ``_moral_graph`` from the CPTs alone.  Its cliques are those of the
+    graph's min-fill triangulation, read off one elimination.  Every
+    query's tree comes from here: ``donor_target_path`` completes the
+    donor and target sets, and exact ``path_impact`` on a bare path
+    completes each path clique with its factor."""
+    return build_junction_tree(_moral_graph(sub, complete))
 
 
 def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
     """The simple path on ``jt`` from the lowest-index clique holding
     ``donor`` to the clique holding ``target`` nearest to it, the lower
-    index winning a tie.
+    index winning a tie.  ``jt`` must have a clique holding each set, as
+    a tree built with both sets made complete does.
 
     Ending at the nearest hosting clique keeps the chain of factors as
     short as possible and, for a single-variable target, guarantees the
     target sits among the final clique's fresh variables rather than
     inside the last separator, so the impact product prices its margin.
     """
-    def candidates(members, label: str) -> list[int]:
-        found = [i for i, c in enumerate(jt.cliques)
-                 if members <= frozenset(c)]
-        if not found:
-            raise DomainError(
-                f"{label} set {sorted(members)} spans multiple cliques; "
-                "split it into per-clique subsets"
-            )
-        return found
+    def hosts(members) -> list[int]:
+        return [i for i, c in enumerate(jt.cliques) if members <= frozenset(c)]
 
-    c_donor = candidates(donor, "donor")[0]
-    hosts = candidates(target, "target")
+    c_donor = hosts(donor)[0]
     paths = _tree_paths(jt, c_donor)
-    c_target = min(hosts, key=lambda i: (len(paths[i]), i))
+    c_target = min(hosts(target), key=lambda i: (len(paths[i]), i))
     return _clique_path(jt, paths[c_target])
 
 

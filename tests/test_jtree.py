@@ -221,7 +221,7 @@ def test_completed_tree_equals_the_whole_moral_graph_reference(seed, picks,
     sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
     kept = sub.names()
     scopes = [{kept[i % len(kept)] for i in d} for d in draws]
-    tree = jtree._ancestral_tree(sub, frozenset(kept), scopes)
+    tree = jtree._ancestral_tree(sub, scopes)
     assert tree == reference_path_tree(sub, scopes)
     assert all(any(s <= set(c) for c in tree.cliques) for s in scopes)
 
@@ -565,14 +565,13 @@ def test_clique_marginals_equal_dense_marginals(ten_node):
         _assert_clique_marginals_equal_dense(net, tree)
         sub = _ancestral_subnet(net, {v for c in path.cliques for v in c})
         _assert_clique_marginals_equal_dense(net, jtree._ancestral_tree(
-            sub, frozenset(sub.names()), [set(c) for c in path.cliques]))
+            sub, [set(c) for c in path.cliques]))
 
 
 def test_path_tree_holds_every_path_clique(ten_node):
     # {X1, X9} is no clique of the moral graph; the path tree adds it
     sub = _ancestral_subnet(ten_node, {"X1", "X9"})
-    tree = jtree._ancestral_tree(sub, frozenset(sub.names()),
-                                 [{"X1", "X9"}])
+    tree = jtree._ancestral_tree(sub, [{"X1", "X9"}])
     assert any({"X1", "X9"} <= set(c) for c in tree.cliques)
     assert junction_property_holds(tree)
 
