@@ -835,28 +835,27 @@ def reference_donor_target_path(net: BayesNet, donor, target):
     """``donor_target_path`` as two tree searches: one for the distance
     of every clique from the donor's, to pick the nearest target host
     (lowest index on ties), then ``reference_simple_path`` between the
-    two member tuples.  The tree carries ``reference_rip_order``."""
+    two member tuples.  The tree is that of the triangulated moral graph
+    of the ancestral subnet with the donor and target sets joined, and
+    carries ``reference_rip_order``."""
     donor = set(donor)
     target = set(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
-    keep = ancestral_set(net, donor | target)
-    built = build_junction_tree(triangulate(subgraph(moralize(net), keep)))
+    moral = moralize(bn_model._ancestral_subnet(net, donor | target))
+    pairs = tuple(e for s in (donor, target)
+                  for e in itertools.combinations(s, 2))
+    built = build_junction_tree(triangulate(
+        UGraph(moral.vertices, moral.edges + pairs)))
     jt = JunctionTree(built.cliques, built.tree_edges, reference_rip_order(
         len(built.cliques), built.tree_edges))
 
-    def candidates(members, label: str) -> list[int]:
-        found = [i for i, c in enumerate(jt.cliques)
-                 if members <= frozenset(c)]
-        if not found:
-            raise DomainError(
-                f"{label} set {sorted(members)} spans multiple cliques; "
-                "split it into per-clique subsets"
-            )
-        return found
+    def candidates(members) -> list[int]:
+        return [i for i, c in enumerate(jt.cliques)
+                if members <= frozenset(c)]
 
-    c_donor = candidates(donor, "donor")[0]
-    hosts = candidates(target, "target")
+    c_donor = candidates(donor)[0]
+    hosts = candidates(target)
     dist = {c_donor: 0}
     frontier = [c_donor]
     adj = jt.neighbors()

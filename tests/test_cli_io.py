@@ -669,9 +669,11 @@ def test_cli_missing_file_exits_one(capsys):
 def test_cli_domain_errors_exit_one(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     argv = ["impact", "--from", "X1,X9", "--to", "X5",
-            "models/ten_node_demo.json"]
+            "models/ten_node_demo.json", "--mode", "bound"]
     assert run_cli(argv) == 1
-    assert "spans multiple cliques" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: cannot bound P(X4, X9 | X2, X9): conditioning set of "
+        "X4 contains descendant(s) X9\n")
 
 
 def test_cli_deeply_nested_model_is_one_error_line(tmp_path, capsys):

@@ -176,33 +176,36 @@ def _plain_moralize(net):
     return UGraph(net.names(), tuple(edges))
 
 
-def test_ancestral_tree_keeps_a_marriage_through_a_child_outside():
+def test_ancestral_tree_drops_a_marriage_through_a_child_outside():
     net = _collider()
-    keep = ancestral_set(net, ["A", "B"])
-    assert keep == {"A", "B"}
-    jt = jtree._ancestral_tree(net, keep)
-    assert jt == build_junction_tree(subgraph(moralize(net), keep))
-    assert jt.cliques == (("A", "B"),)
-    # so both modes still price A against B as sharing one clique
+    sub = _ancestral_subnet(net, ["A", "B"])
+    assert sub.names() == ("A", "B")
+    jt = jtree._ancestral_tree(sub)
+    assert jt.cliques == (("A",), ("B",))
+    assert jt.tree_edges == ((0, 1, ()),)
+    # A and B are independent, so both modes price A against B as 0
     _, path = donor_target_path(net, ["A"], ["B"])
-    assert path_impact(net, path, "bound").value == 1.0
+    assert path.separators == ((),)
+    for mode in ("exact", "bound"):
+        assert path_impact(net, path, mode).value == 0.0
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 99),
                                               min_size=1, max_size=3))
-def test_ancestral_tree_equals_the_restricted_whole_moral_graph(seed, picks):
-    """The moral graph built on an ancestral set alone is the whole net's
-    moral graph restricted to it, and ``moralize`` is still the plain
-    skeleton plus marriages."""
+def test_ancestral_tree_is_the_tree_of_the_moral_subnet(seed, picks):
+    """The tree built on an ancestral subnet is that of the subnet's own
+    moral graph, which keeps only edges of the whole net's moral graph,
+    and ``moralize`` is still the plain skeleton plus marriages."""
     rng = np.random.default_rng(seed)
     net = shuffle_parents(random_net(rng, 5, 14), rng)
     names = net.names()
-    keep = ancestral_set(net, [names[i % len(names)] for i in picks])
+    sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
     assert moralize(net) == _plain_moralize(net)
-    assert jtree._moral_graph(net, keep) == subgraph(moralize(net), keep)
-    assert jtree._ancestral_tree(net, keep) == build_junction_tree(
-        subgraph(moralize(net), keep))
+    assert jtree._moral_graph(sub) == _plain_moralize(sub)
+    assert set(moralize(sub).edges) <= set(
+        subgraph(moralize(net), sub.names()).edges)
+    assert jtree._ancestral_tree(sub) == build_junction_tree(moralize(sub))
 
 
 @settings(max_examples=120, deadline=None)
@@ -288,10 +291,13 @@ def test_donor_target_path_single_clique(fragment):
     assert path.separators == ()
 
 
-def test_donor_target_path_rejects_split_donor(ten_node):
-    # X1 and X9 never share a clique
-    with pytest.raises(DomainError):
-        donor_target_path(ten_node, {"X1", "X9"}, {"X5"})
+def test_donor_target_path_hosts_a_split_donor(ten_node):
+    # X1 and X9 share no clique of the moral graph; the donor set is made
+    # complete, so one clique holds both
+    _, path = donor_target_path(ten_node, {"X1", "X9"}, {"X5"})
+    assert path.cliques == (("X1", "X2", "X9"), ("X2", "X4", "X9"),
+                            ("X4", "X5", "X9"))
+    assert path.separators == (("X2", "X9"), ("X4", "X9"))
     with pytest.raises(DomainError):
         donor_target_path(ten_node, set(), {"X5"})
 
