@@ -661,7 +661,6 @@ def _build_report(args) -> dict | str:
             ],
             "rip_order": list(jt.rip_order),
         },
-        warnings=[],
     )
 
 
