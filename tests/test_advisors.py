@@ -284,6 +284,43 @@ def test_counterpart_cost_against_externally_given_table(fragment):
     assert abs(cost - 0.075) <= 1e-12
 
 
+_MERGED_RAINFALL = ("below average+average", "above average")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda net: amalgamate_levels(net, "Rainfall", ("wet", "average")),
+     "unknown level 'wet'"),
+    (lambda net: amalgamate_levels(net, "Rainfall", ("average", "average"),
+                                   allow_nonconsecutive=True),
+     "group contains unknown or repeated levels"),
+    # a table over other child levels
+    (lambda net: counterpart_cost(
+        net.cpt("TreeCondition"),
+        Cpt.of("TreeCondition", ("a", "b", "c"), ("Drought", "Rainfall"),
+               (("yes", "no"), _MERGED_RAINFALL), np.full((4, 3), 1 / 3)),
+        "Rainfall", ("below average", "average")),
+     "child levels differ between the tables"),
+    # a table with a parent fewer
+    (lambda net: counterpart_cost(
+        net.cpt("TreeCondition"),
+        Cpt.of("TreeCondition", TREE_LEVELS, ("Rainfall",),
+               (_MERGED_RAINFALL,), np.full((2, 3), 1 / 3)),
+        "Rainfall", ("below average", "average")),
+     "configuration size 2 for 1 parents"),
+    # the unmerged table has no level for the merged rows
+    (lambda net: counterpart_cost(
+        net.cpt("TreeCondition"), net.cpt("TreeCondition"), "Rainfall",
+        ("below average", "average")),
+     "unknown level 'below average+average'"),
+], ids=["unknown_first_level", "repeated_nominal_levels",
+        "counterpart_child_levels", "counterpart_parent_count",
+        "counterpart_unknown_level"])
+def test_level_merges_reject_bad_groups_and_tables(fragment, call, message):
+    with pytest.raises(DomainError) as err:
+        call(fragment)
+    assert str(err.value) == message
+
+
 def test_priority_fragment_scores_are_the_edges_deltas(fragment):
     """Each parent of the target scores the delta ``edges`` prints for
     its edge into it."""

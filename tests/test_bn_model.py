@@ -104,6 +104,19 @@ def test_validate_reports_parent_level_disagreement():
     assert any("levels disagree" in m for m in validate(net))
 
 
+@pytest.mark.parametrize("variables,cpts,messages", [
+    ([_v("A", ()), _v("B")],
+     [_cpt("A", (), [(0.5, 0.5)]), _cpt("B", (), [(0.5, 0.5)])],
+     ["A: no levels", "A: CPT levels disagree with variable"]),
+    ([_v("A"), _v("B")],
+     [_cpt("B", (), [(0.5, 0.5)]), _cpt("A", (), [(0.5, 0.5)])],
+     ["CPT for 'B' attached to 'A'", "CPT for 'A' attached to 'B'"]),
+], ids=["no_levels", "wrong_variable"])
+def test_validate_names_an_empty_level_set_and_a_misplaced_table(
+        variables, cpts, messages):
+    assert validate(BayesNet(tuple(variables), tuple(cpts))) == messages
+
+
 def test_of_raises_on_invalid_accepts_valid(fragment):
     with pytest.raises(DomainError):
         BayesNet.of([_v("A")], [_cpt("A", (), [(0.5, 0.6)])])

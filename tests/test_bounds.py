@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
     BayesNet,
@@ -29,6 +29,7 @@ from tvrobust import (
     serialize_model,
     simple_path,
     table_tv,
+    transition_table,
     tv_distance,
 )
 from tvrobust import bn_model, bounds, exact_oracle
@@ -376,6 +377,47 @@ def test_bound_impact_on_the_ancestral_subnet_equals_the_whole_net(seed, a, b):
     for path in paths:
         assert (_priced_on_the_path(net, path)
                 == _priced_on_the_whole_net(net, path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+# at the parent tree: a one-clique path priced 1, and rounding noise
+@example(0, 0, 2)
+@example(0, 1, 1)
+def test_impact_of_one_variable_on_another_against_the_dense_oracle(seed, a,
+                                                                     b):
+    """For a donor D and a target T != D, against δ(P(T | D)) from the
+    dense oracle: an empty separator on the path means δ is 0, exact
+    mode gives exactly 0 wherever δ is 0, and exact never exceeds bound
+    where bound mode answers."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 5, 9), rng)
+    names = net.names()
+    n = len(names)
+    donor = names[a % n]
+    target = names[(a % n + 1 + b % (n - 1)) % n]
+    dense = diameter(transition_table(net, [target], [donor]))
+    tree, path = donor_target_path(net, {donor}, {target})
+    exact = path_impact(net, path, "exact", tree=tree).value
+    if not all(path.separators):
+        assert dense <= 1e-12
+    if dense <= 1e-12:
+        assert exact == 0.0
+    try:
+        bound = path_impact(net, path, "bound").value
+    except DomainError:
+        return
+    assert exact <= bound + 1e-12
+
+
+def test_exact_impact_needs_a_tree_that_holds_every_path_clique(ten_node):
+    # the completed donor set {X1, X9} shares a clique only in the tree
+    # of its own query, not in the whole net's tree
+    _, path = donor_target_path(ten_node, {"X1", "X9"}, {"X5"})
+    whole = build_junction_tree(moralize(ten_node))
+    with pytest.raises(DomainError, match=r"^no clique of the tree holds "
+                                          r"\['X1', 'X2', 'X9'\]$"):
+        path_impact(ten_node, path, "exact", tree=whole)
 
 
 def test_each_bound_pricer_sorts_the_net_once(ten_node, monkeypatch):

@@ -676,6 +676,43 @@ def test_cli_domain_errors_exit_one(capsys, monkeypatch):
         "X4 contains descendant(s) X9\n")
 
 
+def test_cli_model_that_is_not_utf8_exits_one(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"variables": [{"name": "Säule"}]}'.encode("latin-1"))
+    assert run_cli(["validate", str(latin1)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: model file is not valid UTF-8 (at {latin1})\n")
+
+
+_COLLIDER_PATH = """path:
+  {A}
+    | {}
+  {B}
+factors:
+  P(() | A) = 0 [empty separator]
+"""
+
+
+def test_cli_independent_parents_of_one_child_have_an_empty_separator(
+        capsys, monkeypatch):
+    # A, B -> C: A and B are married only through C, which is no
+    # ancestor of either, so they share no clique and no influence
+    monkeypatch.chdir(TESTS_DIR)
+    query = ["--from", "A", "--to", "B", "models/collider.json"]
+    assert run_cli(["impact", *query, "--mode", "exact"]) == 0
+    assert capsys.readouterr() == (
+        "impact of {A} on {B} (exact mode): 0\n" + _COLLIDER_PATH
+        + "  P(B | ()) = 0 [oracle]\n", "")
+    assert run_cli(["impact", *query, "--mode", "bound"]) == 0
+    assert capsys.readouterr() == (
+        "impact of {A} on {B} (bound mode): 0\n" + _COLLIDER_PATH
+        + "  P(B | ()) = 0 [cpt-bound]\n"
+        "    B: 0.0 from its CPT diameter\n", "")
+    assert run_cli(["path", *query]) == 0
+    assert capsys.readouterr() == (
+        "cliques:\n  {A}\n  {B}\nseparators:\n  {}\n", "")
+
+
 def test_cli_deeply_nested_model_is_one_error_line(tmp_path, capsys):
     # deeper than the JSON decoder's recursion limit
     text = "[" * 100000 + "]" * 100000
@@ -804,6 +841,22 @@ def test_readme_command_line_examples_print_what_readme_shows(
         assert out == lines, argv
 
 
+def test_readme_library_example_prints_what_readme_says(capsys,
+                                                       monkeypatch):
+    """README's one ``python`` block runs from the repository root and
+    prints two diameters, then an exact impact no larger than its
+    bound."""
+    monkeypatch.chdir(TESTS_DIR.parent)
+    text = (TESTS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})
+    values = [float(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(values) == 4
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert values[2] <= values[3]
+
+
 def _run_module(argv, **env):
     """(exit code, stdout, stderr) of ``python -m tvrobust`` in a fresh
     process, run in the tests directory on this checkout's source."""
@@ -842,11 +895,14 @@ def _run_module(argv, **env):
     ["report", "models/five_cycle.json"],
     ["amalgamate", "--group", "gering,mäßig",
      "models/non_ascii_names.json", "Niederschlag"],
+    # a donor set that shares a clique only once it is made complete
+    ["impact", "models/ten_node_demo.json", "--from", "X1,X9", "--to", "X5",
+     "--mode", "exact"],
 ], ids=["report", "impact_exact", "impact_bound", "report_five_cycle",
         "impact_exact_five_cycle", "delete_edge_wide_child",
         "amalgamate_wide_child", "unknown_targets", "impact_exact_text",
         "impact_bound_text", "path_text", "report_text",
-        "amalgamate_group_text"])
+        "amalgamate_group_text", "impact_completed_donor_text"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
     outputs = [_run_module(argv, PYTHONHASHSEED=seed)
                for seed in ("0", "1", "2", "3")]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
+    CliquePath,
     DomainError,
     JunctionTree,
     UGraph,
@@ -156,18 +157,6 @@ def test_subgraph_restricts_vertices_and_edges():
     assert s.edges == (("A", "B"),)
 
 
-def _collider():
-    """A, B -> C: A and B are married only through C."""
-    from tvrobust import BayesNet, Cpt, Variable
-    levels = ("t", "f")
-    rows = np.array([[0.9, 0.1], [0.4, 0.6], [0.3, 0.7], [0.2, 0.8]])
-    return BayesNet.of(
-        [Variable(n, levels) for n in "ABC"],
-        [Cpt.of("A", levels, (), (), np.array([[0.5, 0.5]])),
-         Cpt.of("B", levels, (), (), np.array([[0.3, 0.7]])),
-         Cpt.of("C", levels, ("A", "B"), (levels, levels), rows)])
-
-
 def _plain_moralize(net):
     """Skeleton plus co-parent marriages, taken straight from the tables."""
     edges = list(net.edges())
@@ -177,7 +166,8 @@ def _plain_moralize(net):
 
 
 def test_ancestral_tree_drops_a_marriage_through_a_child_outside():
-    net = _collider()
+    # A, B -> C: A and B are married only through C
+    net = load_model("collider")
     sub = _ancestral_subnet(net, ["A", "B"])
     assert sub.names() == ("A", "B")
     jt = jtree._ancestral_tree(sub)
@@ -245,6 +235,19 @@ def test_simple_path_adjacent_and_self(ten_node):
     assert same.separators == ()
     adj = simple_path(jt, ("X1", "X2"), ("X2", "X3", "X4"))
     assert adj.separators == (("X2",),)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: UGraph(("A", "B"), (("A", "C"),)),
+     "edge ('A', 'C') references unknown vertex"),
+    (lambda: UGraph(("A", "B"), (("B", "B"),)), "self-loop on 'B'"),
+    (lambda: path_factor_specs(CliquePath((("A",), ("B",)), ())),
+     "separator count does not match path length"),
+], ids=["unknown_vertex", "self_loop", "separator_count"])
+def test_graph_layer_rejects_malformed_input(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_simple_path_rejects_ends_that_are_not_cliques(ten_node):

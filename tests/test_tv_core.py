@@ -182,6 +182,33 @@ def test_cpt_tv_plus_rejects_shape_mismatch():
         cpt_tv_plus(p, q)
 
 
+def _relabelled_tree_cpt():
+    """The worked table over other child levels."""
+    t = tree_cpt()
+    return Cpt.of(t.child, ("a", "b", "c"), t.parents, t.parent_levels,
+                  t.grid().reshape(-1, 3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: cpt_superbound(t, _relabelled_tree_cpt()),
+     "child level mismatch"),
+    (lambda t: cpt_superbound(t, collapse_parent(t, 0)),
+     "row count mismatch"),
+    (lambda t: local_diameter(t, [0, 6]), "row index 6 out of range"),
+    (lambda t: local_diameter(t, [-1, 0]), "row index -1 out of range"),
+    (lambda t: parent_diameter(t, 2), "parent index 2 out of range"),
+    (lambda t: parent_diameter(t, -1), "parent index -1 out of range"),
+    (lambda t: collapse_parent(t, 2), "parent index 2 out of range"),
+    (lambda t: collapse_parent(t, -1), "parent index -1 out of range"),
+], ids=["superbound_child_levels", "superbound_rows", "local_row_high",
+        "local_row_low", "parent_diameter_high", "parent_diameter_low",
+        "collapse_high", "collapse_low"])
+def test_row_kernels_reject_mismatched_tables_and_indices(call, message):
+    with pytest.raises(DomainError) as err:
+        call(tree_cpt())
+    assert str(err.value) == message
+
+
 def test_parent_diameter_worked_values():
     t = tree_cpt()
     assert abs(parent_diameter(t, 0) - 0.6) <= 1e-12
