@@ -185,15 +185,13 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
     """Exact-mode ``price`` for the factor specs of ``path``.
 
     Each factor is read off the calibrated marginal of the first clique
-    of ``tree`` that holds its path clique and its own variables.
-    ``tree`` is the one the path was cut from, such as the tree that
-    ``donor_target_path`` builds on the ancestral subnet of the donor
-    and target sets.  Without it, ``_ancestral_tree`` builds one on the
-    path's ancestral subnet with each such set made complete.  A
-    calibrated marginal is the true marginal whichever tree gives it, so
-    the values do not depend on the tree.  The net is validated on the
-    tree's variables, and the size cap is checked, before any table is
-    built, even for a single-clique path.
+    of ``tree`` that holds its path clique and its own variables; that
+    marginal is the same on any tree, such as the one
+    ``donor_target_path`` returns.  Without ``tree``, ``_ancestral_tree``
+    builds it on the path's ancestral subnet with each such set made
+    complete.  The net is validated on the tree's variables, and the
+    size cap is checked, before any table is built, even for a
+    single-clique path.
     """
     priced = [spec for spec in specs if spec[0]]
     scopes = [frozenset(c).union(*spec)

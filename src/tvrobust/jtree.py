@@ -339,7 +339,8 @@ def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
     inside the last separator, so the impact product prices its margin.
     """
     def hosts(members) -> list[int]:
-        return [i for i, c in enumerate(jt.cliques) if members <= frozenset(c)]
+        return [i for i, c in enumerate(jt.cliques)
+                if members <= frozenset(c)]
 
     c_donor = hosts(donor)[0]
     paths = _tree_paths(jt, c_donor)
