@@ -24,8 +24,9 @@ from .exact_oracle import _conditional, _factor_table, state_limit
 from .jtree import (
     CliquePath,
     JunctionTree,
-    _ancestral_tree,
     _clique_marginals,
+    _moral_graph,
+    build_junction_tree,
     path_factor_specs,
 )
 from .tv_core import Cpt, ProbVec, _pair_scan, diameter, tv_distance
@@ -187,9 +188,9 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
     Each factor is read off the calibrated marginal of the first clique
     of ``tree`` that holds its path clique and its own variables; that
     marginal is the same on any tree, such as the one
-    ``donor_target_path`` returns.  Without ``tree``, ``_ancestral_tree``
-    builds it on the path's ancestral subnet with each such set made
-    complete.  The net is validated on the tree's variables, and the
+    ``donor_target_path`` returns.  Without ``tree``, it is the tree of
+    the moral graph of the path's ancestral subnet with each such set
+    made complete.  The net is validated on the tree's variables, and the
     size cap is checked, before any table is built, even for a
     single-clique path.
     """
@@ -200,7 +201,7 @@ def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
         path.cliques + tuple(scopes) if tree is None else tree.cliques))
     _require_valid(sub)
     if tree is None:
-        tree = _ancestral_tree(sub, scopes)
+        tree = build_junction_tree(_moral_graph(sub, scopes))
     tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
 
     def price(outputs, given) -> Factor:

@@ -299,11 +299,14 @@ def simple_path(jt: JunctionTree, donor, target) -> CliquePath:
 def donor_target_path(net: BayesNet, donor, target):
     """Clique path of the donor-to-target recipe, graph work only.
 
-    Builds ``_ancestral_tree`` on the ancestral subnet of both variable
-    sets, with the donor set and the target set each made complete, and
-    takes ``_host_path`` on it.  Independent variables get cliques joined
-    by an empty separator.  Returns (junction tree, clique path); no
-    probabilities are touched.
+    The tree is that of the moral graph of the ancestral subnet of both
+    sets, each made complete so that one clique holds it, and the path
+    is ``_host_path`` on it; independent variables get an empty
+    separator.  A set that needed joining is refused when the path's
+    first separator S2 holds one of its donors, or the last one of its
+    targets: the end factors P(S2 | C1 minus S2) and P(Ck minus Sk | Sk)
+    price separator members as outputs, so the product could fall below
+    the donor's influence.  Returns (junction tree, clique path).
     """
     donor = list(donor)
     target = list(target)
@@ -312,19 +315,25 @@ def donor_target_path(net: BayesNet, donor, target):
     # a list, so an unknown name is reported in the order given
     sub = _ancestral_subnet(net, donor + target)
     donor, target = set(donor), set(target)
-    jt = _ancestral_tree(sub, (donor, target))
-    return jt, _host_path(jt, donor, target)
-
-
-def _ancestral_tree(sub: BayesNet, complete=()) -> JunctionTree:
-    """Junction tree of the moral graph of the ancestral subnet ``sub``,
-    with each variable set in ``complete`` made complete, built by
-    ``_moral_graph`` from the CPTs alone.  Its cliques are those of the
-    graph's min-fill triangulation, read off one elimination.  Every
-    query's tree comes from here: ``donor_target_path`` completes the
-    donor and target sets, and exact ``path_impact`` on a bare path
-    completes each path clique with its factor."""
-    return build_junction_tree(_moral_graph(sub, complete))
+    g = _moral_graph(sub)
+    joined = set(g.edges)
+    added = [tuple(pair for pair in itertools.combinations(
+        sub.sorted_by_position(members), 2) if pair not in joined)
+        for members in (donor, target)]
+    jt = build_junction_tree(UGraph(g.vertices, g.edges + sum(added, ())))
+    path = _host_path(jt, donor, target)
+    if path.separators:
+        for label, members, pairs, which, sep in (
+                ("donor", donor, added[0], "first", path.separators[0]),
+                ("target", target, added[1], "last", path.separators[-1])):
+            if pairs and members & set(sep):
+                names = ", ".join(sub.sorted_by_position(members))
+                raise DomainError(
+                    f"{label} set {{{names}}}, which the moral graph does "
+                    f"not join, meets the {which} separator "
+                    f"{{{', '.join(sep)}}} of its clique path; its factors "
+                    "do not price that")
+    return jt, path
 
 
 def _host_path(jt: JunctionTree, donor, target) -> CliquePath:

@@ -837,7 +837,8 @@ def reference_donor_target_path(net: BayesNet, donor, target):
     (lowest index on ties), then ``reference_simple_path`` between the
     two member tuples.  The tree is that of the triangulated moral graph
     of the ancestral subnet with the donor and target sets joined, and
-    carries ``reference_rip_order``."""
+    carries ``reference_rip_order``.  A set the moral graph does not
+    join is an error when its end separator holds one of its members."""
     donor = set(donor)
     target = set(target)
     if not donor or not target:
@@ -868,4 +869,20 @@ def reference_donor_target_path(net: BayesNet, donor, target):
     c_target = min(hosts, key=lambda i: (dist[i], i))
     path = reference_simple_path(jt, jt.cliques[c_donor],
                                  jt.cliques[c_target])
+    # a set the moral graph does not join must keep its members out of
+    # its end of the path
+    near = moral.neighbors()
+    if path.separators:
+        for label, members, which, sep in (
+                ("donor", donor, "first", path.separators[0]),
+                ("target", target, "last", path.separators[-1])):
+            if members & set(sep) and any(
+                    b not in near[a]
+                    for a, b in itertools.combinations(members, 2)):
+                names = ", ".join(sorted(members, key=net.position))
+                raise DomainError(
+                    f"{label} set {{{names}}}, which the moral graph does "
+                    f"not join, meets the {which} separator "
+                    f"{{{', '.join(sep)}}} of its clique path; its factors "
+                    "do not price that")
     return jt, path

@@ -669,11 +669,12 @@ def test_cli_missing_file_exits_one(capsys):
 def test_cli_domain_errors_exit_one(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     argv = ["impact", "--from", "X1,X9", "--to", "X5",
-            "models/ten_node_demo.json", "--mode", "bound"]
+            "models/ten_node_demo.json"]
     assert run_cli(argv) == 1
     assert capsys.readouterr() == (
-        "", "error: cannot bound P(X4, X9 | X2, X9): conditioning set of "
-        "X4 contains descendant(s) X9\n")
+        "", "error: donor set {X1, X9}, which the moral graph does not "
+        "join, meets the first separator {X2, X9} of its clique path; its "
+        "factors do not price that\n")
 
 
 def test_cli_model_that_is_not_utf8_exits_one(tmp_path, capsys):
@@ -896,7 +897,7 @@ def _run_module(argv, **env):
     ["amalgamate", "--group", "gering,mäßig",
      "models/non_ascii_names.json", "Niederschlag"],
     # a donor set that shares a clique only once it is made complete
-    ["impact", "models/ten_node_demo.json", "--from", "X1,X9", "--to", "X5",
+    ["impact", "models/ten_node_demo.json", "--from", "X4,X6", "--to", "X9",
      "--mode", "exact"],
 ], ids=["report", "impact_exact", "impact_bound", "report_five_cycle",
         "impact_exact_five_cycle", "delete_edge_wide_child",

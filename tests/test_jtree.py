@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
+    BayesNet,
     CliquePath,
+    Cpt,
     DomainError,
     JunctionTree,
     UGraph,
+    Variable,
     ancestral_set,
     build_junction_tree,
+    diameter,
     donor_target_path,
     is_chordal,
     maximal_cliques,
@@ -18,6 +22,7 @@ from tvrobust import (
     path_factor_specs,
     path_impact,
     simple_path,
+    transition_table,
     triangulate,
     verify_running_intersection,
 )
@@ -170,7 +175,7 @@ def test_ancestral_tree_drops_a_marriage_through_a_child_outside():
     net = load_model("collider")
     sub = _ancestral_subnet(net, ["A", "B"])
     assert sub.names() == ("A", "B")
-    jt = jtree._ancestral_tree(sub)
+    jt = build_junction_tree(moralize(sub))
     assert jt.cliques == (("A",), ("B",))
     assert jt.tree_edges == ((0, 1, ()),)
     # A and B are independent, so both modes price A against B as 0
@@ -183,10 +188,11 @@ def test_ancestral_tree_drops_a_marriage_through_a_child_outside():
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 99),
                                               min_size=1, max_size=3))
-def test_ancestral_tree_is_the_tree_of_the_moral_subnet(seed, picks):
-    """The tree built on an ancestral subnet is that of the subnet's own
-    moral graph, which keeps only edges of the whole net's moral graph,
-    and ``moralize`` is still the plain skeleton plus marriages."""
+def test_moral_subnet_keeps_only_edges_of_the_whole_moral_graph(seed,
+                                                                 picks):
+    """The moral graph of an ancestral subnet is its plain skeleton plus
+    marriages and keeps only edges of the whole net's moral graph, and
+    ``moralize`` is still the plain skeleton plus marriages."""
     rng = np.random.default_rng(seed)
     net = shuffle_parents(random_net(rng, 5, 14), rng)
     names = net.names()
@@ -195,7 +201,6 @@ def test_ancestral_tree_is_the_tree_of_the_moral_subnet(seed, picks):
     assert jtree._moral_graph(sub) == _plain_moralize(sub)
     assert set(moralize(sub).edges) <= set(
         subgraph(moralize(net), sub.names()).edges)
-    assert jtree._ancestral_tree(sub) == build_junction_tree(moralize(sub))
 
 
 @settings(max_examples=120, deadline=None)
@@ -214,7 +219,7 @@ def test_completed_tree_equals_the_whole_moral_graph_reference(seed, picks,
     sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
     kept = sub.names()
     scopes = [{kept[i % len(kept)] for i in d} for d in draws]
-    tree = jtree._ancestral_tree(sub, scopes)
+    tree = build_junction_tree(jtree._moral_graph(sub, scopes))
     assert tree == reference_path_tree(sub, scopes)
     assert all(any(s <= set(c) for c in tree.cliques) for s in scopes)
 
@@ -294,15 +299,59 @@ def test_donor_target_path_single_clique(fragment):
     assert path.separators == ()
 
 
-def test_donor_target_path_hosts_a_split_donor(ten_node):
-    # X1 and X9 share no clique of the moral graph; the donor set is made
-    # complete, so one clique holds both
-    _, path = donor_target_path(ten_node, {"X1", "X9"}, {"X5"})
-    assert path.cliques == (("X1", "X2", "X9"), ("X2", "X4", "X9"),
-                            ("X4", "X5", "X9"))
-    assert path.separators == (("X2", "X9"), ("X4", "X9"))
+def test_donor_target_path_rejects_split_donor(ten_node):
+    # X1 and X9 share no clique of the moral graph, and once joined, X9
+    # sits in the path's first separator
+    with pytest.raises(DomainError):
+        donor_target_path(ten_node, {"X1", "X9"}, {"X5"})
     with pytest.raises(DomainError):
         donor_target_path(ten_node, set(), {"X5"})
+
+
+def test_donor_target_path_hosts_a_split_donor(ten_node):
+    # X4 and X6 share no clique of the moral graph; the donor set is made
+    # complete, so one clique holds both
+    _, path = donor_target_path(ten_node, {"X4", "X6"}, {"X9"})
+    assert path.cliques == (("X4", "X5", "X6"), ("X5", "X7"), ("X7", "X9"))
+    assert path.separators == (("X5",), ("X7",))
+
+
+def _near_copy_chain(eps: float):
+    """X1 -> X2 -> X5 -> X7 -> X9, where X2's rows differ by ``eps`` and
+    X7 and X9 copy their parent but for a 1e-3 flip."""
+    levels = ("t", "f")
+    copy = [[1 - 1e-3, 1e-3], [1e-3, 1 - 1e-3]]
+    tables = {"X1": [[0.5, 0.5]],
+              "X2": [[0.5 + eps / 2, 0.5 - eps / 2],
+                     [0.5 - eps / 2, 0.5 + eps / 2]],
+              "X5": [[0.9, 0.1], [0.2, 0.8]], "X7": copy, "X9": copy}
+    names = list(tables)
+    return BayesNet.of(
+        [Variable(n, levels) for n in names],
+        [Cpt.of(n, levels, tuple(names[i - 1:i]), (levels,) * min(i, 1),
+                np.array(tables[n])) for i, n in enumerate(names)])
+
+
+def test_donor_target_path_refuses_a_joined_donor_in_the_first_separator(
+        ten_node):
+    """Joining X1 and X9 puts X9 in the first separator, where the first
+    factor P(X2, X9 | X1) prices it as an output: on the near-copy chain
+    the path's product would be at most eps while X9 all but fixes X5."""
+    net = _near_copy_chain(1e-3)
+    assert diameter(transition_table(net, ["X5"], ["X1", "X9"])) > 0.9
+    with pytest.raises(DomainError) as err:
+        donor_target_path(net, {"X1", "X9"}, {"X5"})
+    assert str(err.value) == (
+        "donor set {X1, X9}, which the moral graph does not join, meets the "
+        "first separator {X2, X9} of its clique path; its factors do not "
+        "price that")
+    with pytest.raises(DomainError, match=r"^donor set \{X1, X9\}, .* the "
+                                          r"first separator \{X2, X9\} "):
+        donor_target_path(ten_node, {"X1", "X9"}, {"X5"})
+    # a set the moral graph joins keeps the path it had before sets were
+    # joined, X2 in the first separator included
+    _, path = donor_target_path(ten_node, {"X1", "X2"}, {"X7", "X9"})
+    assert path.separators[0] == ("X2",)
 
 
 def test_donor_target_path_multi_variable_donor(ten_node):
@@ -573,14 +622,14 @@ def test_clique_marginals_equal_dense_marginals(ten_node):
                                        {str(rng.choice(names))})
         _assert_clique_marginals_equal_dense(net, tree)
         sub = _ancestral_subnet(net, {v for c in path.cliques for v in c})
-        _assert_clique_marginals_equal_dense(net, jtree._ancestral_tree(
-            sub, [set(c) for c in path.cliques]))
+        _assert_clique_marginals_equal_dense(net, build_junction_tree(
+            jtree._moral_graph(sub, [set(c) for c in path.cliques])))
 
 
 def test_path_tree_holds_every_path_clique(ten_node):
     # {X1, X9} is no clique of the moral graph; the path tree adds it
     sub = _ancestral_subnet(ten_node, {"X1", "X9"})
-    tree = jtree._ancestral_tree(sub, [{"X1", "X9"}])
+    tree = build_junction_tree(jtree._moral_graph(sub, [{"X1", "X9"}]))
     assert any({"X1", "X9"} <= set(c) for c in tree.cliques)
     assert junction_property_holds(tree)
 
