@@ -25,8 +25,9 @@ from .jtree import (
     CliquePath,
     JunctionTree,
     _clique_marginals,
-    _moral_graph,
+    _join_sets,
     build_junction_tree,
+    moralize,
     path_factor_specs,
 )
 from .tv_core import Cpt, ProbVec, _pair_scan, diameter, tv_distance
@@ -125,8 +126,8 @@ def _bound_pricer(net: BayesNet):
     together).  A conditioning set containing a descendant cannot be
     bounded this way and is reported as a gap.
 
-    ``net`` may be the ancestral subnet of the variables priced, as
-    ``path_impact`` passes it.  That subnet
+    ``net`` may be the ancestral subnet of the variables priced, or of
+    a tree that holds them, as ``path_impact`` passes it.  That subnet
     keeps their relative topological order, and a directed path from a
     variable to a member of the conditioning set runs through ancestors
     of that member, all inside the subnet, so each descendant in the
@@ -181,38 +182,35 @@ def _impact_product(specs, price, mode: str) -> BoundResult:
     return BoundResult(min(1.0, value), mode, tuple(factors))
 
 
-def _exact_pricer(net: BayesNet, path: CliquePath, specs, limit,
+def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
                   tree: JunctionTree | None):
-    """Exact-mode ``price`` for the factor specs of ``path``.
+    """Exact-mode ``price`` for the factor specs of ``path`` on ``sub``,
+    the ancestral subnet of ``tree``'s cliques, or of the path's.
 
     Each factor is read off the calibrated marginal of the first clique
-    of ``tree`` that holds its path clique and its own variables; that
-    marginal is the same on any tree, such as the one
+    of ``tree`` that holds its path clique, which holds the factor's
+    variables; that marginal is the same on any tree, such as the one
     ``donor_target_path`` returns.  Without ``tree``, it is the tree of
-    the moral graph of the path's ancestral subnet with each such set
-    made complete.  The net is validated on the tree's variables, and the
-    size cap is checked, before any table is built, even for a
-    single-clique path.
+    the moral graph of ``sub`` with every pair inside each priced path
+    clique joined.  ``sub`` is validated, and the size cap is checked,
+    before any table is built, even for a single-clique path.
     """
     priced = [spec for spec in specs if spec[0]]
-    scopes = [frozenset(c).union(*spec)
-              for c, spec in zip(path.cliques, specs) if spec[0]]
-    sub = _ancestral_subnet(net, itertools.chain.from_iterable(
-        path.cliques + tuple(scopes) if tree is None else tree.cliques))
+    scopes = [c for c, spec in zip(path.cliques, specs) if spec[0]]
     _require_valid(sub)
     if tree is None:
-        tree = build_junction_tree(_moral_graph(sub, scopes))
+        tree = build_junction_tree(_join_sets(moralize(sub), scopes)[0])
     tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
 
     def price(outputs, given) -> Factor:
         joint, name = tables[outputs, given], _factor_name(outputs, given)
-        if any(len(net.variable(n).levels) > 1
+        if any(len(sub.variable(n).levels) > 1
                for n in set(outputs) & set(given)):
             # once every row has mass, rows that disagree on a shared
             # variable of 2+ levels have disjoint supports: diameter 1
-            _conditional(net, joint, net.sorted_by_position(set(given)), ())
+            _conditional(sub, joint, sub.sorted_by_position(set(given)), ())
             return Factor(name, 1.0, "oracle")
-        rows = _factor_table(net, joint, outputs, given)
+        rows = _factor_table(sub, joint, outputs, given)
         return Factor(name, _pair_scan(rows)[0], "oracle")
     return price
 
@@ -228,28 +226,29 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     single-clique path carries no attenuation and has value 1.  An
     empty separator on the path means the endpoints live in
     disconnected components, so the factor and the whole product are 0.
+    A separator that is not the intersection of its cliques is an error.
 
-    Exact mode calibrates ``tree``, the junction tree the path was cut
-    from (as ``donor_target_path`` returns it), or without one the tree
-    that the same builder makes of the path's ancestral set with every
-    path clique, and its factor's variables, made complete.  ``limit``
-    is resolved by ``state_limit`` in both modes, so a malformed cap is
-    an error in either; exact mode caps the largest clique table of
-    that tree with it, even for a single-clique path, and bound mode
-    applies no cap and ignores ``tree``.  Bound
-    mode prices on the ancestral subnet of the path's cliques, so its
-    graph work grows with the ancestors the path touches, not the net.
-    An unknown path variable is a DomainError in either mode.
+    Both modes price on the ancestral subnet of the cliques of ``tree``,
+    the junction tree the path was cut from (as ``donor_target_path``
+    returns it), or without one of the path's cliques, so the graph
+    work grows with the ancestors a query touches, not the net.  Exact
+    mode calibrates ``tree``, or without one the tree of that subnet's
+    moral graph with every pair inside each priced path clique joined.
+    ``limit`` is resolved by ``state_limit`` in both modes, so a
+    malformed cap is an error in either; exact mode caps the largest
+    clique table of that tree with it, even for a single-clique path,
+    and bound mode applies no cap.  An unknown path variable is a
+    DomainError in either mode.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
     limit = state_limit(limit)
     specs = path_factor_specs(path)
+    sub = _ancestral_subnet(net, itertools.chain.from_iterable(
+        path.cliques if tree is None else tree.cliques))
     if mode == "bound":
-        sub = _ancestral_subnet(net, itertools.chain.from_iterable(
-            path.cliques))
         # a single-clique path needs no pricer, so no topological order
         price = _bound_pricer(sub) if specs else None
     else:
-        price = _exact_pricer(net, path, specs, limit, tree)
+        price = _exact_pricer(sub, path, specs, limit, tree)
     return _impact_product(specs, price, mode)

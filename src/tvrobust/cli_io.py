@@ -32,7 +32,6 @@ import numpy as np
 
 from .advisors import (
     EdgeReport,
-    _merge_plan,
     amalgamate_levels,
     amalgamation_suggest,
     delete_edge,
@@ -304,9 +303,8 @@ def _canonical(value, indent: str) -> str:
     """``value`` in the canonical layout, its closing bracket on a line
     indented by ``indent``.  A list of scalars takes one line, as does an
     object whose fields all fit on one; any other list or object takes a
-    line per item.  Floats print with 17 significant digits."""
-    if isinstance(value, float):
-        return _f17(value)
+    line per item.  A list of floats, such as a row, prints them with
+    17 significant digits."""
     if isinstance(value, list) and set(map(type, value)) <= {float}:
         return "[" + ", ".join(map(_f17, value)) + "]"
     inner = indent + "  "
@@ -600,11 +598,10 @@ def _build_amalgamate(args) -> dict:
     group = [token.strip() for token in args.group.split(",")]
     merged, costs = amalgamate_levels(net, args.variable, group,
                                       allow_nonconsecutive=args.nominal)
-    # every member of the group maps to the fused level
-    levels = net.variable(args.variable).levels
-    new_levels, index = _merge_plan(levels, group, not args.nominal)
+    # the fused level sits where the group's first level was
+    first = min(map(net.variable(args.variable).levels.index, group))
     return _doc(args, variable=args.variable, group=group,
-                merged_level=new_levels[index[levels.index(group[0])]],
+                merged_level=merged.variable(args.variable).levels[first],
                 costs=dict(sorted(costs.items())),
                 model_after=model_document(merged))
 

@@ -60,9 +60,6 @@ class JointTable:
     def grid(self) -> np.ndarray:
         return self.mass.reshape(self.cards)
 
-    def total(self) -> float:
-        return float(self.mass.sum())
-
 
 def joint_mass(net: BayesNet, limit: int | None = None) -> JointTable:
     """Full joint of a validated net by multiplying broadcast CPT factors."""

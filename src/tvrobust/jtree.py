@@ -94,21 +94,24 @@ class CliquePath:
 
 
 def moralize(net: BayesNet) -> UGraph:
-    """Undirected skeleton plus marriage edges between co-parents."""
-    return _moral_graph(net)
-
-
-def _moral_graph(net: BayesNet, complete=()) -> UGraph:
     """The moral graph of ``net`` read straight off the CPTs: each
-    child's edges to its parents and each pair of its co-parents.  Every
-    pair inside each variable set of ``complete`` is joined as well."""
+    child's edges to its parents and each pair of its co-parents."""
     edges = []
     for v, t in zip(net.variables, net.cpts):
         edges += [(p, v.name) for p in t.parents]
         edges += itertools.combinations(t.parents, 2)
-    for s in complete:
-        edges += itertools.combinations(s, 2)
     return UGraph(net.names(), tuple(edges))
+
+
+def _join_sets(g: UGraph, sets):
+    """``g`` with every pair inside each of ``sets`` joined, so that one
+    clique of its triangulation holds each set, and for each set whether
+    ``g`` lacked one of its pairs."""
+    have = set(g.edges)
+    added = [[pair for pair in itertools.combinations(
+        sorted(s, key=g.position), 2) if pair not in have] for s in sets]
+    return (UGraph(g.vertices, g.edges + tuple(itertools.chain(*added))),
+            [bool(pairs) for pairs in added])
 
 
 def _eliminate(g: UGraph):
@@ -300,11 +303,11 @@ def donor_target_path(net: BayesNet, donor, target):
     """Clique path of the donor-to-target recipe, graph work only.
 
     The tree is that of the moral graph of the ancestral subnet of both
-    sets, each made complete so that one clique holds it, and the path
-    is ``_host_path`` on it; independent variables get an empty
-    separator.  A set that needed joining is refused when the path's
-    first separator S2 holds one of its donors, or the last one of its
-    targets: the end factors P(S2 | C1 minus S2) and P(Ck minus Sk | Sk)
+    sets, each set's pairs joined so that one clique holds it, and the
+    path, whose separators are clique intersections, is ``_host_path``
+    on it; independent variables get an empty separator.  A set that
+    needed joining is refused when the path's first separator S2 holds
+    one of its donors, or the last one of its targets: the end factors P(S2 | C1 minus S2) and P(Ck minus Sk | Sk)
     price separator members as outputs, so the product could fall below
     the donor's influence.  Returns (junction tree, clique path).
     """
@@ -315,18 +318,14 @@ def donor_target_path(net: BayesNet, donor, target):
     # a list, so an unknown name is reported in the order given
     sub = _ancestral_subnet(net, donor + target)
     donor, target = set(donor), set(target)
-    g = _moral_graph(sub)
-    joined = set(g.edges)
-    added = [tuple(pair for pair in itertools.combinations(
-        sub.sorted_by_position(members), 2) if pair not in joined)
-        for members in (donor, target)]
-    jt = build_junction_tree(UGraph(g.vertices, g.edges + sum(added, ())))
+    g, joined = _join_sets(moralize(sub), (donor, target))
+    jt = build_junction_tree(g)
     path = _host_path(jt, donor, target)
     if path.separators:
-        for label, members, pairs, which, sep in (
-                ("donor", donor, added[0], "first", path.separators[0]),
-                ("target", target, added[1], "last", path.separators[-1])):
-            if pairs and members & set(sep):
+        for label, members, needed, which, sep in (
+                ("donor", donor, joined[0], "first", path.separators[0]),
+                ("target", target, joined[1], "last", path.separators[-1])):
+            if needed and members & set(sep):
                 names = ", ".join(sub.sorted_by_position(members))
                 raise DomainError(
                     f"{label} set {{{names}}}, which the moral graph does "
@@ -340,7 +339,7 @@ def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
     """The simple path on ``jt`` from the lowest-index clique holding
     ``donor`` to the clique holding ``target`` nearest to it, the lower
     index winning a tie.  ``jt`` must have a clique holding each set, as
-    a tree built with both sets made complete does.
+    a tree built with every pair inside both sets joined does.
 
     Ending at the nearest hosting clique keeps the chain of factors as
     short as possible and, for a single-variable target, guarantees the
@@ -362,10 +361,17 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
 
     For a path C1..Ck: (S2, C1 minus S2), then (S_{i+1}, S_i) for the
     interior steps, then (Ck minus Sk, Sk).  Empty for a single clique.
+    A separator that is not the intersection of its two cliques, as on
+    a junction tree, is a DomainError naming its step.
     """
     k = len(path.cliques)
     if k != len(path.separators) + 1:
         raise DomainError("separator count does not match path length")
+    for step, (a, b, sep) in enumerate(
+            zip(path.cliques, path.cliques[1:], path.separators), 1):
+        if set(sep) != set(a) & set(b):
+            raise DomainError(f"separator {{{', '.join(sep)}}} of step "
+                              f"{step} is not the intersection of its cliques")
     if k <= 1:
         return []
     seps = path.separators

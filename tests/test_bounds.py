@@ -380,6 +380,24 @@ def test_bound_impact_on_the_ancestral_subnet_equals_the_whole_net(seed, a, b):
                 == _priced_on_the_whole_net(net, path))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+def test_bound_impact_is_the_same_with_or_without_the_tree(seed, a, b):
+    """Given the tree ``donor_target_path`` returned, bound mode prices
+    on the ancestral subnet of its cliques, and otherwise on that of the
+    path's; value and certificate, or the gap's message, agree."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 5, 14), rng)
+    names = net.names()
+    tree, path = donor_target_path(net, {names[a % len(names)]},
+                                   {names[b % len(names)]})
+    try:
+        with_tree = path_impact(net, path, "bound", tree=tree)
+    except DomainError as e:
+        with_tree = str(e)
+    assert with_tree == _priced_on_the_path(net, path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99),
        st.integers(0, 99), st.integers(1, 2), st.integers(1, 2))
@@ -510,6 +528,28 @@ def test_bound_impact_prices_on_no_more_than_the_ancestral_set(
 def test_path_impact_names_an_unknown_path_variable(ten_node, mode, path):
     with pytest.raises(DomainError, match="^unknown variable 'ZZ'$"):
         path_impact(ten_node, path, mode)
+
+
+@pytest.mark.parametrize("mode", ("exact", "bound"))
+@pytest.mark.parametrize("path,step,separator", [
+    # X9 lies in neither clique: bound mode raised KeyError and exact mode
+    # priced P(X9 | X1, X2) · P(X2, X3, X4 | X9)
+    (CliquePath((("X1", "X2"), ("X2", "X3", "X4")), (("X9",),)), 1, "X9"),
+    # a separator wider than the intersection: TypeError and 0.222
+    (CliquePath((("X1", "X2"), ("X2", "X3", "X4")), (("X2", "X9"),)), 1,
+     "X2, X9"),
+    (CliquePath((("X1", "X2"), ("X2", "X3", "X4"), ("X4", "X5")),
+                (("X2",), ("X3",))), 2, "X3"),
+], ids=["outside_both", "wider", "second_step"])
+def test_path_impact_rejects_a_separator_that_is_no_clique_intersection(
+        ten_node, mode, path, step, separator):
+    message = (f"separator {{{separator}}} of step {step} is not the "
+               "intersection of its cliques")
+    for call in (lambda: path_factor_specs(path),
+                 lambda: path_impact(ten_node, path, mode)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_impact_certifies_donor_to_target_attenuation(ten_node):

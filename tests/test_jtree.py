@@ -153,6 +153,9 @@ def test_rip_checker_rejects_bad_order():
     # which sits inside no single earlier clique
     bad = (("X1", "X2"), ("X3", "X4"), ("X2", "X3"))
     assert not verify_running_intersection(bad, (0, 1, 2))
+    # an order that is not a permutation of the clique indices
+    for order in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 0)):
+        assert not verify_running_intersection(cliques, order)
 
 
 def test_subgraph_restricts_vertices_and_edges():
@@ -198,7 +201,7 @@ def test_moral_subnet_keeps_only_edges_of_the_whole_moral_graph(seed,
     names = net.names()
     sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
     assert moralize(net) == _plain_moralize(net)
-    assert jtree._moral_graph(sub) == _plain_moralize(sub)
+    assert moralize(sub) == _plain_moralize(sub)
     assert set(moralize(sub).edges) <= set(
         subgraph(moralize(net), sub.names()).edges)
 
@@ -219,7 +222,7 @@ def test_completed_tree_equals_the_whole_moral_graph_reference(seed, picks,
     sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
     kept = sub.names()
     scopes = [{kept[i % len(kept)] for i in d} for d in draws]
-    tree = build_junction_tree(jtree._moral_graph(sub, scopes))
+    tree = build_junction_tree(jtree._join_sets(moralize(sub), scopes)[0])
     assert tree == reference_path_tree(sub, scopes)
     assert all(any(s <= set(c) for c in tree.cliques) for s in scopes)
 
@@ -623,13 +626,14 @@ def test_clique_marginals_equal_dense_marginals(ten_node):
         _assert_clique_marginals_equal_dense(net, tree)
         sub = _ancestral_subnet(net, {v for c in path.cliques for v in c})
         _assert_clique_marginals_equal_dense(net, build_junction_tree(
-            jtree._moral_graph(sub, [set(c) for c in path.cliques])))
+            jtree._join_sets(moralize(sub), path.cliques)[0]))
 
 
 def test_path_tree_holds_every_path_clique(ten_node):
     # {X1, X9} is no clique of the moral graph; the path tree adds it
     sub = _ancestral_subnet(ten_node, {"X1", "X9"})
-    tree = build_junction_tree(jtree._moral_graph(sub, [{"X1", "X9"}]))
+    tree = build_junction_tree(
+        jtree._join_sets(moralize(sub), [{"X1", "X9"}])[0])
     assert any({"X1", "X9"} <= set(c) for c in tree.cliques)
     assert junction_property_holds(tree)
 

@@ -115,6 +115,13 @@ def test_cpt_of_rejects_wrong_row_count():
                [ProbVec(TREE_LEVELS, r) for r in P_ROWS])
 
 
+def test_a_parent_without_a_level_list_is_a_violation():
+    t = Cpt("C", ("a", "b"), ("P",), (), [ProbVec(("a", "b"), (0.5, 0.5))])
+    assert t.violations() == ["C: parent/level list size mismatch"]
+    with pytest.raises(DomainError, match="parent/level list size mismatch"):
+        Cpt.of(t.child, t.child_levels, t.parents, (), t.rows)
+
+
 def test_diameter_of_worked_table():
     t = tree_cpt()
     assert abs(diameter(t) - 0.7) <= 1e-12
@@ -466,6 +473,16 @@ def test_wide_tables_take_the_event_sum_path(monkeypatch, k, cards):
         raise AssertionError("block scan taken")
     monkeypatch.setattr(tv_core, "_block_scan", no_block_scan)
     assert (diameter(t), diameter_witness(t)) == want
+
+
+def test_equal_rows_of_a_wide_table_have_diameter_zero_at_the_first_pair():
+    """64 equal rows of 4 levels are wide enough for event sums, whose
+    columns then have no spread: no candidates, so the full scan finds
+    diameter 0 at rows (0, 0)."""
+    t = Cpt("A", ("a", "b", "c", "d"), ("P", "Q"), (tuple("abcdefgh"),) * 2,
+            np.tile([0.1, 0.2, 0.3, 0.4], (64, 1)))
+    assert tv_core._candidate_rows(t.grid().reshape(64, 4)) is None
+    assert (diameter(t), diameter_witness(t)) == (0.0, (0, 0))
 
 
 def _tables_of_every_origin():
