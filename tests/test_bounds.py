@@ -532,10 +532,9 @@ def test_path_impact_names_an_unknown_path_variable(ten_node, mode, path):
 
 @pytest.mark.parametrize("mode", ("exact", "bound"))
 @pytest.mark.parametrize("path,step,separator", [
-    # X9 lies in neither clique: bound mode raised KeyError and exact mode
-    # priced P(X9 | X1, X2) · P(X2, X3, X4 | X9)
+    # X9 lies in neither clique, so a factor would price it
     (CliquePath((("X1", "X2"), ("X2", "X3", "X4")), (("X9",),)), 1, "X9"),
-    # a separator wider than the intersection: TypeError and 0.222
+    # a separator wider than the intersection
     (CliquePath((("X1", "X2"), ("X2", "X3", "X4")), (("X2", "X9"),)), 1,
      "X2, X9"),
     (CliquePath((("X1", "X2"), ("X2", "X3", "X4"), ("X4", "X5")),
