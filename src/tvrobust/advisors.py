@@ -16,7 +16,7 @@ from .bn_model import (BayesNet, Variable, _ancestral_subnet, _require_valid,
 from .errors import DomainError
 from .tv_core import (
     Cpt,
-    _convex_sum,
+    _fuse,
     _max,
     _tv,
     collapse_parent,
@@ -61,13 +61,15 @@ def edge_deletion_report(net: BayesNet) -> EdgeReport:
 def delete_edge(net: BayesNet, parent: str, child: str):
     """Remove one edge, averaging the child's rows over the lost parent.
 
+    This is the merge of all of the parent's levels as seen from the
+    child (``amalgamate_levels``), with the parent then dropped.
     Returns (new net, cost), where cost is the largest TV between any
     original row and the merged row that replaces it.
     """
     t = net.cpt(child)
     j = parent_index(t, parent)
     merged = collapse_parent(t, j)
-    cost = _max(_tv(np.moveaxis(t.grid(), j, -2), merged.grid()[..., None, :]))
+    cost = _max(_tv(t.grid(), np.expand_dims(merged.grid(), j)))
     cpts = tuple(merged if x.child == child else x for x in net.cpts)
     return BayesNet(net.variables, cpts), cost
 
@@ -170,21 +172,6 @@ def amalgamate_levels(net: BayesNet, variable: str, group,
                        + t.parent_levels[j + 1:], G)
         new_cpts.append(t)
     return BayesNet(variables, tuple(new_cpts)), costs
-
-
-def _fuse(G: np.ndarray, axis: int, index, uniform: bool) -> np.ndarray:
-    """``G`` with slice i along ``axis`` fused into slice ``index[i]``.
-
-    Slices fused together are averaged when ``uniform``, else summed.
-    """
-    X = np.moveaxis(G, axis, -1)[..., None]
-    groups = [np.flatnonzero(index == k) for k in range(index.max() + 1)]
-    fused = np.stack([
-        _convex_sum(np.full(len(g), 1.0 / len(g) if uniform else 1.0),
-                    X[..., g, :])
-        for g in groups
-    ], axis=-2)
-    return np.moveaxis(fused[..., 0], -1, axis)
 
 
 def amalgamation_suggest(net: BayesNet, variable: str):

@@ -763,10 +763,8 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        if isinstance(e.code, int):
-            return e.code
-        return 0 if e.code is None else 2
+    except SystemExit as e:  # argparse exits with an int status
+        return e.code
     build, render = _COMMANDS[args.command]
     try:
         doc = build(args)

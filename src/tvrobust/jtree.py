@@ -362,7 +362,9 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
     For a path C1..Ck: (S2, C1 minus S2), then (S_{i+1}, S_i) for the
     interior steps, then (Ck minus Sk, Sk).  Empty for a single clique.
     A separator that is not the intersection of its two cliques, as on
-    a junction tree, is a DomainError naming its step.
+    a junction tree, or a step whose one clique lies inside the other,
+    which no tree of maximal cliques has, is a DomainError naming its
+    step.
     """
     k = len(path.cliques)
     if k != len(path.separators) + 1:
@@ -372,6 +374,10 @@ def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str
         if set(sep) != set(a) & set(b):
             raise DomainError(f"separator {{{', '.join(sep)}}} of step "
                               f"{step} is not the intersection of its cliques")
+        inner, outer = (b, a) if set(b) <= set(a) else (a, b)
+        if set(inner) <= set(outer):
+            raise DomainError(f"clique {{{', '.join(inner)}}} of step {step} "
+                              f"lies inside {{{', '.join(outer)}}}")
     if k <= 1:
         return []
     seps = path.separators

@@ -396,6 +396,21 @@ def _convex_sum(w: np.ndarray, rows: np.ndarray):
     return total
 
 
+def _fuse(G: np.ndarray, axis: int, index, uniform: bool) -> np.ndarray:
+    """``G`` with slice i along ``axis`` fused into slice ``index[i]``.
+
+    Slices fused together are averaged when ``uniform``, else summed.
+    """
+    X = np.moveaxis(G, axis, -1)[..., None]
+    groups = [np.flatnonzero(index == k) for k in range(index.max() + 1)]
+    fused = np.stack([
+        _convex_sum(np.full(len(g), 1.0 / len(g) if uniform else 1.0),
+                    X[..., g, :])
+        for g in groups
+    ], axis=-2)
+    return np.moveaxis(fused[..., 0], -1, axis)
+
+
 def _flat(P: "Cpt") -> np.ndarray:
     return P.grid().reshape(P.n_rows, len(P.child_levels))
 
@@ -508,27 +523,16 @@ def mix(weights, rows) -> ProbVec:
     return ProbVec.of(levels, mass.tolist())
 
 
-def collapse_parent(P: Cpt, j: int, weight_rows=None) -> Cpt:
-    """Remove parent ``j`` by averaging rows across its levels.
+def collapse_parent(P: Cpt, j: int) -> Cpt:
+    """Remove parent ``j`` by averaging rows uniformly across its levels.
 
-    For each fixed configuration of the remaining parents the rows over
-    parent ``j``'s levels are combined convexly.  ``weight_rows`` maps
-    each remaining-parent configuration (by its reduced row index) to a
-    weight sequence over parent ``j``'s levels; None means uniform.
+    This is the merge of all of parent ``j``'s levels by ``_fuse``, the
+    kernel of every level merge; the size-1 axis it leaves is dropped.
     The diameter of the result never exceeds the diameter of ``P``.
     """
     if not 0 <= j < len(P.parents):
         raise DomainError(f"parent index {j} out of range")
-    G = np.moveaxis(P.grid(), j, -2)
-    n = G.shape[-2]
-    if weight_rows is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = [tuple(weight_rows[r]) for r in range(math.prod(G.shape[:-2]))]
-        for wr in w:
-            if len(wr) != n:
-                raise DomainError(f"{len(wr)} weights for {n} rows")
-        w = np.array(w, dtype=np.float64).reshape(G.shape[:-1])
+    G = _fuse(P.grid(), j, np.zeros(len(P.parent_levels[j]), np.intp),
+              uniform=True)
     return Cpt.of(P.child, P.child_levels, P.parents[:j] + P.parents[j + 1:],
-                  P.parent_levels[:j] + P.parent_levels[j + 1:],
-                  _convex_sum(w, G))
+                  P.parent_levels[:j] + P.parent_levels[j + 1:], G)

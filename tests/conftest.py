@@ -312,16 +312,15 @@ def scalar_mix(weights, rows) -> tuple[float, ...]:
     return tuple(mass)
 
 
-def scalar_collapse_parent(P: Cpt, j: int, weight_rows=None):
+def scalar_collapse_parent(P: Cpt, j: int):
     """Mass tuples of the rows of P with parent ``j`` averaged out."""
     n = len(P.parent_levels[j])
     others = [P.parent_levels[i] for i in range(len(P.parents)) if i != j]
     out = []
-    for r, fixed in enumerate(itertools.product(*others)):
+    for fixed in itertools.product(*others):
         group = [P.rows[P.row_index(_config_with(j, fixed, lv))]
                  for lv in P.parent_levels[j]]
-        w = [1.0 / n] * n if weight_rows is None else list(weight_rows[r])
-        out.append(scalar_mix(w, group))
+        out.append(scalar_mix([1.0 / n] * n, group))
     return out
 
 

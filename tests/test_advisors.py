@@ -139,6 +139,22 @@ def test_delete_edge_cost_bounds_margin_shift(fragment):
     assert shift <= cost + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_delete_edge_is_the_merge_of_all_parent_levels(seed):
+    """Seen from the child, deleting p -> c is merging all of p's levels:
+    the same grid bytes once the size-1 axis is squeezed out, and the
+    same cost."""
+    net = random_net(np.random.default_rng(seed))
+    for p, c in net.edges():
+        deleted, cost = delete_edge(net, p, c)
+        merged, costs = amalgamate_levels(net, p, net.variable(p).levels)
+        j = parent_index(net.cpt(c), p)
+        assert np.squeeze(merged.cpt(c).grid(), j).tobytes() == \
+            deleted.cpt(c).grid().tobytes()
+        assert cost == costs[c]
+
+
 def test_suggest_fragment_ties_keep_earlier_pair(fragment):
     got = amalgamation_suggest(fragment, "Rainfall")
     assert [pair for pair, _ in got] == [

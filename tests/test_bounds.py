@@ -551,6 +551,25 @@ def test_path_impact_rejects_a_separator_that_is_no_clique_intersection(
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("mode", ("exact", "bound"))
+@pytest.mark.parametrize("path,step,inner,outer", [
+    # the last factor would have no outputs and be priced 0 as an
+    # "empty separator", while delta(P(X2 | X1)) is 0.5078
+    (CliquePath((("X1", "X2"), ("X2",)), (("X2",),)), 1, "X2", "X1, X2"),
+    (CliquePath((("X2",), ("X1", "X2")), (("X2",),)), 1, "X2", "X1, X2"),
+    (CliquePath((("X1", "X2"), ("X2", "X3", "X4"), ("X2", "X3")),
+                (("X2",), ("X2", "X3"))), 2, "X2, X3", "X2, X3, X4"),
+], ids=["last_inside", "first_inside", "second_step"])
+def test_path_impact_rejects_a_clique_inside_its_neighbour(
+        ten_node, mode, path, step, inner, outer):
+    message = f"clique {{{inner}}} of step {step} lies inside {{{outer}}}"
+    for call in (lambda: path_factor_specs(path),
+                 lambda: path_impact(ten_node, path, mode)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_impact_certifies_donor_to_target_attenuation(ten_node):
     """The impact product really caps margin movement along the path.
 

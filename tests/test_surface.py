@@ -6,6 +6,9 @@ the benchmark, as a name or attribute in code (a mention in a docstring
 or comment is not a use), or be documented in README.md.  So should
 every public method of each class in ``__all__``, as an attribute in
 code outside its own body or as a ``Class.method`` mention in README.md.
+Every parameter with a default of a function in ``__all__`` should be
+passed, by position or keyword, by library or benchmark code outside
+the function's own body, or be named in README.md as ``name=``.
 The sets below name the exceptions, which are used only by tests today.
 They may only shrink: a new definition that nothing else uses fails
 these tests, and so does a listed name that has since found a use and
@@ -14,6 +17,7 @@ should leave its list.
 
 import ast
 import functools
+import inspect
 import pathlib
 import re
 import types
@@ -27,8 +31,9 @@ TEST_ONLY = set()
 
 TEST_ONLY_METHODS = set()
 
-# waits for the target-priced level merge (ROADMAP item 4)
-UNUSED_DEFINITIONS = {"counterpart_cost"}
+UNUSED_DEFINITIONS = set()
+
+TEST_ONLY_KNOBS = set()
 
 
 def _identifiers(tree) -> set:
@@ -129,3 +134,63 @@ def _method_used(cls: str, method: str) -> bool:
 def test_public_methods_used_only_by_tests_are_exactly_the_listed_ones():
     assert {f"{cls}.{method}" for cls, method in _public_methods()
             if not _method_used(cls, method)} == TEST_ONLY_METHODS
+
+
+@functools.cache
+def _calls() -> tuple:
+    """(enclosing top-level definition or None, call) for every call in
+    the package (bar ``__init__``) and the benchmark."""
+    files = [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    out = []
+    for path in files:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (node.name if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else None)
+            out.extend((owner, call) for call in ast.walk(node)
+                       if isinstance(call, ast.Call))
+    return tuple(out)
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name``: by keyword, by
+    ``**``, or, when it has a ``position``, by that many positional
+    arguments or a ``*`` argument."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _knob_used(function: str, name: str, position: int | None) -> bool:
+    """Passed to ``function`` by a call outside its own body, or named
+    as ``name=`` in README.md."""
+    return (any(owner != function and _passes(call, name, position)
+                for owner, call in _calls()
+                if (call.func.id if isinstance(call.func, ast.Name)
+                    else getattr(call.func, "attr", None)) == function)
+            or re.search(rf"\b{re.escape(name)}=",
+                         (ROOT / "README.md").read_text(encoding="utf-8"))
+            is not None)
+
+
+def _knobs() -> set:
+    """(function, parameter, position or None) for each parameter with a
+    default of each function in ``__all__``; keyword-only parameters
+    have no position."""
+    out = set()
+    for name in tvrobust.__all__:
+        if not isinstance(fn := getattr(tvrobust, name), types.FunctionType):
+            continue
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is not inspect.Parameter.empty:
+                out.add((name, param.name,
+                         None if param.kind is param.KEYWORD_ONLY else i))
+    return out
+
+
+def test_knobs_used_only_by_tests_are_exactly_the_listed_ones():
+    assert {f"{fn}.{param}" for fn, param, position in _knobs()
+            if not _knob_used(fn, param, position)} == TEST_ONLY_KNOBS

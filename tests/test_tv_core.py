@@ -265,17 +265,6 @@ def test_collapse_parent_uniform_average():
                for a, b in zip(merged.rows[0].mass, expected))
 
 
-def test_collapse_parent_with_weight_rows():
-    t = tree_cpt()
-    # all weight on the first rainfall level: rows become the level-0 rows
-    weights = [(1.0, 0.0, 0.0)] * 2
-    merged = collapse_parent(t, 1, weight_rows=weights)
-    assert all(abs(a - b) <= 1e-15
-               for a, b in zip(merged.rows[0].mass, P_ROWS[0]))
-    assert all(abs(a - b) <= 1e-15
-               for a, b in zip(merged.rows[1].mass, P_ROWS[3]))
-
-
 def test_collapse_is_contained_in_row_hull():
     """Collapsed rows never extend the table's diameter."""
     rng = np.random.default_rng(23)
@@ -343,16 +332,13 @@ def test_row_kernels_equal_scalar_loops_bit_for_bit():
                 assert cpt_tv_plus(t, u) == max([0.0] + gaps)
 
 
-def test_collapse_with_weight_rows_equals_scalar_loop():
+def test_collapse_and_mix_equal_scalar_loops():
     rng = np.random.default_rng(78)
     for k in (2, 9, 16):
         t = random_table(rng, k, (3, 4))
         for j in (0, 1):
-            n = len(t.parent_levels[j])
-            weights = [random_vector(rng, n).mass
-                       for _ in range(len(t.rows) // n)]
-            got = [r.mass for r in collapse_parent(t, j, weights).rows]
-            assert got == scalar_collapse_parent(t, j, weights)
+            got = [r.mass for r in collapse_parent(t, j).rows]
+            assert got == scalar_collapse_parent(t, j)
     # one-level rows make the summed axis contiguous, where numpy's own
     # reductions would add ten or more terms pairwise
     for k in (12, 1):
@@ -361,14 +347,8 @@ def test_collapse_with_weight_rows_equals_scalar_loop():
             w = random_vector(rng, 10).mass
             assert mix(w, rows).mass == scalar_mix(w, rows)
     t = random_table(rng, 1, (12, 2))
-    weights = [random_vector(rng, 12).mass for _ in range(2)]
-    assert [r.mass for r in collapse_parent(t, 0, weights).rows] == \
-        scalar_collapse_parent(t, 0, weights)
-
-
-def test_collapse_checks_weight_counts():
-    with pytest.raises(DomainError, match="2 weights for 3 rows"):
-        collapse_parent(tree_cpt(), 1, weight_rows=[(0.5, 0.5)] * 2)
+    assert [r.mass for r in collapse_parent(t, 0).rows] == \
+        scalar_collapse_parent(t, 0)
 
 
 def test_pair_scan_blocks_keep_the_lowest_witness():
