@@ -90,17 +90,21 @@ def test_definitions_used_only_by_tests_are_exactly_the_listed_ones():
     assert {name for name in names if not _used(name)} == UNUSED_DEFINITIONS
 
 
+def _code_files() -> list:
+    """The package's modules (bar ``__init__``) and the benchmark's."""
+    return ([p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"]
+            + sorted((ROOT / "perfbench").glob("*.py")))
+
+
 @functools.cache
 def _attribute_uses() -> tuple:
     """(owner, attribute names) over the package (bar ``__init__``) and
     the benchmark: one entry per method of each top-level class, owned
     by (class, method), and one per other top-level statement or class
     body statement, owned by None."""
-    files = [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"]
-    files += sorted((ROOT / "perfbench").glob("*.py"))
     out = []
-    for path in files:
+    for path in _code_files():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             parts = node.body if isinstance(node, ast.ClassDef) else [node]
             for part in parts:
@@ -140,11 +144,8 @@ def test_public_methods_used_only_by_tests_are_exactly_the_listed_ones():
 def _calls() -> tuple:
     """(enclosing top-level definition or None, call) for every call in
     the package (bar ``__init__``) and the benchmark."""
-    files = [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"]
-    files += sorted((ROOT / "perfbench").glob("*.py"))
     out = []
-    for path in files:
+    for path in _code_files():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = (node.name if isinstance(
                 node, (ast.FunctionDef, ast.ClassDef)) else None)
