@@ -114,9 +114,11 @@ def counterpart_cost(original: Cpt, merged: Cpt, variable: str, group) -> float:
     Each original row (over the variable's full level set as a parent)
     is compared to the merged row it collapses into.  This is how a
     table with more rows is priced against its amalgamated replacement.
+    Any group ``amalgamate_levels`` can merge is priced, a nominal one
+    included.
     """
     j = parent_index(original, variable)
-    new_levels, index = _merge_plan(original.parent_levels[j], group, True)
+    new_levels, index = _merge_plan(original.parent_levels[j], group, False)
     if original.child_levels != merged.child_levels:
         raise DomainError("child levels differ between the tables")
     if len(original.parents) != len(merged.parents):

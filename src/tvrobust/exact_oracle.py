@@ -5,16 +5,15 @@ array over the mixed-radix product space, first declared variable most
 significant, then marginals and conditional tables are read off it.
 Deliberately no variable elimination and no message passing: this code
 is the trusted oracle the bounds are verified against, so it stays as
-simple as possible.  A configurable state-space cap (default 2^22,
-overridable with the TVROBUST_LIMIT environment variable) guards
-memory; exceeding it is a hard error, never a silent truncation.
+simple as possible.  A state-space cap (default 2^22, moved only by a
+``limit`` argument) guards memory; exceeding it is a hard error, never
+a silent truncation, raised by ``_check_limit`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,25 +23,24 @@ from .errors import DomainError, ResourceLimitError
 from .tv_core import Cpt
 
 DEFAULT_STATE_LIMIT = 2 ** 22
-_ENV_LIMIT = "TVROBUST_LIMIT"
 
 
 def state_limit(explicit: int | None = None) -> int:
-    """Resolve the state-space cap: argument, environment, default."""
-    if explicit is not None:
-        if explicit < 1:
-            raise DomainError(f"state limit must be positive, got {explicit}")
-        return explicit
-    raw = os.environ.get(_ENV_LIMIT)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise DomainError(f"{_ENV_LIMIT} must be an integer, got {raw!r}")
-        if value < 1:
-            raise DomainError(f"{_ENV_LIMIT} must be positive, got {value}")
-        return value
-    return DEFAULT_STATE_LIMIT
+    """Resolve the state-space cap: the argument, or the default."""
+    if explicit is None:
+        return DEFAULT_STATE_LIMIT
+    if explicit < 1:
+        raise DomainError(f"state limit must be positive, got {explicit}")
+    return explicit
+
+
+def _check_limit(size: int, what: str, limit: int | None) -> None:
+    """Raise ResourceLimitError if ``what``, of ``size`` configurations,
+    exceeds the cap that ``limit`` resolves to."""
+    cap = state_limit(limit)
+    if size > cap:
+        raise ResourceLimitError(
+            f"{what} has {size} configurations, limit is {cap}")
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,7 @@ def joint_mass(net: BayesNet, limit: int | None = None) -> JointTable:
     _require_valid(net)
     names = net.names()
     cards = tuple(len(v.levels) for v in net.variables)
-    size = 1
-    for c in cards:
-        size *= c
-    cap = state_limit(limit)
-    if size > cap:
-        raise ResourceLimitError(
-            f"state space has {size} configurations, limit is {cap}"
-        )
+    _check_limit(math.prod(cards), "state space", limit)
     pos = {n: i for i, n in enumerate(names)}
     n = len(names)
     full = np.ones(cards, dtype=np.float64)

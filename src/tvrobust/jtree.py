@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bn_model import BayesNet, _ancestral_subnet
-from .errors import DomainError, ResourceLimitError
-from .exact_oracle import JointTable, state_limit
+from .errors import DomainError
+from .exact_oracle import JointTable, _check_limit
 
 
 @dataclass(frozen=True)
@@ -400,18 +400,15 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
     asked for, and one distribute pass sends messages back out along the
     branches that lead to the others (Shafer-Shenoy, no division).  No
     table built is larger than the largest clique table, which ``limit``
-    caps (resolved by ``state_limit``) before any work is done.
+    caps before any work is done.
     """
     cards = {v.name: len(v.levels) for v in net.variables}
     cliques = jt.cliques
     shapes = [tuple(cards[v] for v in c) for c in cliques]
     sizes = [math.prod(shape) for shape in shapes]
     big = sizes.index(max(sizes))
-    cap = state_limit(limit)
-    if sizes[big] > cap:
-        raise ResourceLimitError(
-            f"clique table {{{', '.join(cliques[big])}}} has {sizes[big]} "
-            f"configurations, limit is {cap}")
+    _check_limit(sizes[big], f"clique table {{{', '.join(cliques[big])}}}",
+                 limit)
     sets = [frozenset(c) for c in cliques]
     # each clique's potential: its CPTs laid out along its own axes
     unplaced = dict(zip(net.names(), net.cpts))
@@ -468,13 +465,10 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
     for i in reversed(order[1:]):
         below[i] = message(inward[i], i, up[i])
         inward[up[i]] = inward[up[i]] * below[i]
-    # distribute toward the hosts: above[j] is what clique j's parent
-    # sends down, everything outside j's subtree
-    down: set[int] = set()
-    for i in hosts:
-        while i != root and i not in down:
-            down.add(i)
-            i = up[i]
+    # distribute toward the hosts, down every branch on a root-to-host
+    # path: above[j] is what clique j's parent sends down, everything
+    # outside j's subtree
+    down = {j for i in hosts for j in paths[i][1:]}
     above = {}
     marginals = {root: inward[root]}
     for j in order[1:]:

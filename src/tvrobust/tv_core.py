@@ -120,7 +120,7 @@ class Cpt:
         k, rows = len(self.child_levels), self.rows
         if not isinstance(rows, np.ndarray):
             rows = tuple(rows)
-            if k and len(rows) == self.n_rows and all(
+            if len(rows) == self.n_rows and all(
                     r.levels == self.child_levels and len(r.mass) == k
                     for r in rows):
                 rows = np.array([r.mass for r in rows], dtype=np.float64)
@@ -194,12 +194,12 @@ class Cpt:
         """Rows as one float64 array of shape (*parent cards, child card).
 
         Axis ``j`` is parent ``j``; C-order flattening is the row order.
+        A table whose rows do not fit that shape has no grid.
         """
-        if self._grid is not None:
-            return self._grid.view()
-        shape = [len(ls) for ls in self.parent_levels]
-        return np.array([r.mass for r in self.rows], dtype=np.float64
-                        ).reshape(shape + [len(self.child_levels)])
+        if self._grid is None:
+            raise DomainError(f"{self.child}: rows do not fit the table's "
+                              "shape")
+        return self._grid.view()
 
     def _mass_rows(self) -> list[list[float]]:
         """Row masses as lists of floats, read off the grid if there is one."""

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from tvrobust import (
     amalgamate_levels,
     amalgamation_suggest,
     ancestral_set,
+    collapse_parent,
     cpt_tv_plus,
     delete_edge,
     diameter,
@@ -300,6 +302,56 @@ def test_counterpart_cost_against_externally_given_table(fragment):
     assert abs(cost - 0.075) <= 1e-12
 
 
+def test_counterpart_cost_prices_every_group_amalgamate_merges():
+    """Every group of two or more levels, consecutive or not and listed
+    last level first, costs each child what ``amalgamate_levels`` gives
+    it, bit for bit."""
+    for seed in range(200):
+        net = random_net(np.random.default_rng(seed))
+        for v in net.variables:
+            for size in range(2, len(v.levels) + 1):
+                for group in itertools.combinations(v.levels[::-1], size):
+                    merged, costs = amalgamate_levels(
+                        net, v.name, group, allow_nonconsecutive=True)
+                    for child, cost in costs.items():
+                        assert counterpart_cost(
+                            net.cpt(child), merged.cpt(child), v.name,
+                            group) == cost
+
+
+def test_merging_a_consecutive_pair_costs_half_its_listed_cost():
+    """A merged row averages the pair's two rows, so it lies half their
+    TV from each: merging a pair costs half what ``amalgamation_suggest``
+    lists for it, as A5's 0.05 against a listed 0.1 shows."""
+    for seed in range(200):
+        net = random_net(np.random.default_rng(seed))
+        for v in net.variables:
+            for pair, listed in amalgamation_suggest(net, v.name):
+                _, costs = amalgamate_levels(net, v.name, pair)
+                merge = max(costs.values(), default=0.0)
+                assert abs(merge - listed / 2) <= 1e-15
+
+
+def test_edits_reject_a_table_whose_rows_do_not_fit():
+    """Every numeric path reads the stored grid, which a misfit table
+    lacks; validation still reads its rows as given."""
+    tf = ("t", "f")
+    short = Cpt("C", tf, ("P",), (tf,), [ProbVec(tf, (0.5, 0.5))])
+    net = BayesNet((Variable("P", tf), Variable("C", tf)),
+                   (Cpt.of("P", tf, (), (), [ProbVec(tf, (0.5, 0.5))]),
+                    short))
+    for call in (lambda: diameter(short),
+                 lambda: parent_diameter(short, 0),
+                 lambda: collapse_parent(short, 0),
+                 lambda: delete_edge(net, "P", "C"),
+                 lambda: amalgamate_levels(net, "P", tf),
+                 lambda: amalgamation_suggest(net, "P")):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == "C: rows do not fit the table's shape"
+    assert validate(net) == ["C: 1 rows, expected 2"]
+
+
 _MERGED_RAINFALL = ("below average+average", "above average")
 
 
@@ -565,12 +617,10 @@ def test_priority_records_are_stable_across_hash_seeds():
               "'models/ten_node_demo.json').read_text())\n"
               "for r in tvrobust.elicitation_priority(net, ['X1', 'X9']):\n"
               "    print(repr(r))\n")
-    path = [str(TESTS_DIR.parent / "src")] + [
-        p for p in [os.environ.get("PYTHONPATH")] if p]
+    path = [str(TESTS_DIR.parent / "src")] + [p for p in sys.path if p]
     outputs = [subprocess.run(
         [sys.executable, "-c", script], cwd=TESTS_DIR, check=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path),
-                 PYTHONHASHSEED=seed),
+        env=dict(PYTHONPATH=os.pathsep.join(path), PYTHONHASHSEED=seed),
         capture_output=True).stdout for seed in ("0", "1", "2", "3")]
     assert outputs[1:] == outputs[:1] * 3
     lines = outputs[0].decode().splitlines()

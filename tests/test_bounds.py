@@ -736,9 +736,7 @@ def test_exact_mode_rejects_a_tree_without_the_parents(ten_node):
         path_impact(ten_node, path, "exact", tree=cut)
 
 
-def test_cli_exact_impact_on_a_forty_variable_chain(tmp_path, capsys,
-                                                   monkeypatch):
-    monkeypatch.delenv("TVROBUST_LIMIT", raising=False)
+def test_cli_exact_impact_on_a_forty_variable_chain(tmp_path, capsys):
     model = tmp_path / "chain40.json"
     model.write_text(serialize_model(chain_net(np.random.default_rng(40),
                                                40)))

@@ -742,35 +742,25 @@ def test_cli_limit_flag_trips(capsys, monkeypatch):
     assert "limit" in capsys.readouterr().err
 
 
-def test_cli_env_limit_trips(capsys, monkeypatch):
-    monkeypatch.chdir(TESTS_DIR)
-    monkeypatch.setenv("TVROBUST_LIMIT", "4")
-    argv = ["impact", "--from", "X1", "--to", "X9",
-            "models/ten_node_demo.json"]
-    assert run_cli(argv) == 1
-    assert "limit" in capsys.readouterr().err
+def test_cli_limit_flag_spares_bound_mode(capsys, monkeypatch):
     # bound mode never touches the oracle, so the cap does not bite
-    monkeypatch.setenv("TVROBUST_LIMIT", "4")
-    argv_bound = ["impact", "--from", "X1", "--to", "X9", "--mode", "bound",
-                  "models/ten_node_demo.json"]
-    assert run_cli(argv_bound) == 0
-    assert capsys.readouterr().out
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["impact", "--from", "X1", "--to", "X9", "--mode", "bound",
+            "--limit", "4", "models/ten_node_demo.json"]
+    assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("impact of {X1} on {X9} (bound mode): ")
+    assert err == ""
 
 
-@pytest.mark.parametrize("flag,env,message", [
-    (["--limit", "0"], None, "state limit must be positive, got 0"),
-    (["--limit", "-5"], None, "state limit must be positive, got -5"),
-    ([], "abc", "TVROBUST_LIMIT must be an integer, got 'abc'"),
-    ([], "0", "TVROBUST_LIMIT must be positive, got 0"),
-], ids=["flag_zero", "flag_negative", "env_text", "env_zero"])
-def test_cli_malformed_limit_fails_alike_in_both_modes(flag, env, message,
+@pytest.mark.parametrize("flag,message", [
+    (["--limit", "0"], "state limit must be positive, got 0"),
+    (["--limit", "-5"], "state limit must be positive, got -5"),
+], ids=["flag_zero", "flag_negative"])
+def test_cli_malformed_limit_fails_alike_in_both_modes(flag, message,
                                                        capsys, monkeypatch):
     # bound mode applies no cap, but a malformed one is still an error
     monkeypatch.chdir(TESTS_DIR)
-    if env is None:
-        monkeypatch.delenv("TVROBUST_LIMIT", raising=False)
-    else:
-        monkeypatch.setenv("TVROBUST_LIMIT", env)
     for mode in ("exact", "bound"):
         argv = ["impact", "--from", "X1", "--to", "X9", "--mode", mode,
                 *flag, "models/ten_node_demo.json"]
@@ -860,12 +850,12 @@ def test_readme_library_example_prints_what_readme_says(capsys,
 
 def _run_module(argv, **env):
     """(exit code, stdout, stderr) of ``python -m tvrobust`` in a fresh
-    process, run in the tests directory on this checkout's source."""
-    path = [str(TESTS_DIR.parent / "src")] + [
-        p for p in [os.environ.get("PYTHONPATH")] if p]
+    process, run in the tests directory on this checkout's source with
+    this interpreter's import path and ``env`` as its whole environment."""
+    path = [str(TESTS_DIR.parent / "src")] + [p for p in sys.path if p]
     proc = subprocess.run(
         [sys.executable, "-m", "tvrobust"] + argv, cwd=TESTS_DIR,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env),
+        env=dict(PYTHONPATH=os.pathsep.join(path), **env),
         capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 

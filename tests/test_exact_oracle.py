@@ -127,19 +127,9 @@ def test_transition_table_rejects_empty_outputs(fragment):
         transition_table(fragment, (), ("Drought",))
 
 
-def test_state_limit_resolution(monkeypatch):
-    monkeypatch.delenv("TVROBUST_LIMIT", raising=False)
+def test_state_limit_resolution():
     assert state_limit() == 2 ** 22
     assert state_limit(12) == 12
-    monkeypatch.setenv("TVROBUST_LIMIT", "100")
-    assert state_limit() == 100
-    assert state_limit(7) == 7
-    monkeypatch.setenv("TVROBUST_LIMIT", "abc")
-    with pytest.raises(DomainError):
-        state_limit()
-    monkeypatch.setenv("TVROBUST_LIMIT", "-3")
-    with pytest.raises(DomainError):
-        state_limit()
     with pytest.raises(DomainError):
         state_limit(0)
 
@@ -149,12 +139,6 @@ def test_explicit_limit_trips(ten_node):
         joint_mass(ten_node, limit=100)
     # 2^10 states fit exactly
     assert joint_mass(ten_node, limit=1024).mass.sum() == pytest.approx(1.0)
-
-
-def test_env_limit_trips(ten_node, monkeypatch):
-    monkeypatch.setenv("TVROBUST_LIMIT", "100")
-    with pytest.raises(ResourceLimitError):
-        joint_mass(ten_node)
 
 
 def test_table_tv_basics(fragment, variant):

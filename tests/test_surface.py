@@ -9,6 +9,8 @@ code outside its own body or as a ``Class.method`` mention in README.md.
 Every parameter with a default of a function in ``__all__`` should be
 passed, by position or keyword, by library or benchmark code outside
 the function's own body, or be named in README.md as ``name=``.
+No module reads the process environment, so every setting, the state
+cap included, comes from an argument.
 The sets below name the exceptions, which are used only by tests today.
 They may only shrink: a new definition that nothing else uses fails
 these tests, and so does a listed name that has since found a use and
@@ -195,3 +197,11 @@ def _knobs() -> set:
 def test_knobs_used_only_by_tests_are_exactly_the_listed_ones():
     assert {f"{fn}.{param}" for fn, param, position in _knobs()
             if not _knob_used(fn, param, position)} == TEST_ONLY_KNOBS
+
+
+def test_no_module_reads_the_process_environment():
+    read = {(file_name, name)
+            for file_name, statements in _modules()
+            for _, ids in statements
+            for name in ids & {"environ", "getenv"}}
+    assert read == set()

@@ -513,6 +513,13 @@ def test_rows_of_a_grid_table_equal_the_rows_it_was_built_from():
     assert short.violations() == ["TreeCondition: 5 rows, expected 6"]
 
 
+def test_a_fitting_table_without_child_levels_keeps_a_grid():
+    t = Cpt("X", (), (), (), [ProbVec((), ())])
+    assert t._grid is not None and t.grid().shape == (0,)
+    assert diameter(t) == 0.0
+    assert t.violations() == ["X: no child levels", "X: row 0: no levels"]
+
+
 def test_an_array_without_child_levels_reads_like_probvec_rows():
     levels = (("x", "y"),)
     from_array = Cpt("A", (), ("P",), levels, np.zeros((2, 0)))
