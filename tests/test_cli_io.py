@@ -11,9 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
+    BayesNet,
+    Cpt,
     DomainError,
     ParseError,
+    Variable,
+    amalgamate_levels,
     build_junction_tree,
+    delete_edge,
     edge_deletion_report,
     emit_dot,
     model_document,
@@ -26,8 +31,9 @@ from tvrobust import cli_io
 from tvrobust.cli_io import _emit_json
 
 from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, assert_same_net,
-                      count_validate, random_net, reference_parse_error,
-                      reference_parse_model, reference_row_error)
+                      count_validate, random_net, random_vector,
+                      reference_parse_error, reference_parse_model,
+                      reference_row_error)
 
 FIXTURES = ("native_fish_fragment", "native_fish_variant",
             "ten_node_demo", "broken_model")
@@ -572,9 +578,16 @@ _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2 ** 100, 2 ** 100),
     st.floats(), _NONFINITE, st.floats().map(np.float64),
     st.text(max_size=8))
-# lists of floats alone take the writer's one-join path
+# lists of floats alone take the writer's one-template path
 _FLOAT_ROWS = st.lists(st.one_of(st.floats(), _NONFINITE), min_size=1,
                        max_size=6)
+# tables of equal-length float rows, as lists or tuples, take its
+# one-template path, and lists of strings its one-join path
+_FLOAT_TABLES = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(st.floats(), _NONFINITE), min_size=k, max_size=k)
+    | st.lists(st.floats(), min_size=k, max_size=k).map(tuple),
+    min_size=1, max_size=4))
+_STRING_LISTS = st.lists(st.text(max_size=8), min_size=1, max_size=6)
 
 
 def _containers(children):
@@ -585,7 +598,8 @@ def _containers(children):
 
 
 @given(doc=st.dictionaries(st.text(max_size=8), st.recursive(
-    _SCALARS | _FLOAT_ROWS, _containers, max_leaves=20), max_size=4))
+    _SCALARS | _FLOAT_ROWS | _FLOAT_TABLES | _STRING_LISTS, _containers,
+    max_leaves=20), max_size=4))
 @example(doc={
     "rows": [[0.1, math.nan, math.inf, -math.inf], [1e-300, -0.0, 5e17]],
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
@@ -595,9 +609,56 @@ def _containers(children):
     "np_row": [np.float64(0.25), np.float64(math.nan)],
     "mixed": [0.5, "0.5", None, 1, [0.5], math.nan],
 })
+@example(doc={
+    "cpts": [{"rows": [[0.1, 0.2, 0.7], [0.25, 0.25, 0.5]]},
+             {"rows": [[0.5, 0.5]]}],
+    "ragged": [[0.1, 0.9], [1.0]], "empty_row": [[0.5, 0.5], []],
+    "np_row": [[0.5, 0.5], [np.float64(0.25), 0.75]],
+    "bool_int": [[0.5, True], [1, 0.5], [0.5, 0.5]],
+    "specials": [[math.nan, math.inf], [-math.inf, -0.0],
+                 [5e-324, 1e16]],
+    "tuple_rows": ((0.25, 0.75), (0.5, 0.5)),
+    "mixed_rows": [(0.1, 0.9), [0.2, 0.8]],
+    "levels": ["D\u00fcrre", "\x00\x1f\t\"\\", "\u2028", "\U0001f332",
+               "", "average"],
+})
 @settings(max_examples=300, deadline=None)
 def test_emit_json_equals_json_dumps_indent_two(doc):
     assert _emit_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def _wide_net(rng) -> BayesNet:
+    """Four 4-level roots R1..R4 feeding an 8-level child C, whose table
+    has 256 rows."""
+    four = tuple(f"l{j}" for j in range(4))
+    eight = tuple(f"l{j}" for j in range(8))
+    roots = [f"R{i}" for i in range(1, 5)]
+    cpts = [Cpt.of(r, four, (), (), [random_vector(rng, 4)]) for r in roots]
+    cpts.append(Cpt.of("C", eight, tuple(roots), (four,) * 4,
+                       [random_vector(rng, 8) for _ in range(256)]))
+    return BayesNet.of([Variable(r, four) for r in roots]
+                       + [Variable("C", eight)], cpts)
+
+
+@pytest.mark.parametrize("argv,edit", [
+    (["delete-edge", "--from", "R2", "--to", "C"],
+     lambda net: delete_edge(net, "R2", "C")),
+    (["amalgamate", "C", "--group", "l2,l3,l4"],
+     lambda net: amalgamate_levels(net, "C", ["l2", "l3", "l4"])),
+], ids=["delete-edge", "amalgamate"])
+def test_cli_model_after_of_a_256_row_table_prints_json_dumps_bytes(
+        argv, edit, tmp_path, capsys):
+    net = _wide_net(np.random.default_rng(23))
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_model(net))
+    assert run_cli([argv[0], str(path), *argv[1:], "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    after = parse_model(json.dumps(doc["model_after"]))
+    assert_same_net(after, edit(net)[0])
+    assert len(after.cpt("C").rows) == (
+        64 if argv[0] == "delete-edge" else 256)
 
 
 def test_a_json_run_renders_no_text(capsys, monkeypatch):
