@@ -407,7 +407,7 @@ def _emit_json(doc: dict) -> str:
     rows make thousands of them.  This writer takes the same decisions
     but prints each list of plain strings in one join and each CPT's
     rows, a table of plain floats, in one pass that fills a ``%r`` row
-    template per row, so ``float.__repr__`` takes about 85% of its time
+    template per row, so ``float.__repr__`` takes about 80% of its time
     on a model of 2992 probabilities.  Keys must be strings, as in every
     document the CLI prints.
     """
