@@ -405,11 +405,10 @@ def _emit_json(doc: dict) -> str:
     ``json.dumps`` with any ``indent`` skips CPython's C encoder and
     runs a pure-Python one, a generator step per value; a model's CPT
     rows make thousands of them.  This writer takes the same decisions
-    but prints each list of plain strings in one join and each CPT's
-    rows, a table of plain floats, in one pass that fills a ``%r`` row
-    template per row, so ``float.__repr__`` takes about 80% of its time
-    on a model of 2992 probabilities.  Keys must be strings, as in every
-    document the CLI prints.
+    but prints each CPT's rows, a table of plain floats, in one pass
+    that fills a ``%r`` row template per row, so ``float.__repr__``
+    takes about 80% of its time on a model of 2992 probabilities.  Keys
+    must be strings, as in every document the CLI prints.
     """
     out: list[str] = []
     _write_json(doc, "\n", out)
@@ -430,21 +429,23 @@ def _block(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _flat_block(value, newline: str) -> str | None:
-    """``value`` printed in one pass if it is a list of plain strings, of
-    plain floats, or of equal-length, nonempty rows of plain floats;
-    otherwise None.  Each row fills one ``%r`` template, made once per
-    table.  ``type(x) is float`` keeps out numpy scalars, whose ``%r``
-    is ``np.float64(...)``."""
+def _template(n: int, newline: str) -> str:
+    """A ``%`` template printing a list of ``n`` floats, one to a line."""
+    return _block(itertools.repeat("%r", n), newline)
+
+
+def _float_block(value, newline: str) -> str | None:
+    """``value`` printed in one pass if it is a list of plain floats or
+    of equal-length, nonempty rows of plain floats; otherwise None.
+    Each row fills one ``%r`` template, made once per table.
+    ``type(x) is float`` keeps out numpy scalars, whose ``%r`` is
+    ``np.float64(...)``."""
     kinds = set(map(type, value))
-    if kinds == {str}:
-        return _block(map(encode_basestring_ascii, value), newline)
     if kinds == {float}:
-        text = _block(itertools.repeat("%r", len(value)), newline) \
-            % tuple(value)
+        text = _template(len(value), newline) % tuple(value)
     elif (kinds <= {list, tuple} and len(set(map(len, value))) == 1
           and value[0] and set(map(type, itertools.chain(*value))) == {float}):
-        row = _block(itertools.repeat("%r", len(value[0])), newline + "  ")
+        row = _template(len(value[0]), newline + "  ")
         text = _block(map(row.__mod__, map(tuple, value)), newline)
     else:
         return None
@@ -469,7 +470,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
-        text = _flat_block(value, newline)
+        text = _float_block(value, newline)
         if text is not None:
             out.append(text)
             return

@@ -11,14 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tvrobust import (
-    BayesNet,
-    Cpt,
     DomainError,
     ParseError,
-    Variable,
-    amalgamate_levels,
     build_junction_tree,
-    delete_edge,
     edge_deletion_report,
     emit_dot,
     model_document,
@@ -31,9 +26,8 @@ from tvrobust import cli_io
 from tvrobust.cli_io import _emit_json
 
 from conftest import (GOLDEN_DIR, MODELS_DIR, TESTS_DIR, assert_same_net,
-                      count_validate, random_net, random_vector,
-                      reference_parse_error, reference_parse_model,
-                      reference_row_error)
+                      count_validate, random_net, reference_parse_error,
+                      reference_parse_model, reference_row_error)
 
 FIXTURES = ("native_fish_fragment", "native_fish_variant",
             "ten_node_demo", "broken_model")
@@ -582,7 +576,7 @@ _SCALARS = st.one_of(
 _FLOAT_ROWS = st.lists(st.one_of(st.floats(), _NONFINITE), min_size=1,
                        max_size=6)
 # tables of equal-length float rows, as lists or tuples, take its
-# one-template path, and lists of strings its one-join path
+# one-template path too
 _FLOAT_TABLES = st.integers(1, 4).flatmap(lambda k: st.lists(
     st.lists(st.one_of(st.floats(), _NONFINITE), min_size=k, max_size=k)
     | st.lists(st.floats(), min_size=k, max_size=k).map(tuple),
@@ -625,40 +619,6 @@ def _containers(children):
 @settings(max_examples=300, deadline=None)
 def test_emit_json_equals_json_dumps_indent_two(doc):
     assert _emit_json(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-def _wide_net(rng) -> BayesNet:
-    """Four 4-level roots R1..R4 feeding an 8-level child C, whose table
-    has 256 rows."""
-    four = tuple(f"l{j}" for j in range(4))
-    eight = tuple(f"l{j}" for j in range(8))
-    roots = [f"R{i}" for i in range(1, 5)]
-    cpts = [Cpt.of(r, four, (), (), [random_vector(rng, 4)]) for r in roots]
-    cpts.append(Cpt.of("C", eight, tuple(roots), (four,) * 4,
-                       [random_vector(rng, 8) for _ in range(256)]))
-    return BayesNet.of([Variable(r, four) for r in roots]
-                       + [Variable("C", eight)], cpts)
-
-
-@pytest.mark.parametrize("argv,edit", [
-    (["delete-edge", "--from", "R2", "--to", "C"],
-     lambda net: delete_edge(net, "R2", "C")),
-    (["amalgamate", "C", "--group", "l2,l3,l4"],
-     lambda net: amalgamate_levels(net, "C", ["l2", "l3", "l4"])),
-], ids=["delete-edge", "amalgamate"])
-def test_cli_model_after_of_a_256_row_table_prints_json_dumps_bytes(
-        argv, edit, tmp_path, capsys):
-    net = _wide_net(np.random.default_rng(23))
-    path = tmp_path / "wide.json"
-    path.write_text(serialize_model(net))
-    assert run_cli([argv[0], str(path), *argv[1:], "--json"]) == 0
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert out == json.dumps(doc, indent=2) + "\n"
-    after = parse_model(json.dumps(doc["model_after"]))
-    assert_same_net(after, edit(net)[0])
-    assert len(after.cpt("C").rows) == (
-        64 if argv[0] == "delete-edge" else 256)
 
 
 def test_a_json_run_renders_no_text(capsys, monkeypatch):
