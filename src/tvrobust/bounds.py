@@ -126,13 +126,13 @@ def _bound_pricer(net: BayesNet):
     together).  A conditioning set containing a descendant cannot be
     bounded this way and is reported as a gap.
 
-    ``net`` may be the ancestral subnet of the variables priced, or of
-    a tree that holds them, as ``path_impact`` passes it.  That subnet
-    keeps their relative topological order, and a directed path from a
-    variable to a member of the conditioning set runs through ancestors
-    of that member, all inside the subnet, so each descendant in the
-    conditioning set is found there too; every value, certificate and
-    gap is that of the whole net.
+    ``net`` may be the ancestral subnet of the variables priced, as
+    ``path_impact`` passes it.  That subnet keeps their relative
+    topological order, and a directed path from a variable to a member
+    of the conditioning set runs through ancestors of that member, all
+    inside the subnet, so each descendant in the conditioning set is
+    found there too; every value, certificate and gap is that of the
+    whole net.
     """
     desc = descendants_map(net)
     topo_rank = {n: i for i, n in enumerate(desc)}
@@ -185,7 +185,8 @@ def _impact_product(specs, price, mode: str) -> BoundResult:
 def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
                   tree: JunctionTree | None):
     """Exact-mode ``price`` for the factor specs of ``path`` on ``sub``,
-    the ancestral subnet of ``tree``'s cliques, or of the path's.
+    the net as given with ``tree``, or the ancestral subnet of the
+    path's cliques without one.
 
     Each factor is read off the calibrated marginal of the first clique
     of ``tree`` that holds its path clique, which holds the factor's
@@ -228,24 +229,26 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     disconnected components, so the factor and the whole product are 0.
     A separator that is not the intersection of its cliques is an error.
 
-    Both modes price on the ancestral subnet of the cliques of ``tree``,
-    the junction tree the path was cut from (as ``donor_target_path``
-    returns it), or without one of the path's cliques, so the graph
-    work grows with the ancestors a query touches, not the net.  Exact
-    mode calibrates ``tree``, or without one the tree of that subnet's
-    moral graph with every pair inside each priced path clique joined.
-    ``limit`` is resolved by ``state_limit`` in both modes, so a
-    malformed cap is an error in either; exact mode caps the largest
-    clique table of that tree with it, even for a single-clique path,
-    and bound mode applies no cap.  An unknown path variable is a
-    DomainError in either mode.
+    Bound mode prices on the ancestral subnet of the path's cliques, so
+    its graph work grows with the ancestors a query touches, not the
+    net; ``tree`` is not read.  Exact mode calibrates ``tree``, the
+    junction tree the path was cut from (as ``donor_target_path``
+    returns it), on ``net`` as given: only the CPTs of the tree's
+    variables enter, so a tree whose variables lack a parent is an
+    error.  Without ``tree`` it calibrates the tree of the moral graph
+    of the path's ancestral subnet with every pair inside each priced
+    path clique joined.  ``limit`` is resolved by ``state_limit`` in
+    both modes, so a malformed cap is an error in either; exact mode
+    caps the largest clique table of that tree with it, even for a
+    single-clique path, and bound mode applies no cap.  An unknown path
+    variable is a DomainError in either mode.
     """
     if mode not in ("exact", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
     limit = state_limit(limit)
     specs = path_factor_specs(path)
-    sub = _ancestral_subnet(net, itertools.chain.from_iterable(
-        path.cliques if tree is None else tree.cliques))
+    sub = net if mode == "exact" and tree is not None else _ancestral_subnet(
+        net, itertools.chain.from_iterable(path.cliques))
     if mode == "bound":
         # a single-clique path needs no pricer, so no topological order
         price = _bound_pricer(sub) if specs else None

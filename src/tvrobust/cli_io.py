@@ -429,27 +429,18 @@ def _block(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _template(n: int, newline: str) -> str:
-    """A ``%`` template printing a list of ``n`` floats, one to a line."""
-    return _block(itertools.repeat("%r", n), newline)
-
-
 def _float_block(value, newline: str) -> str | None:
-    """``value`` printed in one pass if it is a list of plain floats or
-    of equal-length, nonempty rows of plain floats; otherwise None.
-    Each row fills one ``%r`` template, made once per table.
+    """``value`` printed in one pass if it is a list of equal-length,
+    nonempty rows of plain floats, as a CPT's rows are; otherwise None.
+    Each row fills one ``%r`` row template, made once per table.
     ``type(x) is float`` keeps out numpy scalars, whose ``%r`` is
     ``np.float64(...)``."""
-    kinds = set(map(type, value))
-    if kinds == {float}:
-        text = _template(len(value), newline) % tuple(value)
-    elif (kinds <= {list, tuple} and len(set(map(len, value))) == 1
-          and value[0] and set(map(type, itertools.chain(*value))) == {float}):
-        row = _template(len(value[0]), newline + "  ")
-        text = _block(map(row.__mod__, map(tuple, value)), newline)
-    else:
+    if not (set(map(type, value)) <= {list, tuple}
+            and len(set(map(len, value))) == 1 and value[0]
+            and set(map(type, itertools.chain(*value))) == {float}):
         return None
-    return _json_numbers(text)
+    row = _block(["%r"] * len(value[0]), newline + "  ")
+    return _json_numbers(_block(map(row.__mod__, map(tuple, value)), newline))
 
 
 def _write_json(value, newline: str, out: list[str]) -> None:

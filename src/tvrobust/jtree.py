@@ -391,19 +391,20 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
     """For each variable set in ``scopes``, the marginal of the first
     clique of ``jt`` that holds it, by sum-product on the tree.
 
-    ``net`` holds exactly the tree's variables, each one's parents among
-    them, so the product of its CPTs is their joint; each CPT is
-    multiplied into the first clique that holds its family.  Clique
-    members are listed in declaration order, as ``build_junction_tree``
-    lists them.  One collect
+    The CPTs of the tree's variables, read from ``net``, are multiplied
+    in, each into the first clique that holds its family.  With every
+    variable's parents in the tree that product is the tree's joint, and
+    ``net``'s other variables drop out as barren (Shachter 1986).
+    Clique members are listed in declaration order, as
+    ``build_junction_tree`` lists them.  One collect
     pass sends a message from every clique toward the first clique
     asked for, and one distribute pass sends messages back out along the
     branches that lead to the others (Shafer-Shenoy, no division).  No
     table built is larger than the largest clique table, which ``limit``
     caps before any work is done.
     """
-    cards = {v.name: len(v.levels) for v in net.variables}
     cliques = jt.cliques
+    cards = {v: len(net.variable(v).levels) for c in cliques for v in c}
     shapes = [tuple(cards[v] for v in c) for c in cliques]
     sizes = [math.prod(shape) for shape in shapes]
     big = sizes.index(max(sizes))
@@ -411,7 +412,7 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
                  limit)
     sets = [frozenset(c) for c in cliques]
     # each clique's potential: its CPTs laid out along its own axes
-    unplaced = dict(zip(net.names(), net.cpts))
+    unplaced = {v: net.cpt(v) for v in net.sorted_by_position(cards)}
     potentials = []
     for c, members, shape in zip(cliques, sets, shapes):
         phi = None

@@ -83,15 +83,17 @@ class ProbVec:
 
 
 def tv_distance(p: ProbVec, q: ProbVec) -> float:
-    """Half the L1 distance between two aligned probability vectors."""
+    """Half the L1 distance between two aligned probability vectors,
+    added left to right."""
     if p.levels != q.levels:
         raise DomainError(
             f"level mismatch: {list(p.levels)} vs {list(q.levels)}"
         )
-    total = 0.0
-    for a, b in zip(p.mass, q.mass):
-        total += abs(a - b)
-    return 0.5 * total
+    for v in (p, q):
+        if len(v.mass) != len(v.levels):
+            raise DomainError(
+                f"{len(v.mass)} masses for {len(v.levels)} levels")
+    return float(_tv(np.array(p.mass), np.array(q.mass)))
 
 
 @dataclass(frozen=True)

@@ -383,9 +383,10 @@ def test_bound_impact_on_the_ancestral_subnet_equals_the_whole_net(seed, a, b):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
 def test_bound_impact_is_the_same_with_or_without_the_tree(seed, a, b):
-    """Given the tree ``donor_target_path`` returned, bound mode prices
-    on the ancestral subnet of its cliques, and otherwise on that of the
-    path's; value and certificate, or the gap's message, agree."""
+    """Bound mode reads no tree: given the tree ``donor_target_path``
+    returned, it prices on the ancestral subnet of the path's cliques,
+    which holds the tree's variables, as it does without one; value and
+    certificate, or the gap's message, agree."""
     rng = np.random.default_rng(seed)
     net = shuffle_parents(random_net(rng, 5, 14), rng)
     names = net.names()
@@ -732,8 +733,76 @@ def test_exact_mode_rejects_a_tree_without_the_parents(ten_node):
     # the same cliques as a tree over X4 onward: X4's parents are missing
     cut = build_junction_tree(subgraph(moralize(ten_node),
                                        {"X4", "X5", "X7", "X9"}))
-    with pytest.raises(DomainError, match="family of"):
+    with pytest.raises(DomainError, match="^no clique of the tree holds "
+                                          "the family of 'X4'$"):
         path_impact(ten_node, path, "exact", tree=cut)
+
+
+def test_cli_exact_impact_builds_one_ancestral_subnet(capsys, monkeypatch):
+    """``donor_target_path`` builds the subnet its tree is made of, and
+    exact mode calibrates that tree on the net as given."""
+    calls = []
+    real = bn_model.ancestral_set
+
+    def counted(net, targets):
+        calls.append(net)
+        return real(net, targets)
+    monkeypatch.setattr(bn_model, "ancestral_set", counted)
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["impact", "models/ten_node_demo.json", "--from", "X1", "--to",
+            "X9", "--mode", "exact", "--json"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 0.0
+    assert len(calls) == 1
+
+
+def _exact_outcome(net, path, tree):
+    try:
+        return path_impact(net, path, "exact", tree=tree)
+    except DomainError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+def test_exact_impact_with_the_tree_is_that_of_its_ancestral_subnet(seed, a,
+                                                                     b):
+    """Calibrated on the whole net, the tree ``donor_target_path``
+    returned gives the result it gives on the ancestral subnet it was
+    built from: the net's other variables are barren."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 5, 14), rng)
+    names = net.names()
+    ends = {names[a % len(names)]}, {names[b % len(names)]}
+    tree, path = donor_target_path(net, *ends)
+    sub = bn_model._ancestral_subnet(net, ends[0] | ends[1])
+    assert _exact_outcome(net, path, tree) == _exact_outcome(sub, path, tree)
+
+
+def test_exact_mode_with_a_tree_validates_an_unmarked_net(ten_node,
+                                                           monkeypatch):
+    """The net is checked as given, also where the tree does not reach:
+    X10 is no ancestor of X1 or X9."""
+    tree, path = donor_target_path(ten_node, {"X1"}, {"X9"})
+    assert "X10" not in {v for c in tree.cliques for v in c}
+    checked = []
+    real = bn_model.validate
+
+    def counted(net):
+        checked.append(net)
+        return real(net)
+    monkeypatch.setattr(bn_model, "validate", counted)
+    unmarked = BayesNet(ten_node.variables, ten_node.cpts)
+    assert path_impact(unmarked, path, "exact", tree=tree) == path_impact(
+        ten_node, path, "exact", tree=tree)
+    assert checked == [unmarked] and unmarked._validated
+    t = ten_node.cpt("X10")
+    bad = Cpt(t.child, t.child_levels, t.parents, t.parent_levels,
+              t.grid() * 0.5)
+    broken = BayesNet(ten_node.variables, ten_node.cpts[:-1] + (bad,))
+    assert broken.names()[-1] == "X10"
+    with pytest.raises(DomainError, match="^invalid network: X10: row 0"):
+        path_impact(broken, path, "exact", tree=tree)
 
 
 def test_cli_exact_impact_on_a_forty_variable_chain(tmp_path, capsys):

@@ -572,7 +572,7 @@ _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2 ** 100, 2 ** 100),
     st.floats(), _NONFINITE, st.floats().map(np.float64),
     st.text(max_size=8))
-# lists of floats alone take the writer's one-template path
+# lists of floats alone take the writer's per-item path
 _FLOAT_ROWS = st.lists(st.one_of(st.floats(), _NONFINITE), min_size=1,
                        max_size=6)
 # tables of equal-length float rows, as lists or tuples, take its
@@ -821,6 +821,39 @@ def test_cli_path_command_lists_cliques(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "{X1, X2}" in out
     assert "{X7, X9}" in out
+
+
+def test_cli_path_of_one_clique_lists_no_separator(capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["path", "--from", "Drought", "--to", "TreeCondition",
+            "models/native_fish_fragment.json"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (
+        "cliques:\n  {Drought, Rainfall, TreeCondition}\n"
+        "separators:\n  (none)\n")
+
+
+def test_cli_delete_edge_of_a_last_parent_prints_a_bare_row_header(
+        capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    argv = ["delete-edge", "--from", "X1", "--to", "X2",
+            "models/ten_node_demo.json"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (
+        "removed X1 -> X2 (cost 0.253878)\nrows of X2:\n"
+        "  (): 0.580734 0.419266\n")
+
+
+def test_cli_report_of_a_model_without_edges(tmp_path, capsys):
+    model = tmp_path / "roots.json"
+    model.write_text(_doc(
+        variables=[{"name": "A", "levels": ["t", "f"]},
+                   {"name": "B", "levels": ["t", "f"]}],
+        cpts=[{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
+              {"child": "B", "parents": [], "rows": [[0.25, 0.75]]}]))
+    assert run_cli(["report", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "\nedge deletion costs:\n  (none)\njunction tree:\n" in out
 
 
 def _readme_examples():

@@ -629,6 +629,25 @@ def test_clique_marginals_equal_dense_marginals(ten_node):
             jtree._join_sets(moralize(sub), path.cliques)[0]))
 
 
+def test_clique_marginals_skip_the_variables_outside_the_tree():
+    """On the whole net, a tree of an ancestral subnet gives the tables
+    it gives on that subnet, bit for bit."""
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        net = shuffle_parents(random_net(rng, 5, 12), rng)
+        names = net.names()
+        ends = {str(rng.choice(names))}, {str(rng.choice(names))}
+        tree, _ = donor_target_path(net, *ends)
+        sub = _ancestral_subnet(net, ends[0] | ends[1])
+        assert len(sub.variables) < len(net.variables)
+        scopes = tree.cliques[::-1]
+        for whole, part in zip(_clique_marginals(net, tree, scopes),
+                               _clique_marginals(sub, tree, scopes),
+                               strict=True):
+            assert (whole.scope, whole.cards) == (part.scope, part.cards)
+            assert whole.mass.tobytes() == part.mass.tobytes()
+
+
 def test_path_tree_holds_every_path_clique(ten_node):
     # {X1, X9} is no clique of the moral graph; the path tree adds it
     sub = _ancestral_subnet(ten_node, {"X1", "X9"})

@@ -88,6 +88,29 @@ def test_tv_distance_is_half_l1():
         assert abs(tv_distance(p, q) - expected) <= 1e-15
 
 
+@pytest.mark.parametrize("mass", [(1.0,), (1.0, 0.0, 0.7)])
+def test_tv_distance_rejects_a_mass_count_unlike_the_level_count(mass):
+    p = ProbVec(("a", "b"), mass)
+    q = ProbVec(("a", "b"), (0.5, 0.5))
+    for args in ((p, q), (q, p)):
+        with pytest.raises(DomainError,
+                           match=f"^{len(mass)} masses for 2 levels$"):
+            tv_distance(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(*[st.lists(
+    st.floats(-1.0, 2.0) | st.just(np.nan), min_size=k, max_size=k)] * 2)))
+def test_tv_distance_equals_the_left_to_right_loop(masses):
+    levels = tuple(f"l{j}" for j in range(len(masses[0])))
+    total = 0.0
+    for a, b in zip(*masses):
+        total += abs(a - b)
+    got = tv_distance(*(ProbVec(levels, m) for m in masses))
+    assert type(got) is float
+    assert repr(got) == repr(0.5 * total)
+
+
 def test_row_indexing_round_trip():
     t = tree_cpt()
     assert t.n_rows == 6
@@ -463,6 +486,24 @@ def test_equal_rows_of_a_wide_table_have_diameter_zero_at_the_first_pair():
             np.tile([0.1, 0.2, 0.3, 0.4], (64, 1)))
     assert tv_core._candidate_rows(t.grid().reshape(64, 4)) is None
     assert (diameter(t), diameter_witness(t)) == (0.0, (0, 0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "zeros"])
+def test_wide_tables_without_a_finite_scale_take_the_block_scan(bad):
+    """A 64 x 4 table is wide enough for event sums, but NaN, an
+    infinity or all zeros leave no slack to scale, so every pair is
+    compared."""
+    X = np.random.default_rng(82).dirichlet(np.ones(4), size=64)
+    if bad == "zeros":
+        X[:] = 0.0
+    else:
+        X[5, 2] = bad
+    t = Cpt("A", ("a", "b", "c", "d"), ("P", "Q"), (tuple("abcdefgh"),) * 2,
+            X)
+    assert tv_core._candidate_rows(t.grid().reshape(64, 4)) is None
+    assert ((diameter(t), diameter_witness(t))
+            == tv_core._block_scan(X, None, 0.0))
 
 
 def _tables_of_every_origin():
