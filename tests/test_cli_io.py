@@ -576,7 +576,7 @@ _SCALARS = st.one_of(
 _FLOAT_ROWS = st.lists(st.one_of(st.floats(), _NONFINITE), min_size=1,
                        max_size=6)
 # tables of equal-length float rows, as lists or tuples, take its
-# one-template path too
+# one-template path
 _FLOAT_TABLES = st.integers(1, 4).flatmap(lambda k: st.lists(
     st.lists(st.one_of(st.floats(), _NONFINITE), min_size=k, max_size=k)
     | st.lists(st.floats(), min_size=k, max_size=k).map(tuple),
