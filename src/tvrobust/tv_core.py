@@ -3,9 +3,10 @@
 Everything here is a pure function on immutable values.  Row
 computations run on :meth:`Cpt.grid` through two kernels, a TV that
 adds columns left to right and a convex sum that adds its terms in
-order; numpy's reductions, which sum eight or more terms pairwise, are
-not used, so values equal the plain per-row loops bit for bit.
-Max-taking operations resolve ties to the lowest row indices.
+order; numpy's sums, which add eight or more terms pairwise, are not used,
+but ``np.add.accumulate`` adds in order and sums a TV block of at most
+_ONE_PASS_LANES rows per level, so values equal the plain per-row loops
+bit for bit.  Max-taking operations resolve ties to the lowest row indices.
 
 Diameters come from the row-pair scan ``_pair_scan`` and its two
 paths: a block scan of every row pair, and, for finite tables of at
@@ -30,6 +31,7 @@ from .errors import DomainError
 ROW_SUM_TOLERANCE = 1e-9
 # floats per temporary array in the row-pair scan
 _PAIR_BUDGET = 2 ** 15
+_ONE_PASS_LANES = 64  # rows per level of a TV block taken in one pass
 # shape rule of the row-pair scan's event-sum path (2 ** 9 events at
 # most); on fewer rows or cells the block scan is the faster one
 _EVENT_ROWS = 64
@@ -256,9 +258,12 @@ def _bad_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """TV between rows (last axis) of broadcast arrays, columns in order."""
+    """TV between rows (last axis) of broadcast arrays, columns in order:
+    at most _ONE_PASS_LANES rows per level in one pass, else by column."""
     if not a.shape[-1]:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    if np.broadcast(a, b).size <= _ONE_PASS_LANES * a.shape[-1] ** 2:
+        return 0.5 * np.add.accumulate(np.abs(a - b), axis=-1)[..., -1]
     total = np.abs(a[..., 0] - b[..., 0])
     for c in range(1, a.shape[-1]):
         total += np.abs(a[..., c] - b[..., c])
@@ -266,8 +271,8 @@ def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _max(d: np.ndarray, floor: float = 0.0) -> float:
-    """Largest entry of ``d`` above ``floor``, else ``floor``; NaN ignored."""
-    return float(np.max(d, initial=floor, where=~np.isnan(d)))
+    """The largest of ``floor`` and the entries of ``d``; fmax skips NaN."""
+    return float(np.fmax.reduce(d, axis=None, initial=floor))
 
 
 def _pair_scan(X: np.ndarray, Y: np.ndarray | None = None,
@@ -490,14 +495,24 @@ def variation_matrix(P: Cpt) -> VariationMatrix:
 def parent_diameter(P: Cpt, j: int) -> float:
     """Maximum TV between rows differing only in parent ``j``'s level.
 
-    All other parents are held fixed; the result is the cost proxy for
-    deleting the edge from parent ``j`` into the child.  Zero exactly
-    when the child is conditionally independent of that parent.
+    All other parents are held fixed and each pair of levels is compared
+    once; the result is the cost proxy for deleting the edge from parent
+    ``j`` into the child.  Zero exactly when the child is conditionally
+    independent of that parent.
     """
     if not 0 <= j < len(P.parents):
         raise DomainError(f"parent index {j} out of range")
     G = np.moveaxis(P.grid(), j, -2)
-    return _max(_tv(G[..., :, None, :], G[..., None, :, :]))
+    lo, hi = _level_pairs(G.shape[-2])
+    return _max(_tv(G[..., lo, :], G[..., hi, :]))
+
+
+@functools.cache
+def _level_pairs(n: int) -> np.ndarray:
+    """The pairs i < j of ``n`` levels, as a read-only 2 x m array."""
+    out = np.array(np.triu_indices(n, 1))
+    out.setflags(write=False)
+    return out
 
 
 def parent_index(P: Cpt, name: str) -> int:

@@ -259,6 +259,17 @@ def reference_diameter(rows) -> float:
     return 0.5 * float(gaps.max())
 
 
+def reference_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """TV between rows (last axis) of broadcast arrays, one column at a
+    time, left to right: ``tv_core._tv`` must equal it bit for bit."""
+    if not a.shape[-1]:
+        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    total = np.abs(a[..., 0] - b[..., 0])
+    for c in range(1, a.shape[-1]):
+        total += np.abs(a[..., c] - b[..., c])
+    return 0.5 * total
+
+
 # Scalar references: the per-row, label-driven loops the grid kernels in
 # tv_core and advisors replaced.  The kernels must match them with ==.
 

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import math
 import pickle
 
 import numpy as np
@@ -35,6 +37,7 @@ from conftest import (
     random_net,
     random_table,
     random_vector,
+    reference_tv,
     scalar_collapse_parent,
     scalar_diameter,
     scalar_mix,
@@ -255,6 +258,110 @@ def test_parent_diameter_zero_for_irrelevant_parent():
     t = Cpt.of("C", ("x", "y"), ("A", "B"), (("t", "f"), ("t", "f")), rows)
     assert parent_diameter(t, 1) == 0.0
     assert abs(parent_diameter(t, 0) - 0.6) <= 1e-12
+
+
+def test_parent_diameter_of_a_one_level_parent_is_zero():
+    """A parent with one level has no pair of levels to compare."""
+    t = random_table(np.random.default_rng(83), 3, (1, 4))
+    assert tv_core._level_pairs(1).shape == (2, 0)
+    assert parent_diameter(t, 0) == scalar_parent_diameter(t, 0) == 0.0
+    assert parent_diameter(t, 1) == scalar_parent_diameter(t, 1) > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parent_diameter_of_a_bad_row_equals_the_scalar_loop(bad):
+    """NaN TVs lose and infinite ones win, as in the scalar loop."""
+    X = np.random.default_rng(84).dirichlet(np.ones(3), size=12)
+    X[5] = bad
+    t = Cpt("C", ("x", "y", "z"), ("A", "B"),
+            (("a0", "a1", "a2"), ("b0", "b1", "b2", "b3")), X)
+    for j in (0, 1):
+        assert parent_diameter(t, j) == scalar_parent_diameter(t, j)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_level_pairs_are_each_pair_of_levels_once(n):
+    pairs = tv_core._level_pairs(n)
+    assert pairs.T.tolist() == [list(p) for p in
+                                itertools.combinations(range(n), 2)]
+    assert not pairs.flags.writeable
+
+
+def _awkward_rows(rng, n: int, k: int) -> np.ndarray:
+    """n x k floats, about one in ten NaN, +-inf, subnormal or -0.0."""
+    X = rng.uniform(-1.0, 2.0, size=(n, k))
+    hit = rng.random(X.shape) < 0.1
+    X[hit] = rng.choice([np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, -0.0],
+                        size=int(hit.sum()))
+    return X
+
+
+def _pair_blocks(rng, lanes: int, k: int):
+    """(a, b) with ``lanes`` rows of k columns: contiguous pairs, as
+    ``parent_diameter`` passes them, and X rows against Y rows broadcast,
+    as ``_block_scan`` passes them (Y a slice, as for rows j0 onward)."""
+    yield _awkward_rows(rng, lanes, k), _awkward_rows(rng, lanes, k)
+    m = max(d for d in range(1, math.isqrt(lanes) + 1) if not lanes % d)
+    X, Y = _awkward_rows(rng, m, k), _awkward_rows(rng, lanes // m + 1, k)
+    yield X[:, None, :], Y[None, 1:, :]
+    yield X[None, :, :], Y[1:, None, :]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 10, 16])
+@pytest.mark.parametrize("past", [-1, 0, 1])
+def test_tv_equals_the_column_loop_on_both_sides_of_the_size_rule(k, past):
+    """Blocks of 64 k - 1, 64 k and 64 k + 1 rows of k levels."""
+    rng = np.random.default_rng([85, k, past + 1])
+    lanes = tv_core._ONE_PASS_LANES * k + past
+    for a, b in _pair_blocks(rng, lanes, k):
+        assert np.broadcast(a, b).size == lanes * k
+        got, want = tv_core._tv(a, b), reference_tv(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    a, b = _awkward_rows(rng, 2, k)
+    assert tv_core._tv(a, b).tobytes() == reference_tv(a, b).tobytes()
+
+
+class _CountingNumpy:
+    """numpy as ``tv_core`` sees it, counting the calls of ``np.abs``."""
+
+    def __init__(self):
+        self.abs_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, x):
+        self.abs_calls += 1
+        return np.abs(x)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 16])
+def test_small_tv_blocks_take_one_subtraction_and_large_ones_one_per_level(
+        monkeypatch, k):
+    rng = np.random.default_rng([86, k])
+    for lanes, calls in ((1, 1), (tv_core._ONE_PASS_LANES * k, 1),
+                         (tv_core._ONE_PASS_LANES * k + 1, k)):
+        spy = _CountingNumpy()
+        monkeypatch.setattr(tv_core, "np", spy)
+        tv_core._tv(rng.random((lanes, k)), rng.random((lanes, k)))
+        monkeypatch.undo()
+        assert spy.abs_calls == calls
+
+
+@pytest.mark.parametrize("d", [
+    np.array([np.nan, np.nan]), np.array([]), np.zeros((3, 0)),
+    np.array([0.1, 0.4, 0.2]), np.array([0.3, np.inf, np.nan]),
+    np.array([[np.nan, 0.7], [0.2, np.nan]]), np.array(0.3),
+    np.array(np.nan), np.float64(0.6)])
+@pytest.mark.parametrize("floor", [0.0, -1.0, 5.0])
+def test_max_equals_the_masked_max(d, floor):
+    """``_max`` is numpy's max over the non-NaN entries from ``floor``."""
+    got = tv_core._max(d, floor)
+    assert type(got) is float
+    assert got == float(np.max(d, initial=floor, where=~np.isnan(d)))
 
 
 def test_mix_matches_manual_combination():
