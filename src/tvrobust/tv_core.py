@@ -4,9 +4,9 @@ Everything here is a pure function on immutable values.  Row
 computations run on :meth:`Cpt.grid` through two kernels, a TV that
 adds columns left to right and a convex sum that adds its terms in
 order; numpy's sums, which add eight or more terms pairwise, are not used,
-but ``np.add.accumulate`` adds in order and sums a TV block of at most
-_ONE_PASS_LANES rows per level, so values equal the plain per-row loops
-bit for bit.  Max-taking operations resolve ties to the lowest row indices.
+but ``np.add.accumulate``, which adds in order, sums the TV's columns, so
+values equal the plain per-row loops bit for bit.  Max-taking operations
+resolve ties to the lowest row indices.
 
 Diameters come from the row-pair scan ``_pair_scan`` and its two
 paths: a block scan of every row pair, and, for finite tables of at
@@ -31,7 +31,6 @@ from .errors import DomainError
 ROW_SUM_TOLERANCE = 1e-9
 # floats per temporary array in the row-pair scan
 _PAIR_BUDGET = 2 ** 15
-_ONE_PASS_LANES = 64  # rows per level of a TV block taken in one pass
 # shape rule of the row-pair scan's event-sum path (2 ** 9 events at
 # most); on fewer rows or cells the block scan is the faster one
 _EVENT_ROWS = 64
@@ -259,15 +258,10 @@ def _bad_rows(X: np.ndarray) -> np.ndarray:
 
 def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """TV between rows (last axis) of broadcast arrays, columns in order:
-    at most _ONE_PASS_LANES rows per level in one pass, else by column."""
+    one subtraction of the whole block, its columns added left to right."""
     if not a.shape[-1]:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    if np.broadcast(a, b).size <= _ONE_PASS_LANES * a.shape[-1] ** 2:
-        return 0.5 * np.add.accumulate(np.abs(a - b), axis=-1)[..., -1]
-    total = np.abs(a[..., 0] - b[..., 0])
-    for c in range(1, a.shape[-1]):
-        total += np.abs(a[..., c] - b[..., c])
-    return 0.5 * total
+    return 0.5 * np.add.accumulate(np.abs(a - b), axis=-1)[..., -1]
 
 
 def _max(d: np.ndarray, floor: float = 0.0) -> float:
@@ -310,11 +304,12 @@ def _pair_scan(X: np.ndarray, Y: np.ndarray | None = None,
 
 def _block_scan(X: np.ndarray, Y: np.ndarray | None, floor: float):
     """``_pair_scan`` by comparing every pair, with blocks of ``X`` rows
-    that keep each temporary within _PAIR_BUDGET floats."""
+    that keep each temporary (pairs times levels) within _PAIR_BUDGET
+    floats, or one row where a row's pairs alone exceed it."""
     upper = Y is None
     Y = X if upper else Y
     best, pair = floor, (0, 0)
-    step = max(1, _PAIR_BUDGET // max(1, len(Y)))
+    step = max(1, _PAIR_BUDGET // max(1, len(Y) * X.shape[1]))
     for lo in range(0, len(X) - upper, step):
         hi = min(lo + step, len(X))
         j0 = lo + 1 if upper else 0

@@ -311,10 +311,10 @@ def _pair_blocks(rng, lanes: int, k: int):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 10, 16])
 @pytest.mark.parametrize("past", [-1, 0, 1])
-def test_tv_equals_the_column_loop_on_both_sides_of_the_size_rule(k, past):
+def test_tv_equals_the_column_loop(k, past):
     """Blocks of 64 k - 1, 64 k and 64 k + 1 rows of k levels."""
     rng = np.random.default_rng([85, k, past + 1])
-    lanes = tv_core._ONE_PASS_LANES * k + past
+    lanes = 64 * k + past
     for a, b in _pair_blocks(rng, lanes, k):
         assert np.broadcast(a, b).size == lanes * k
         got, want = tv_core._tv(a, b), reference_tv(a, b)
@@ -339,16 +339,35 @@ class _CountingNumpy:
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 16])
-def test_small_tv_blocks_take_one_subtraction_and_large_ones_one_per_level(
-        monkeypatch, k):
+def test_tv_takes_one_subtraction_per_block(monkeypatch, k):
     rng = np.random.default_rng([86, k])
-    for lanes, calls in ((1, 1), (tv_core._ONE_PASS_LANES * k, 1),
-                         (tv_core._ONE_PASS_LANES * k + 1, k)):
+    for lanes in (1, 64 * k, 64 * k * k):
         spy = _CountingNumpy()
         monkeypatch.setattr(tv_core, "np", spy)
         tv_core._tv(rng.random((lanes, k)), rng.random((lanes, k)))
         monkeypatch.undo()
-        assert spy.abs_calls == calls
+        assert spy.abs_calls == 1
+
+
+@pytest.mark.parametrize("k", [2, 64])
+def test_block_scan_keeps_each_tv_block_within_the_budget(monkeypatch, k):
+    """Blocks of rows by rows by levels stay within _PAIR_BUDGET floats,
+    and the scan still finds the plain scan's pair."""
+    X = np.random.default_rng([87, k]).dirichlet(np.ones(k), size=256)
+    sizes = []
+
+    def tv(a, b):
+        sizes.append(np.broadcast(a, b).size)
+        return reference_tv(a, b)
+
+    monkeypatch.setattr(tv_core, "_tv", tv)
+    best, pair = tv_core._block_scan(X, None, 0.0)
+    assert max(sizes) <= tv_core._PAIR_BUDGET
+    monkeypatch.undo()
+    d = reference_tv(X[:, None, :], X[None, :, :])
+    d[np.tril_indices(len(X))] = -np.inf
+    i, j = divmod(int(np.argmax(d)), len(X))
+    assert (best, pair) == (float(d[i, j]), (i, j))
 
 
 @pytest.mark.parametrize("d", [
