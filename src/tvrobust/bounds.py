@@ -25,9 +25,7 @@ from .jtree import (
     CliquePath,
     JunctionTree,
     _clique_marginals,
-    _join_sets,
-    build_junction_tree,
-    moralize,
+    _moral_tree,
     path_factor_specs,
 )
 from .tv_core import Cpt, ProbVec, _pair_scan, diameter, tv_distance
@@ -200,7 +198,7 @@ def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
     scopes = [c for c, spec in zip(path.cliques, specs) if spec[0]]
     _require_valid(sub)
     if tree is None:
-        tree = build_junction_tree(_join_sets(moralize(sub), scopes)[0])
+        tree = _moral_tree(sub, scopes)[0]
     tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
 
     def price(outputs, given) -> Factor:

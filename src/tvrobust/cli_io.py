@@ -32,6 +32,7 @@ import numpy as np
 
 from .advisors import (
     EdgeReport,
+    _merge_plan,
     amalgamate_levels,
     amalgamation_suggest,
     delete_edge,
@@ -620,10 +621,11 @@ def _build_amalgamate(args) -> dict:
     group = [token.strip() for token in args.group.split(",")]
     merged, costs = amalgamate_levels(net, args.variable, group,
                                       allow_nonconsecutive=args.nominal)
-    # the fused level sits where the group's first level was
-    first = min(map(net.variable(args.variable).levels.index, group))
+    # the plan maps each member of the group to the fused level
+    levels = net.variable(args.variable).levels
+    fused, plan = _merge_plan(levels, group, not args.nominal)
     return _doc(args, variable=args.variable, group=group,
-                merged_level=merged.variable(args.variable).levels[first],
+                merged_level=fused[plan[levels.index(group[0])]],
                 costs=dict(sorted(costs.items())),
                 model_after=model_document(merged))
 

@@ -1,14 +1,14 @@
 """Moralization, triangulation, junction trees, clique paths, and
 calibrated clique marginals.
 
-One min-fill elimination (``_eliminate``) serves ``triangulate``,
-``is_chordal`` and ``maximal_cliques``, and gives ``build_junction_tree``
-the cliques of the min-fill triangulation of any graph it is given, so a
-tree costs one elimination.  One breadth-first search (``_tree_paths``)
-gives clique paths and the calibration's visit order.
-Vertex order everywhere is the net's declaration order, and every
-tie-break resolves to the lowest position, so identical inputs always
-produce identical cliques, trees, and paths.
+Graphs are ``{vertex: neighbour set}`` dicts; a query reads its moral
+graph off the CPTs and builds no ``UGraph`` (``_moral_tree``).  One
+min-fill elimination (``_eliminate``) serves ``triangulate``,
+``is_chordal``, ``maximal_cliques`` and each junction tree, whose
+spanning tree compares only clique pairs that share a vertex and joins
+the components left by weight-0 pairs, lowest index first: the tree of
+all-pairs Kruskal.  Each tree's neighbour map is built once.  Ties go
+to the lowest declaration position, so equal inputs give equal trees.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,8 @@ class JunctionTree:
             adj[j].append(i)
         return {i: sorted(v) for i, v in adj.items()}
 
+    _adjacent = cached_property(neighbors)  # the library's map, built once
+
 
 @dataclass(frozen=True)
 class CliquePath:
@@ -103,40 +106,47 @@ def moralize(net: BayesNet) -> UGraph:
     return UGraph(net.names(), tuple(edges))
 
 
-def _join_sets(g: UGraph, sets):
-    """``g`` with every pair inside each of ``sets`` joined, so that one
-    clique of its triangulation holds each set, and for each set whether
-    ``g`` lacked one of its pairs."""
-    have = set(g.edges)
-    added = [[pair for pair in itertools.combinations(
-        sorted(s, key=g.position), 2) if pair not in have] for s in sets]
-    return (UGraph(g.vertices, g.edges + tuple(itertools.chain(*added))),
-            [bool(pairs) for pairs in added])
+def _moral_tree(net: BayesNet, sets):
+    """The junction tree of the moral graph of ``net``, read off the CPTs
+    with every pair inside each of ``sets`` joined so that one clique
+    holds each set, and for each set whether the moral graph lacked one
+    of its pairs."""
+    adj: dict[str, set[str]] = {name: set() for name in net.names()}
+    for v, t in zip(net.variables, net.cpts):
+        for a, b in itertools.chain(((p, v.name) for p in t.parents),
+                                    itertools.combinations(t.parents, 2)):
+            if a == b:
+                raise DomainError(f"self-loop on {a!r}")
+            adj[a].add(b)
+            adj[b].add(a)
+    pairs = [list(itertools.combinations(s, 2)) for s in sets]
+    joined = [any(b not in adj[a] for a, b in p) for p in pairs]
+    for a, b in itertools.chain(*pairs):
+        adj[a].add(b)
+        adj[b].add(a)
+    return _junction_tree(adj, net._index), joined
 
 
-def _eliminate(g: UGraph):
-    """Min-fill elimination: (fill edges, maximal cliques of the filled
-    graph in canonical order).
+def _eliminate(adj: dict[str, set[str]], rank: dict[str, int]):
+    """Min-fill elimination of ``adj``, which it consumes: (fill edges,
+    maximal cliques of the filled graph, each and their list by ``rank``).
 
     Each step removes the vertex whose neighbours lack the fewest edges
-    among themselves, the first in declaration order on ties, after
+    among themselves, the first in ``adj``'s order on ties, after
     joining those neighbours.  Its elimination clique is the vertex with
     its remaining neighbours.  A count stops once the vertex cannot beat
     the best so far, and the scan stops at a vertex that needs no fill,
     so each step picks the vertex the full scan picks.  The order is a
-    perfect elimination order of ``g`` with the fill added, so the
+    perfect elimination order of the graph with the fill added, so the
     elimination cliques that no earlier one contains are that graph's
     maximal cliques; a graph is chordal exactly when no fill is added
     (Fulkerson & Gross 1965; Rose, Tarjan & Lueker 1976).
     """
-    rank = {v: i for i, v in enumerate(g.vertices)}
-    adj = g.neighbors()
     fill: list[tuple[str, str]] = []
     cliques: list[frozenset[str]] = []
-    remaining = sorted(adj, key=rank.get)
-    while remaining:
+    while adj:
         best_v, best_cost = None, None
-        for v in remaining:
+        for v in adj:
             cost = 0
             for a, b in itertools.combinations(adj[v], 2):
                 if b not in adj[a]:
@@ -157,12 +167,10 @@ def _eliminate(g: UGraph):
         # inside an earlier clique
         if not any(c <= k for k in cliques):
             cliques.append(c)
-        for u in adj[best_v]:
+        for u in adj.pop(best_v):
             adj[u].discard(best_v)
-        del adj[best_v]
-        remaining.remove(best_v)
-    ordered = [tuple(sorted(c, key=g.position)) for c in cliques]
-    ordered.sort(key=lambda c: tuple(g.position(v) for v in c))
+    ordered = [tuple(sorted(c, key=rank.__getitem__)) for c in cliques]
+    ordered.sort(key=lambda c: [rank[v] for v in c])
     return fill, tuple(ordered)
 
 
@@ -171,17 +179,18 @@ def triangulate(g: UGraph) -> UGraph:
 
     Ties are broken by declaration order, so the result is deterministic.
     """
-    return UGraph(g.vertices, g.edges + tuple(_eliminate(g)[0]))
+    fill = _eliminate(g.neighbors(), g._pos)[0]
+    return UGraph(g.vertices, g.edges + tuple(fill))
 
 
 def is_chordal(g: UGraph) -> bool:
     """True when min-fill elimination adds no edge."""
-    return not _eliminate(g)[0]
+    return not _eliminate(g.neighbors(), g._pos)[0]
 
 
 def maximal_cliques(g: UGraph) -> tuple[tuple[str, ...], ...]:
     """Maximal cliques of a chordal graph, in canonical order."""
-    fill, cliques = _eliminate(g)
+    fill, cliques = _eliminate(g.neighbors(), g._pos)
     if fill:
         raise DomainError("graph is not chordal")
     return cliques
@@ -198,7 +207,7 @@ def verify_running_intersection(cliques, order) -> bool:
     for k, idx in enumerate(order):
         sep = sets[idx] & union
         if k > 0 and sep and not any(
-                sep <= sets[order[j]] for j in range(k)):
+                sep <= sets[order[j]] for j in range(k - 1, -1, -1)):
             return False
         union |= sets[idx]
     return True
@@ -215,17 +224,23 @@ def build_junction_tree(g: UGraph) -> JunctionTree:
     ordering is produced greedily from the first clique and then
     verified by the independent checker.
     """
-    cliques = _eliminate(g)[1]
-    sets = [frozenset(c) for c in cliques]
-    m = len(cliques)
-    pos = {v: g.position(v) for v in g.vertices}
+    return _junction_tree(g.neighbors(), g._pos)
 
-    candidates = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = len(sets[i] & sets[j])
-            candidates.append((-w, i, j))
-    candidates.sort()
+
+def _junction_tree(adj: dict, rank: dict[str, int]) -> JunctionTree:
+    """``build_junction_tree`` of the graph ``adj``, which it consumes.
+    Kruskal takes the pairs that share a vertex by (-weight, i, j); the
+    weight-0 pairs that follow start (0, j), which join all the rest."""
+    cliques = _eliminate(adj, rank)[1]
+    m = len(cliques)
+    # (i, j) -> the members clique i < j shares with clique j, in order
+    shared: dict[tuple[int, int], list[str]] = {}
+    holders: dict[str, list[int]] = {}
+    for i, c in enumerate(cliques):
+        for v in c:
+            for h in holders.setdefault(v, []):
+                shared.setdefault((h, i), []).append(v)
+            holders[v].append(i)
     parent = list(range(m))
 
     def find(x: int) -> int:
@@ -235,29 +250,29 @@ def build_junction_tree(g: UGraph) -> JunctionTree:
         return x
 
     tree_edges = []
-    for negw, i, j in candidates:
+    for i, j in itertools.chain(
+            sorted(shared, key=lambda e: (-len(shared[e]), e)),
+            ((0, j) for j in range(1, m) if len(tree_edges) < m - 1)):
         ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        sep = tuple(sorted(sets[i] & sets[j], key=pos.get))
-        tree_edges.append((i, j, sep))
-    tree_edges.sort(key=lambda e: (e[0], e[1]))
+        if ri != rj:
+            parent[ri] = rj
+            tree_edges.append((i, j, tuple(shared.get((i, j), ()))))
+    tree_edges.sort()
 
     # the lowest-index clique next to a placed one goes next; the tree
-    # spans every clique (weight-0 pairs join components), so all are
-    # reached from clique 0
-    adj = JunctionTree(cliques, tuple(tree_edges), ()).neighbors()
+    # spans every clique, so all are reached from clique 0
+    adjacent = JunctionTree(cliques, tuple(tree_edges), ())._adjacent
     rip: dict[int, None] = {}
     frontier = [0] if m else []
     while frontier:
         i = heapq.heappop(frontier)
         if i not in rip:
             rip[i] = None
-            for j in adj[i]:
+            for j in adjacent[i]:
                 heapq.heappush(frontier, j)
 
     jt = JunctionTree(cliques, tuple(tree_edges), tuple(rip))
+    object.__setattr__(jt, "_adjacent", adjacent)  # same edges, same map
     if not verify_running_intersection(cliques, jt.rip_order):
         raise DomainError("running intersection verification failed")
     return jt
@@ -266,11 +281,10 @@ def build_junction_tree(g: UGraph) -> JunctionTree:
 def _tree_paths(jt: JunctionTree, start: int) -> dict[int, tuple[int, ...]]:
     """Clique index sequence from ``start`` to every clique it reaches,
     found by one breadth-first search of the tree."""
-    adj = jt.neighbors()
     paths = {start: (start,)}
     queue = [start]
     for i in queue:
-        for j in adj[i]:
+        for j in jt._adjacent[i]:
             if j not in paths:
                 paths[j] = paths[i] + (j,)
                 queue.append(j)
@@ -303,24 +317,32 @@ def donor_target_path(net: BayesNet, donor, target):
     """Clique path of the donor-to-target recipe, graph work only.
 
     The tree is that of the moral graph of the ancestral subnet of both
-    sets, each set's pairs joined so that one clique holds it, and the
-    path, whose separators are clique intersections, is ``_host_path``
-    on it; independent variables get an empty separator.  A set that
+    sets, each set's pairs joined so that one clique holds it.  The path
+    runs from the lowest-index clique holding ``donor`` to the clique
+    holding ``target`` nearest to it, the lower index winning a tie.
+    That keeps the chain of factors as short as possible and, for a
+    single-variable target, puts the target among the final clique's
+    fresh variables rather than inside the last separator, so the
+    impact product prices its margin.  Separators are clique
+    intersections; independent variables get an empty one.  A set that
     needed joining is refused when the path's first separator S2 holds
-    one of its donors, or the last one of its targets: the end factors P(S2 | C1 minus S2) and P(Ck minus Sk | Sk)
-    price separator members as outputs, so the product could fall below
-    the donor's influence.  Returns (junction tree, clique path).
+    one of its donors, or the last one of its targets: the end factors
+    P(S2 | C1 minus S2) and P(Ck minus Sk | Sk) price separator members
+    as outputs, so the product could fall below the donor's influence.
+    Returns (junction tree, clique path).
     """
-    donor = list(donor)
-    target = list(target)
+    donor, target = list(donor), list(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
     # a list, so an unknown name is reported in the order given
     sub = _ancestral_subnet(net, donor + target)
     donor, target = set(donor), set(target)
-    g, joined = _join_sets(moralize(sub), (donor, target))
-    jt = build_junction_tree(g)
-    path = _host_path(jt, donor, target)
+    jt, joined = _moral_tree(sub, (donor, target))
+    c_donor = next(i for i, c in enumerate(jt.cliques) if donor <= set(c))
+    paths = _tree_paths(jt, c_donor)
+    c_target = min((i for i, c in enumerate(jt.cliques) if target <= set(c)),
+                   key=lambda i: (len(paths[i]), i))
+    path = _clique_path(jt, paths[c_target])
     if path.separators:
         for label, members, needed, which, sep in (
                 ("donor", donor, joined[0], "first", path.separators[0]),
@@ -333,27 +355,6 @@ def donor_target_path(net: BayesNet, donor, target):
                     f"{{{', '.join(sep)}}} of its clique path; its factors "
                     "do not price that")
     return jt, path
-
-
-def _host_path(jt: JunctionTree, donor, target) -> CliquePath:
-    """The simple path on ``jt`` from the lowest-index clique holding
-    ``donor`` to the clique holding ``target`` nearest to it, the lower
-    index winning a tie.  ``jt`` must have a clique holding each set, as
-    a tree built with every pair inside both sets joined does.
-
-    Ending at the nearest hosting clique keeps the chain of factors as
-    short as possible and, for a single-variable target, guarantees the
-    target sits among the final clique's fresh variables rather than
-    inside the last separator, so the impact product prices its margin.
-    """
-    def hosts(members) -> list[int]:
-        return [i for i, c in enumerate(jt.cliques)
-                if members <= frozenset(c)]
-
-    c_donor = hosts(donor)[0]
-    paths = _tree_paths(jt, c_donor)
-    c_target = min(hosts(target), key=lambda i: (len(paths[i]), i))
-    return _clique_path(jt, paths[c_target])
 
 
 def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -446,7 +447,6 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
     if not hosts:
         return []
 
-    adj = jt.neighbors()
     root = hosts[0]
     paths = _tree_paths(jt, root)
     order = list(paths)
@@ -476,7 +476,7 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
         if j in down:
             i = up[j]
             rest = potentials[i] if i == root else potentials[i] * above[i]
-            for k in adj[i]:
+            for k in jt._adjacent[i]:
                 if k != j and up.get(k) == i:
                     rest = rest * below[k]
             above[j] = message(rest, i, j)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
-                      UGraph, Variable, ancestral_set, build_junction_tree,
-                      cpt_superbound, cpt_tv_plus, diameter, moralize,
-                      parent_diameter, topological_order, triangulate,
-                      tv_distance)
+                      UGraph, Variable, ancestral_set, cpt_superbound,
+                      cpt_tv_plus, diameter, maximal_cliques, moralize,
+                      parent_diameter, topological_order, tv_distance)
 from tvrobust import bn_model, cli_io
 from tvrobust.advisors import PriorityRecord
 from tvrobust.cli_io import parse_model
@@ -767,14 +766,51 @@ def reference_triangulate(g: UGraph) -> UGraph:
     return UGraph(g.vertices, g.edges + tuple(fill))
 
 
+def reference_join_sets(g: UGraph, sets):
+    """``g`` with every pair inside each of ``sets`` joined, so that one
+    clique of its triangulation holds each set, and for each set whether
+    ``g`` lacked one of its pairs: the completion step queries ran on
+    ``moralize``'s graph before they read their moral graph off the
+    CPTs."""
+    have = set(g.edges)
+    added = [[pair for pair in itertools.combinations(
+        sorted(s, key=g.position), 2) if pair not in have] for s in sets]
+    return (UGraph(g.vertices, g.edges + tuple(itertools.chain(*added))),
+            [bool(pairs) for pairs in added])
+
+
+def reference_junction_tree(g: UGraph) -> JunctionTree:
+    """The junction tree ``build_junction_tree`` built with Kruskal over
+    every clique pair: the maximal cliques of the full-scan min-fill
+    triangulation, all m(m - 1)/2 pairs sorted by (-separator size, i,
+    j), weight 0 included, each joining two components taken, and
+    ``reference_rip_order``."""
+    cliques = maximal_cliques(reference_triangulate(g))
+    sets = [frozenset(c) for c in cliques]
+    m = len(cliques)
+    component = list(range(m))
+    edges = []
+    for _, i, j in sorted((-len(sets[i] & sets[j]), i, j)
+                          for i, j in itertools.combinations(range(m), 2)):
+        if component[i] != component[j]:
+            gone = component[j]
+            component = [component[i] if c == gone else c
+                         for c in component]
+            edges.append((i, j, tuple(sorted(sets[i] & sets[j],
+                                             key=g.position))))
+    edges.sort()
+    return JunctionTree(cliques, tuple(edges),
+                        reference_rip_order(m, edges))
+
+
 def reference_path_tree(net: BayesNet, scopes) -> JunctionTree:
     """The junction tree of ``net``'s whole moral graph with every pair
     inside each set of ``scopes`` joined first, so that one clique holds
     each set: the bare-path tree as exact ``path_impact`` first built
-    it, from ``moralize`` plus the completing pairs."""
-    moral = moralize(net)
-    pairs = tuple(e for s in scopes for e in itertools.combinations(s, 2))
-    return build_junction_tree(UGraph(moral.vertices, moral.edges + pairs))
+    it, ``reference_junction_tree`` of ``moralize`` plus the completing
+    pairs."""
+    return reference_junction_tree(
+        reference_join_sets(moralize(net), scopes)[0])
 
 
 def junction_property_holds(jt: JunctionTree) -> bool:
@@ -845,21 +881,18 @@ def reference_donor_target_path(net: BayesNet, donor, target):
     """``donor_target_path`` as two tree searches: one for the distance
     of every clique from the donor's, to pick the nearest target host
     (lowest index on ties), then ``reference_simple_path`` between the
-    two member tuples.  The tree is that of the triangulated moral graph
-    of the ancestral subnet with the donor and target sets joined, and
-    carries ``reference_rip_order``.  A set the moral graph does not
-    join is an error when its end separator holds one of its members."""
+    two member tuples.  The tree is ``reference_junction_tree`` of
+    ``reference_join_sets`` of ``moralize`` of the ancestral subnet with
+    the donor and target sets, the route queries took through
+    ``UGraph``.  A set the moral graph does not join is an error when
+    its end separator holds one of its members."""
     donor = set(donor)
     target = set(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
     moral = moralize(bn_model._ancestral_subnet(net, donor | target))
-    pairs = tuple(e for s in (donor, target)
-                  for e in itertools.combinations(s, 2))
-    built = build_junction_tree(triangulate(
-        UGraph(moral.vertices, moral.edges + pairs)))
-    jt = JunctionTree(built.cliques, built.tree_edges, reference_rip_order(
-        len(built.cliques), built.tree_edges))
+    jt = reference_junction_tree(
+        reference_join_sets(moral, (donor, target))[0])
 
     def candidates(members) -> list[int]:
         return [i for i, c in enumerate(jt.cliques)

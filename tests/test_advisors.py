@@ -477,7 +477,8 @@ def test_priority_rejects_an_empty_target_set(fragment, monkeypatch):
 def test_priority_builds_no_junction_tree(ten_node, monkeypatch):
     """Every ancestor is scored off the CPTs alone, with no moral graph
     and no junction tree, however many ancestors there are."""
-    for name in ("moralize", "_join_sets", "build_junction_tree"):
+    for name in ("moralize", "_moral_tree", "_junction_tree",
+                 "build_junction_tree"):
         monkeypatch.setattr(jtree, name, None)
     rng = np.random.default_rng(11)
     cases = [(ten_node, ("X9",)), (ten_node, ("X1", "X9")),

@@ -943,11 +943,17 @@ def _run_module(argv, **env):
     # a donor set that shares a clique only once it is made complete
     ["impact", "models/ten_node_demo.json", "--from", "X4,X6", "--to", "X9",
      "--mode", "exact"],
+    # a 40-variable random net whose ancestral moral graph has many tied
+    # fill costs; the tree build walks neighbour sets in hash order
+    ["impact", "--from", "V0", "--to", "V33", "--mode", "exact", "--json",
+     "models/random_forty.json"],
+    ["path", "--from", "V0", "--to", "V33", "models/random_forty.json"],
 ], ids=["report", "impact_exact", "impact_bound", "report_five_cycle",
         "impact_exact_five_cycle", "delete_edge_wide_child",
         "amalgamate_wide_child", "unknown_targets", "impact_exact_text",
         "impact_bound_text", "path_text", "report_text",
-        "amalgamate_group_text", "impact_completed_donor_text"])
+        "amalgamate_group_text", "impact_completed_donor_text",
+        "impact_exact_random_forty", "path_random_forty"])
 def test_cli_stdout_is_stable_across_hash_seeds(argv):
     outputs = [_run_module(argv, PYTHONHASHSEED=seed)
                for seed in ("0", "1", "2", "3")]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -38,6 +39,7 @@ from conftest import (
     load_model,
     random_net,
     reference_donor_target_path,
+    reference_junction_tree,
     reference_path_tree,
     reference_rip_order,
     reference_simple_path,
@@ -222,7 +224,7 @@ def test_completed_tree_equals_the_whole_moral_graph_reference(seed, picks,
     sub = _ancestral_subnet(net, [names[i % len(names)] for i in picks])
     kept = sub.names()
     scopes = [{kept[i % len(kept)] for i in d} for d in draws]
-    tree = build_junction_tree(jtree._join_sets(moralize(sub), scopes)[0])
+    tree = jtree._moral_tree(sub, scopes)[0]
     assert tree == reference_path_tree(sub, scopes)
     assert all(any(s <= set(c) for c in tree.cliques) for s in scopes)
 
@@ -600,6 +602,78 @@ def test_donor_target_path_equals_two_search_reference(ten_node):
     assert far >= 50
 
 
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example(UGraph((), ()))
+@example(UGraph(("a",), ()))
+# three components, one a lone vertex declared first
+@example(UGraph(("f", "a", "b", "c", "d", "e"),
+                (("a", "b"), ("b", "c"), ("d", "e"))))
+# three triangles on one hub: every clique pair ties at weight 1
+@example(UGraph(("h", "a", "b", "c", "d", "e", "f"),
+                (("h", "a"), ("h", "b"), ("a", "b"), ("h", "c"), ("h", "d"),
+                 ("c", "d"), ("h", "e"), ("h", "f"), ("e", "f"))))
+# the five-cycle, a separate triangle and an isolated vertex
+@example(UGraph(("a", "b", "c", "d", "e", "f", "g", "h", "i"),
+                FIVE_CYCLE + (("f", "g"), ("g", "h"), ("f", "h"))))
+def test_junction_tree_equals_all_pairs_kruskal(g):
+    """Kruskal over the clique pairs that share a vertex, then weight-0
+    pairs from clique 0, gives the tree of Kruskal over every pair."""
+    assert build_junction_tree(g) == reference_junction_tree(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 99), min_size=1, max_size=3),
+       st.lists(st.integers(0, 99), min_size=1, max_size=3))
+def test_donor_target_path_equals_the_moralize_route(seed, picks, aims):
+    """The tree, path and refusal text equal those of the route through
+    ``moralize``, the completed ``UGraph`` and all-pairs Kruskal, for
+    donor and target sets of 1-3 variables on drawn nets."""
+    rng = np.random.default_rng(seed)
+    net = shuffle_parents(random_net(rng, 4, 14), rng)
+    names = net.names()
+    donor = {names[i % len(names)] for i in picks}
+    target = {names[i % len(names)] for i in aims}
+    assert _outcome(donor_target_path, net, donor, target) == _outcome(
+        reference_donor_target_path, net, donor, target)
+
+
+def _same_weight_pair_dropped(jt) -> bool:
+    """Whether some clique pair that shares a vertex is left out of the
+    tree at the separator size of an edge taken: a tie the (i, j) order
+    decided."""
+    taken = collections.Counter(len(s) for _, _, s in jt.tree_edges)
+    shared = collections.Counter(
+        len(set(a) & set(b))
+        for a, b in itertools.combinations(jt.cliques, 2) if set(a) & set(b))
+    return any(shared[w] > taken[w] for w in taken if w)
+
+
+def test_donor_target_path_equals_the_moralize_route_on_many_sets():
+    """As above on 800 fixed cases, which include trees of several
+    components, separator-size ties and refused sets."""
+    rng = np.random.default_rng(905)
+    split = tied = refused = 0
+    for _ in range(200):
+        net = shuffle_parents(random_net(rng, 8, 20), rng)
+        names = list(net.names())
+        for _ in range(4):
+            donor, target = ({str(v) for v in rng.choice(
+                names, size=int(rng.integers(1, 4)), replace=False)}
+                for _ in range(2))
+            got = _outcome(donor_target_path, net, donor, target)
+            assert got == _outcome(reference_donor_target_path, net, donor,
+                                   target)
+            if isinstance(got, str):
+                refused += "meets the" in got
+                continue
+            split += any(not sep for _, _, sep in got[0].tree_edges)
+            tied += _same_weight_pair_dropped(got[0])
+    assert split >= 50 and tied >= 15 and refused >= 50, (split, tied,
+                                                          refused)
+
+
 def _assert_clique_marginals_equal_dense(net, tree):
     """Every clique's calibrated marginal, with each clique in turn as
     the root, equals the dense marginal within 1e-12."""
@@ -625,8 +699,8 @@ def test_clique_marginals_equal_dense_marginals(ten_node):
                                        {str(rng.choice(names))})
         _assert_clique_marginals_equal_dense(net, tree)
         sub = _ancestral_subnet(net, {v for c in path.cliques for v in c})
-        _assert_clique_marginals_equal_dense(net, build_junction_tree(
-            jtree._join_sets(moralize(sub), path.cliques)[0]))
+        _assert_clique_marginals_equal_dense(
+            net, jtree._moral_tree(sub, path.cliques)[0])
 
 
 def test_clique_marginals_skip_the_variables_outside_the_tree():
@@ -651,8 +725,7 @@ def test_clique_marginals_skip_the_variables_outside_the_tree():
 def test_path_tree_holds_every_path_clique(ten_node):
     # {X1, X9} is no clique of the moral graph; the path tree adds it
     sub = _ancestral_subnet(ten_node, {"X1", "X9"})
-    tree = build_junction_tree(
-        jtree._join_sets(moralize(sub), [{"X1", "X9"}])[0])
+    tree = jtree._moral_tree(sub, [{"X1", "X9"}])[0]
     assert any({"X1", "X9"} <= set(c) for c in tree.cliques)
     assert junction_property_holds(tree)
 
@@ -667,9 +740,9 @@ def test_each_junction_tree_runs_one_elimination(capsys, monkeypatch):
     graphs = []
     real = jtree._eliminate
 
-    def counted(g):
-        graphs.append(g)
-        return real(g)
+    def counted(adj, rank):
+        graphs.append(adj)
+        return real(adj, rank)
     monkeypatch.setattr(jtree, "_eliminate", counted)
 
     assert donor_target_path(net, {"A"}, {"F"}) == (tree, path)
