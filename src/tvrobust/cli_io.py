@@ -32,7 +32,6 @@ import numpy as np
 
 from .advisors import (
     EdgeReport,
-    _merge_plan,
     amalgamate_levels,
     amalgamation_suggest,
     delete_edge,
@@ -621,11 +620,11 @@ def _build_amalgamate(args) -> dict:
     group = [token.strip() for token in args.group.split(",")]
     merged, costs = amalgamate_levels(net, args.variable, group,
                                       allow_nonconsecutive=args.nominal)
-    # the plan maps each member of the group to the fused level
-    levels = net.variable(args.variable).levels
-    fused, plan = _merge_plan(levels, group, not args.nominal)
+    # the level the merge made: the new levels less the untouched old ones
+    old, new = (set(n.variable(args.variable).levels) for n in (net, merged))
+    (fused,) = new - (old - set(group))
     return _doc(args, variable=args.variable, group=group,
-                merged_level=fused[plan[levels.index(group[0])]],
+                merged_level=fused,
                 costs=dict(sorted(costs.items())),
                 model_after=model_document(merged))
 

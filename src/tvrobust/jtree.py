@@ -7,8 +7,9 @@ min-fill elimination (``_eliminate``) serves ``triangulate``,
 ``is_chordal``, ``maximal_cliques`` and each junction tree, whose
 spanning tree compares only clique pairs that share a vertex and joins
 the components left by weight-0 pairs, lowest index first: the tree of
-all-pairs Kruskal.  Each tree's neighbour map is built once.  Ties go
-to the lowest declaration position, so equal inputs give equal trees.
+all-pairs Kruskal.  Each tree caches its neighbour map for the path
+search and the calibration.  Ties go to the lowest declaration
+position, so equal inputs give equal trees.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ from .errors import DomainError
 from .exact_oracle import JointTable, _check_limit
 
 
+def _join(adj: dict[str, set[str]], edges) -> None:
+    """Join the two ends of each edge in ``adj``, refusing first an edge
+    with an end outside it, then a self-loop."""
+    for a, b in edges:
+        if a not in adj or b not in adj:
+            raise DomainError(f"edge ({a!r}, {b!r}) references unknown vertex")
+        if a == b:
+            raise DomainError(f"self-loop on {a!r}")
+        adj[a].add(b)
+        adj[b].add(a)
+
+
 @dataclass(frozen=True)
 class UGraph:
     """Undirected graph over named vertices (no self-loops)."""
@@ -36,16 +49,10 @@ class UGraph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         pos = {v: i for i, v in enumerate(self.vertices)}
-        fixed = []
-        for a, b in self.edges:
-            if a not in pos or b not in pos:
-                raise DomainError(f"edge ({a!r}, {b!r}) references unknown vertex")
-            if a == b:
-                raise DomainError(f"self-loop on {a!r}")
-            if pos[a] > pos[b]:
-                a, b = b, a
-            fixed.append((a, b))
-        fixed = sorted(set(fixed), key=lambda e: (pos[e[0]], pos[e[1]]))
+        adj: dict[str, set[str]] = {v: set() for v in pos}
+        _join(adj, self.edges)
+        fixed = sorted(((a, b) for a in adj for b in adj[a] if pos[a] < pos[b]),
+                       key=lambda e: (pos[e[0]], pos[e[1]]))
         object.__setattr__(self, "edges", tuple(fixed))
         # vertex -> position, not a field; first duplicate wins, as .index
         if len(pos) < len(self.vertices):
@@ -96,34 +103,30 @@ class CliquePath:
     separators: tuple[tuple[str, ...], ...]
 
 
-def moralize(net: BayesNet) -> UGraph:
-    """The moral graph of ``net`` read straight off the CPTs: each
-    child's edges to its parents and each pair of its co-parents."""
-    edges = []
+def _moral_edges(net: BayesNet):
+    """The moral graph's edges read straight off the CPTs: each child's
+    edges to its parents, then each pair of its co-parents."""
     for v, t in zip(net.variables, net.cpts):
-        edges += [(p, v.name) for p in t.parents]
-        edges += itertools.combinations(t.parents, 2)
-    return UGraph(net.names(), tuple(edges))
+        yield from ((p, v.name) for p in t.parents)
+        yield from itertools.combinations(t.parents, 2)
+
+
+def moralize(net: BayesNet) -> UGraph:
+    """The moral graph of ``net``."""
+    return UGraph(net.names(), tuple(_moral_edges(net)))
 
 
 def _moral_tree(net: BayesNet, sets):
-    """The junction tree of the moral graph of ``net``, read off the CPTs
-    with every pair inside each of ``sets`` joined so that one clique
-    holds each set, and for each set whether the moral graph lacked one
-    of its pairs."""
+    """The junction tree of the moral graph of ``net`` with every pair
+    inside each of ``sets`` joined so that one clique holds each set,
+    and for each set whether the moral graph lacked one of its pairs.
+    Edges are refused as ``UGraph`` refuses them, in the same order."""
     adj: dict[str, set[str]] = {name: set() for name in net.names()}
-    for v, t in zip(net.variables, net.cpts):
-        for a, b in itertools.chain(((p, v.name) for p in t.parents),
-                                    itertools.combinations(t.parents, 2)):
-            if a == b:
-                raise DomainError(f"self-loop on {a!r}")
-            adj[a].add(b)
-            adj[b].add(a)
-    pairs = [list(itertools.combinations(s, 2)) for s in sets]
+    _join(adj, _moral_edges(net))
+    pairs = [list(itertools.combinations(
+        sorted(s, key=net._index.__getitem__), 2)) for s in sets]
     joined = [any(b not in adj[a] for a, b in p) for p in pairs]
-    for a, b in itertools.chain(*pairs):
-        adj[a].add(b)
-        adj[b].add(a)
+    _join(adj, itertools.chain(*pairs))
     return _junction_tree(adj, net._index), joined
 
 
@@ -207,7 +210,7 @@ def verify_running_intersection(cliques, order) -> bool:
     for k, idx in enumerate(order):
         sep = sets[idx] & union
         if k > 0 and sep and not any(
-                sep <= sets[order[j]] for j in range(k - 1, -1, -1)):
+                sep <= sets[order[j]] for j in range(k)):
             return False
         union |= sets[idx]
     return True
@@ -261,7 +264,7 @@ def _junction_tree(adj: dict, rank: dict[str, int]) -> JunctionTree:
 
     # the lowest-index clique next to a placed one goes next; the tree
     # spans every clique, so all are reached from clique 0
-    adjacent = JunctionTree(cliques, tuple(tree_edges), ())._adjacent
+    adjacent = JunctionTree(cliques, tuple(tree_edges), ()).neighbors()
     rip: dict[int, None] = {}
     frontier = [0] if m else []
     while frontier:
@@ -271,11 +274,9 @@ def _junction_tree(adj: dict, rank: dict[str, int]) -> JunctionTree:
             for j in adjacent[i]:
                 heapq.heappush(frontier, j)
 
-    jt = JunctionTree(cliques, tuple(tree_edges), tuple(rip))
-    object.__setattr__(jt, "_adjacent", adjacent)  # same edges, same map
-    if not verify_running_intersection(cliques, jt.rip_order):
+    if not verify_running_intersection(cliques, tuple(rip)):
         raise DomainError("running intersection verification failed")
-    return jt
+    return JunctionTree(cliques, tuple(tree_edges), tuple(rip))
 
 
 def _tree_paths(jt: JunctionTree, start: int) -> dict[int, tuple[int, ...]]:

@@ -730,6 +730,20 @@ def test_path_tree_holds_every_path_clique(ten_node):
     assert junction_property_holds(tree)
 
 
+def test_bare_path_clique_that_repeats_a_name_is_refused(ten_node):
+    """A path clique that repeats a name passes ``path_factor_specs``;
+    exact mode's bare-path tree refuses it as a self-loop on the
+    first-declared repeated name, the text of the route through
+    ``moralize`` and ``UGraph``."""
+    path = CliquePath((("X3", "X2", "X3", "X2"), ("X2", "X1")), (("X2",),))
+    sub = _ancestral_subnet(ten_node, {"X1", "X2", "X3"})
+    with pytest.raises(DomainError) as want:
+        reference_path_tree(sub, path.cliques)
+    with pytest.raises(DomainError) as got:
+        path_impact(ten_node, path, "exact")
+    assert str(got.value) == str(want.value) == "self-loop on 'X2'"
+
+
 def test_each_junction_tree_runs_one_elimination(capsys, monkeypatch):
     """The library's trees are read off one min-fill elimination of the
     graph they are built on, never triangulated and eliminated again;
