@@ -25,6 +25,7 @@ from .jtree import (
     CliquePath,
     JunctionTree,
     _clique_marginals,
+    _donor_target,
     _moral_tree,
     path_factor_specs,
 )
@@ -125,12 +126,12 @@ def _bound_pricer(net: BayesNet):
     bounded this way and is reported as a gap.
 
     ``net`` may be the ancestral subnet of the variables priced, as
-    ``path_impact`` passes it.  That subnet keeps their relative
-    topological order, and a directed path from a variable to a member
-    of the conditioning set runs through ancestors of that member, all
-    inside the subnet, so each descendant in the conditioning set is
-    found there too; every value, certificate and gap is that of the
-    whole net.
+    ``impact`` and ``path_impact`` pass it.  That subnet keeps their
+    relative topological order, and a directed path from a variable to
+    a member of the conditioning set runs through ancestors of that
+    member, all inside the subnet, so each descendant in the
+    conditioning set is found there too; every value, certificate and
+    gap is that of the whole net.
     """
     desc = descendants_map(net)
     topo_rank = {n: i for i, n in enumerate(desc)}
@@ -183,16 +184,15 @@ def _impact_product(specs, price, mode: str) -> BoundResult:
 def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
                   tree: JunctionTree | None):
     """Exact-mode ``price`` for the factor specs of ``path`` on ``sub``,
-    the net as given with ``tree``, or the ancestral subnet of the
-    path's cliques without one.
+    the ancestral subnet of the path's cliques.
 
     Each factor is read off the calibrated marginal of the first clique
     of ``tree`` that holds its path clique, which holds the factor's
-    variables; that marginal is the same on any tree, such as the one
-    ``donor_target_path`` returns.  Without ``tree``, it is the tree of
-    the moral graph of ``sub`` with every pair inside each priced path
-    clique joined.  ``sub`` is validated, and the size cap is checked,
-    before any table is built, even for a single-clique path.
+    variables; that marginal is the same on any tree of ``sub``, such as
+    the one ``impact`` cut the path from.  Without ``tree``, it is the
+    tree of the moral graph of ``sub`` with every pair inside each
+    priced path clique joined.  ``sub`` is validated, and the size cap
+    is checked, before any table is built, even for a one-clique path.
     """
     priced = [spec for spec in specs if spec[0]]
     scopes = [c for c, spec in zip(path.cliques, specs) if spec[0]]
@@ -214,9 +214,41 @@ def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
     return price
 
 
+def _priced(net: BayesNet, path: CliquePath, mode: str, limit,
+            tree: JunctionTree | None = None) -> BoundResult:
+    """``path_impact`` on ``net``, or, given the junction tree ``path``
+    was cut from, on ``net`` as the ancestral subnet that tree is of."""
+    if mode not in ("exact", "bound"):
+        raise DomainError(f"unknown mode {mode!r}")
+    limit = state_limit(limit)
+    specs = path_factor_specs(path)
+    sub = net if tree is not None else _ancestral_subnet(
+        net, itertools.chain.from_iterable(path.cliques))
+    if mode == "bound":
+        # a single-clique path needs no pricer, so no topological order
+        price = _bound_pricer(sub) if specs else None
+    else:
+        price = _exact_pricer(sub, path, specs, limit, tree)
+    return _impact_product(specs, price, mode)
+
+
+def impact(net: BayesNet, donor, target, mode: str = "exact",
+           limit: int | None = None) -> tuple[CliquePath, BoundResult]:
+    """The clique path ``donor_target_path`` finds and its impact
+    product, from one search, whose errors come first.
+
+    Both modes price on the ancestral subnet the search built, which is
+    that of the path's cliques: they hold ``donor`` and ``target`` and
+    lie inside it.  Exact mode calibrates the search's own tree, whose
+    largest clique table ``limit`` caps.  ``path_impact`` of the path
+    gives the same result, up to rounding in exact mode.
+    """
+    sub, tree, path = _donor_target(net, donor, target)
+    return path, _priced(sub, path, mode, limit, tree)
+
+
 def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
-                limit: int | None = None,
-                tree: JunctionTree | None = None) -> BoundResult:
+                limit: int | None = None) -> BoundResult:
     """Impact product along a clique path.
 
     ``mode`` is "exact" (true diameters of factor tables read off
@@ -227,29 +259,13 @@ def path_impact(net: BayesNet, path: CliquePath, mode: str = "exact",
     disconnected components, so the factor and the whole product are 0.
     A separator that is not the intersection of its cliques is an error.
 
-    Bound mode prices on the ancestral subnet of the path's cliques, so
-    its graph work grows with the ancestors a query touches, not the
-    net; ``tree`` is not read.  Exact mode calibrates ``tree``, the
-    junction tree the path was cut from (as ``donor_target_path``
-    returns it), on ``net`` as given: only the CPTs of the tree's
-    variables enter, so a tree whose variables lack a parent is an
-    error.  Without ``tree`` it calibrates the tree of the moral graph
-    of the path's ancestral subnet with every pair inside each priced
-    path clique joined.  ``limit`` is resolved by ``state_limit`` in
-    both modes, so a malformed cap is an error in either; exact mode
-    caps the largest clique table of that tree with it, even for a
-    single-clique path, and bound mode applies no cap.  An unknown path
-    variable is a DomainError in either mode.
+    Both modes price on the ancestral subnet of the path's cliques, so
+    their graph work grows with the ancestors a query touches, not the
+    net.  Exact mode calibrates the tree of that subnet's moral graph
+    with every pair inside each priced path clique joined.  ``limit`` is
+    resolved by ``state_limit`` in both modes, so a malformed cap is an
+    error in either; exact mode caps the largest clique table of that
+    tree with it, even for a single-clique path, and bound mode applies
+    no cap.  An unknown path variable is a DomainError in either mode.
     """
-    if mode not in ("exact", "bound"):
-        raise DomainError(f"unknown mode {mode!r}")
-    limit = state_limit(limit)
-    specs = path_factor_specs(path)
-    sub = net if mode == "exact" and tree is not None else _ancestral_subnet(
-        net, itertools.chain.from_iterable(path.cliques))
-    if mode == "bound":
-        # a single-clique path needs no pricer, so no topological order
-        price = _bound_pricer(sub) if specs else None
-    else:
-        price = _exact_pricer(sub, path, specs, limit, tree)
-    return _impact_product(specs, price, mode)
+    return _priced(net, path, mode, limit)

@@ -39,7 +39,7 @@ from .advisors import (
 )
 from .bn_model import (BayesNet, Variable, _validate_and_mark,
                        topological_order)
-from .bounds import path_impact
+from .bounds import impact
 from .errors import DomainError, ParseError, ResourceLimitError
 from .jtree import (JunctionTree, build_junction_tree, donor_target_path,
                     moralize)
@@ -489,7 +489,8 @@ def _columns(header, rows, indent: str = "") -> list[str]:
 
 
 def _split_names(raw: str) -> list[str]:
-    return [token.strip() for token in raw.split(",") if token.strip()]
+    return list(dict.fromkeys(token.strip() for token in raw.split(",")
+                              if token.strip()))
 
 
 def _doc(args, **fields) -> dict:
@@ -549,33 +550,16 @@ def _path_section(path) -> dict:
     }
 
 
-def _path_query(args):
-    """The net, the tree and clique path between the named donors and
-    targets, and a document that names them."""
-    net = _load(args.model)
-    donor = _split_names(args.donor)
-    target = _split_names(args.target)
-    tree, path = donor_target_path(net, donor, target)
-    return net, tree, path, _doc(args, donor=donor, target=target)
-
-
 def _build_impact(args) -> dict:
-    net, tree, path, doc = _path_query(args)
-    result = path_impact(net, path, args.mode, args.limit, tree)
-    return doc | {
-        "mode": result.mode,
-        "value": result.value,
-        "factors": [
-            {
-                "table": f.table,
-                "value": f.value,
-                "provenance": f.provenance,
-                "terms": list(f.terms),
-            }
-            for f in result.certificate
-        ],
-        "path": _path_section(path),
-    }
+    donor, target = _split_names(args.donor), _split_names(args.target)
+    path, result = impact(_load(args.model), donor, target, args.mode,
+                          args.limit)
+    return _doc(args, donor=donor, target=target, mode=result.mode,
+                value=result.value, factors=[
+                    {"table": f.table, "value": f.value,
+                     "provenance": f.provenance, "terms": list(f.terms)}
+                    for f in result.certificate
+                ], path=_path_section(path))
 
 
 def _render_impact(doc) -> list[str]:
@@ -599,8 +583,9 @@ def _render_impact(doc) -> list[str]:
 
 
 def _build_path(args) -> dict:
-    _, _, path, doc = _path_query(args)
-    return doc | _path_section(path)
+    donor, target = _split_names(args.donor), _split_names(args.target)
+    _, path = donor_target_path(_load(args.model), donor, target)
+    return _doc(args, donor=donor, target=target) | _path_section(path)
 
 
 def _render_path(doc) -> list[str]:

@@ -332,6 +332,11 @@ def donor_target_path(net: BayesNet, donor, target):
     as outputs, so the product could fall below the donor's influence.
     Returns (junction tree, clique path).
     """
+    return _donor_target(net, donor, target)[1:]
+
+
+def _donor_target(net: BayesNet, donor, target):
+    """``donor_target_path``, led by the ancestral subnet its tree is of."""
     donor, target = list(donor), list(target)
     if not donor or not target:
         raise DomainError("donor and target sets must be nonempty")
@@ -355,7 +360,7 @@ def donor_target_path(net: BayesNet, donor, target):
                     f"not join, meets the {which} separator "
                     f"{{{', '.join(sep)}}} of its clique path; its factors "
                     "do not price that")
-    return jt, path
+    return sub, jt, path
 
 
 def path_factor_specs(path: CliquePath) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

@@ -19,6 +19,7 @@ from tvrobust import (
     diameter,
     donor_target_path,
     elicitation_priority,
+    impact,
     marginal,
     mix,
     moralize,
@@ -35,6 +36,7 @@ from tvrobust import (
 )
 from tvrobust import bn_model, bounds, exact_oracle
 from tvrobust.exact_oracle import _ancestral_joint, _factor_table
+from tvrobust.jtree import _clique_marginals
 from tvrobust.tv_core import _pair_scan
 
 from conftest import (
@@ -45,12 +47,12 @@ from conftest import (
     diameter_sum_bound,
     joint_perturb_bound,
     joint_tv_bound,
+    load_model,
     random_net,
     random_vector,
     reference_diameter,
     reference_transition_table,
     shuffle_parents,
-    subgraph,
     tree_cpt,
 )
 
@@ -380,25 +382,6 @@ def test_bound_impact_on_the_ancestral_subnet_equals_the_whole_net(seed, a, b):
                 == _priced_on_the_whole_net(net, path))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
-def test_bound_impact_is_the_same_with_or_without_the_tree(seed, a, b):
-    """Bound mode reads no tree: given the tree ``donor_target_path``
-    returned, it prices on the ancestral subnet of the path's cliques,
-    which holds the tree's variables, as it does without one; value and
-    certificate, or the gap's message, agree."""
-    rng = np.random.default_rng(seed)
-    net = shuffle_parents(random_net(rng, 5, 14), rng)
-    names = net.names()
-    tree, path = donor_target_path(net, {names[a % len(names)]},
-                                   {names[b % len(names)]})
-    try:
-        with_tree = path_impact(net, path, "bound", tree=tree)
-    except DomainError as e:
-        with_tree = str(e)
-    assert with_tree == _priced_on_the_path(net, path)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99),
        st.integers(0, 99), st.integers(1, 2), st.integers(1, 2))
@@ -436,11 +419,11 @@ def test_impact_against_the_dense_oracle(seed, a, b, c, k, m):
     target += rest[k - 1:k + m - 2]
     dense = diameter(transition_table(net, target, donor))
     try:
-        tree, path = donor_target_path(net, donor, target)
+        path, result = impact(net, donor, target, "exact")
     except DomainError as e:
         assert "which the moral graph does not join, meets the" in str(e)
         return
-    exact = path_impact(net, path, "exact", tree=tree).value
+    exact = result.value
     if not all(path.separators):
         assert dense <= 1e-12
     if dense <= 1e-12:
@@ -470,7 +453,7 @@ def test_exact_impact_needs_a_tree_that_holds_every_path_clique(ten_node):
     whole = build_junction_tree(moralize(ten_node))
     with pytest.raises(DomainError, match=r"^no clique of the tree holds "
                                           r"\['X4', 'X5', 'X6'\]$"):
-        path_impact(ten_node, path, "exact", tree=whole)
+        _clique_marginals(ten_node, whole, path.cliques)
 
 
 def test_each_bound_pricer_sorts_the_net_once(ten_node, monkeypatch):
@@ -610,8 +593,7 @@ def _dense_factor_values(net, path):
 def _assert_calibrated_matches_dense(net, donor, target):
     """Factors with the path's tree and without it equal the dense
     reference within 1e-12, and exact stays at or below bound."""
-    tree, path = donor_target_path(net, donor, target)
-    with_tree = path_impact(net, path, "exact", tree=tree)
+    path, with_tree = impact(net, donor, target)
     bare = path_impact(net, path, "exact")
     want = _dense_factor_values(net, path)
     for r in (with_tree, bare):
@@ -660,10 +642,9 @@ def _shared_factors(net, donor, target) -> list[float]:
     more levels with its conditioning set: path_impact prices it 1.0, and
     its dense table's diameter is within 4e-16 of 1; returns those
     diameters."""
-    tree, path = donor_target_path(net, donor, target)
+    path, with_tree = impact(net, donor, target)
     joint = _ancestral_joint(net, {v for c in path.cliques for v in c})
-    results = [path_impact(net, path, "exact", tree=tree),
-               path_impact(net, path, "exact")]
+    results = [with_tree, path_impact(net, path, "exact")]
     shared = []
     for i, (outputs, given) in enumerate(path_factor_specs(path)):
         if not any(len(net.variable(n).levels) > 1
@@ -700,47 +681,43 @@ def test_exact_impact_does_not_build_a_joint(ten_node, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exact mode built a dense joint")
     monkeypatch.setattr(exact_oracle, "joint_mass", refuse)
-    tree, path = donor_target_path(ten_node, {"X1"}, {"X9"})
-    for r in (path_impact(ten_node, path, "exact", tree=tree),
-              path_impact(ten_node, path, "exact")):
+    path, with_tree = impact(ten_node, {"X1"}, {"X9"})
+    for r in (with_tree, path_impact(ten_node, path, "exact")):
         assert 0.0 < r.value < 1.0
 
 
 def test_exact_limit_caps_the_largest_clique_table(ten_node):
     # the ancestral set of X1 and X9 has 2^7 states, its largest clique 8
-    tree, path = donor_target_path(ten_node, {"X1"}, {"X9"})
     with pytest.raises(ResourceLimitError) as err:
-        path_impact(ten_node, path, "exact", limit=7, tree=tree)
+        impact(ten_node, {"X1"}, {"X9"}, "exact", limit=7)
     assert str(err.value) == ("clique table {X2, X3, X4} has 8 "
                               "configurations, limit is 7")
-    capped = path_impact(ten_node, path, "exact", limit=8, tree=tree)
-    assert capped == path_impact(ten_node, path, "exact", tree=tree)
+    capped = impact(ten_node, {"X1"}, {"X9"}, "exact", limit=8)
+    assert capped == impact(ten_node, {"X1"}, {"X9"}, "exact")
+
+
+def _exact_both_ways(net, donor, target):
+    """Exact ``impact`` of the sets and exact ``path_impact`` of their
+    bare path, each as a call that takes ``limit``."""
+    path = donor_target_path(net, donor, target)[1]
+    return (lambda limit=None: impact(net, donor, target, "exact", limit)[1],
+            lambda limit=None: path_impact(net, path, "exact", limit))
 
 
 def test_exact_limit_is_checked_on_a_single_clique_path(fragment):
-    tree, path = donor_target_path(fragment, {"Drought"}, {"TreeCondition"})
+    _, path = donor_target_path(fragment, {"Drought"}, {"TreeCondition"})
     assert len(path.cliques) == 1
-    for t in (tree, None):
+    for exact in _exact_both_ways(fragment, {"Drought"}, {"TreeCondition"}):
         with pytest.raises(ResourceLimitError, match="has 18 configurations, "
                                                      "limit is 17"):
-            path_impact(fragment, path, "exact", limit=17, tree=t)
-        assert path_impact(fragment, path, "exact", limit=18,
-                           tree=t).value == 1.0
+            exact(limit=17)
+        assert exact(limit=18).value == 1.0
 
 
-def test_exact_mode_rejects_a_tree_without_the_parents(ten_node):
-    tree, path = donor_target_path(ten_node, {"X4"}, {"X9"})
-    # the same cliques as a tree over X4 onward: X4's parents are missing
-    cut = build_junction_tree(subgraph(moralize(ten_node),
-                                       {"X4", "X5", "X7", "X9"}))
-    with pytest.raises(DomainError, match="^no clique of the tree holds "
-                                          "the family of 'X4'$"):
-        path_impact(ten_node, path, "exact", tree=cut)
-
-
-def test_cli_exact_impact_builds_one_ancestral_subnet(capsys, monkeypatch):
-    """``donor_target_path`` builds the subnet its tree is made of, and
-    exact mode calibrates that tree on the net as given."""
+@pytest.mark.parametrize("mode", ("exact", "bound"))
+def test_cli_impact_builds_one_ancestral_subnet(capsys, monkeypatch, mode):
+    """The donor-to-target search builds the subnet its tree is made of,
+    and either mode prices on that subnet."""
     calls = []
     real = bn_model.ancestral_set
 
@@ -750,41 +727,88 @@ def test_cli_exact_impact_builds_one_ancestral_subnet(capsys, monkeypatch):
     monkeypatch.setattr(bn_model, "ancestral_set", counted)
     monkeypatch.chdir(TESTS_DIR)
     argv = ["impact", "models/ten_node_demo.json", "--from", "X1", "--to",
-            "X9", "--mode", "exact", "--json"]
+            "X9", "--mode", mode, "--json"]
     assert run_cli(argv) == 0
     assert json.loads(capsys.readouterr().out)["value"] > 0.0
     assert len(calls) == 1
 
 
-def _exact_outcome(net, path, tree):
+def _outcome(query):
+    """What ``query()`` returns, or the type and text of its error."""
     try:
-        return path_impact(net, path, "exact", tree=tree)
-    except DomainError as e:
-        return str(e)
+        return query()
+    except (DomainError, ResourceLimitError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
-def test_exact_impact_with_the_tree_is_that_of_its_ancestral_subnet(seed, a,
-                                                                     b):
-    """Calibrated on the whole net, the tree ``donor_target_path``
-    returned gives the result it gives on the ancestral subnet it was
-    built from: the net's other variables are barren."""
+def _assert_impact_is_path_impact_of_its_path(net, donor, target, mode):
+    """``impact`` returns the donor-to-target path and what
+    ``path_impact`` gives for it: the certificate's factor names and
+    terms, and the values, or the error text.  Bound mode prices on the
+    same subnet, so its values are the same floats; exact mode
+    calibrates another tree of it, so its marginals may round apart."""
+    def separate():
+        path = donor_target_path(net, donor, target)[1]
+        return path, path_impact(net, path, mode)
+    got = _outcome(lambda: impact(net, donor, target, mode))
+    want = _outcome(separate)
+    if isinstance(want, str) or mode == "bound":
+        assert got == want
+        return
+    (path, r), (want_path, w) = got, want
+    assert path == want_path and r.mode == w.mode
+    assert ([(f.table, f.provenance, f.terms) for f in r.certificate]
+            == [(f.table, f.provenance, f.terms) for f in w.certificate])
+    for a, b in zip((r, *r.certificate), (w, *w.certificate)):
+        assert abs(a.value - b.value) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ("exact", "bound"))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99),
+       st.integers(0, 99), st.integers(1, 2), st.integers(1, 2))
+def test_impact_is_path_impact_of_the_donor_target_path(mode, seed, a, b, c,
+                                                         k, m):
+    """For donor and target sets of one or two variables each, which may
+    meet."""
     rng = np.random.default_rng(seed)
     net = shuffle_parents(random_net(rng, 5, 14), rng)
     names = net.names()
-    ends = {names[a % len(names)]}, {names[b % len(names)]}
-    tree, path = donor_target_path(net, *ends)
-    sub = bn_model._ancestral_subnet(net, ends[0] | ends[1])
-    assert _exact_outcome(net, path, tree) == _exact_outcome(sub, path, tree)
+    n = len(names)
+    donor = [names[(a + i * c) % n] for i in range(k)]
+    target = [names[(b + i * c) % n] for i in range(m)]
+    _assert_impact_is_path_impact_of_its_path(net, donor, target, mode)
+
+
+@pytest.mark.parametrize("mode", ("exact", "bound"))
+def test_impact_is_path_impact_of_the_donor_target_path_on_random_forty(
+        mode):
+    net = load_model("random_forty")
+    names = net.names()
+    for i, donor in enumerate(names):
+        _assert_impact_is_path_impact_of_its_path(
+            net, [donor], [names[(7 * i + 3) % len(names)]], mode)
+        _assert_impact_is_path_impact_of_its_path(
+            net, [donor, names[(i + 11) % len(names)]],
+            [names[(5 * i + 1) % len(names)]], mode)
+
+
+def _halved(net, name) -> BayesNet:
+    """``net`` with the rows of ``name``'s table halved, so invalid."""
+    t = net.cpt(name)
+    bad = Cpt(t.child, t.child_levels, t.parents, t.parent_levels,
+              t.grid() * 0.5)
+    return BayesNet(net.variables, tuple(bad if c is t else c
+                                         for c in net.cpts))
 
 
 def test_exact_mode_with_a_tree_validates_an_unmarked_net(ten_node,
                                                            monkeypatch):
-    """The net is checked as given, also where the tree does not reach:
-    X10 is no ancestor of X1 or X9."""
-    tree, path = donor_target_path(ten_node, {"X1"}, {"X9"})
-    assert "X10" not in {v for c in tree.cliques for v in c}
+    """``impact`` checks the ancestral subnet it reads, as the bare path
+    does: a broken table inside it is an error, and X10, no ancestor of
+    X1 or X9, is not read."""
+    keep = ancestral_set(ten_node, {"X1", "X9"})
+    assert "X10" not in keep
     checked = []
     real = bn_model.validate
 
@@ -793,16 +817,14 @@ def test_exact_mode_with_a_tree_validates_an_unmarked_net(ten_node,
         return real(net)
     monkeypatch.setattr(bn_model, "validate", counted)
     unmarked = BayesNet(ten_node.variables, ten_node.cpts)
-    assert path_impact(unmarked, path, "exact", tree=tree) == path_impact(
-        ten_node, path, "exact", tree=tree)
-    assert checked == [unmarked] and unmarked._validated
-    t = ten_node.cpt("X10")
-    bad = Cpt(t.child, t.child_levels, t.parents, t.parent_levels,
-              t.grid() * 0.5)
-    broken = BayesNet(ten_node.variables, ten_node.cpts[:-1] + (bad,))
-    assert broken.names()[-1] == "X10"
-    with pytest.raises(DomainError, match="^invalid network: X10: row 0"):
-        path_impact(broken, path, "exact", tree=tree)
+    assert impact(unmarked, {"X1"}, {"X9"}) == impact(ten_node, {"X1"},
+                                                      {"X9"})
+    assert [set(n.names()) for n in checked] == [keep]
+    assert checked[0]._validated
+    assert impact(_halved(unmarked, "X10"), {"X1"}, {"X9"}) == impact(
+        ten_node, {"X1"}, {"X9"})
+    with pytest.raises(DomainError, match="^invalid network: X9: row 0"):
+        impact(_halved(ten_node, "X9"), {"X1"}, {"X9"})
 
 
 def test_cli_exact_impact_on_a_forty_variable_chain(tmp_path, capsys):
@@ -857,11 +879,10 @@ def test_exact_impact_under_an_interior_structural_zero():
     net = _abcd_chain({"A": [(0.4, 0.6)], "B": [(1.0, 0.0), (1.0, 0.0)],
                        "C": [(0.2, 0.8), (0.9, 0.1)],
                        "D": [(0.5, 0.5), (0.1, 0.9)]})
-    tree, path = donor_target_path(net, {"A"}, {"D"})
-    for t in (tree, None):
+    for exact in _exact_both_ways(net, {"A"}, {"D"}):
         with pytest.raises(DomainError, match="^conditioning configuration "
                                               "has zero probability: B=f$"):
-            path_impact(net, path, "exact", tree=t)
+            exact()
 
 
 def _two_parent_chain(levels=None, fixed=None) -> BayesNet:
@@ -889,16 +910,16 @@ def test_a_shared_factor_keeps_the_zero_probability_check():
     # X3 copies X2, so (X2=s0, X3=s1) has probability 0; only the
     # interior factor P(X3, X4 | X2, X3), which shares X3, conditions on it
     net = _two_parent_chain(fixed={"X3": [(1.0, 0.0), (0.0, 1.0)] * 2})
-    tree, path = donor_target_path(net, {"X1"}, {"X5"})
+    _, path = donor_target_path(net, {"X1"}, {"X5"})
     specs = path_factor_specs(path)
     assert specs[1] == (("X3", "X4"), ("X2", "X3"))
     joint = _ancestral_joint(net, net.names())
     message = "^conditioning configuration has zero probability: X2=s0, X3=s1$"
     with pytest.raises(DomainError, match=message):
         _factor_table(net, joint, *specs[1])
-    for t in (tree, None):
+    for exact in _exact_both_ways(net, {"X1"}, {"X5"}):
         with pytest.raises(DomainError, match=message):
-            path_impact(net, path, "exact", tree=t)
+            exact()
 
 
 def test_a_shared_variable_of_one_level_is_priced_from_its_table():

@@ -823,6 +823,27 @@ def test_cli_path_command_lists_cliques(capsys, monkeypatch):
     assert "{X7, X9}" in out
 
 
+@pytest.mark.parametrize("command", ("impact", "path"))
+@pytest.mark.parametrize("json_flag", ([], ["--json"]))
+def test_cli_names_a_repeated_name_once(command, json_flag, capsys,
+                                        monkeypatch):
+    """A name given twice in ``--from`` or ``--to`` counts once, its
+    first place kept: the output is that of the names given once."""
+    monkeypatch.chdir(TESTS_DIR)
+    outs = []
+    for donor, target in (("X1,X1,X2", "X9, X7,X9"), ("X1,X2", "X9,X7")):
+        argv = [command, "models/ten_node_demo.json", "--from", donor,
+                "--to", target, *json_flag]
+        assert run_cli(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if json_flag:
+        doc = json.loads(outs[0])
+        assert (doc["donor"], doc["target"]) == (["X1", "X2"], ["X9", "X7"])
+    elif command == "impact":
+        assert outs[0].startswith("impact of {X1, X2} on {X9, X7} ")
+
+
 def test_cli_path_of_one_clique_lists_no_separator(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     argv = ["path", "--from", "Drought", "--to", "TreeCondition",

@@ -17,6 +17,7 @@ from tvrobust import (
     build_junction_tree,
     diameter,
     donor_target_path,
+    impact,
     is_chordal,
     maximal_cliques,
     moralize,
@@ -764,7 +765,8 @@ def test_each_junction_tree_runs_one_elimination(capsys, monkeypatch):
     graphs.clear()
     bare = path_impact(net, path, "exact")
     assert len(graphs) == 1
-    assert bare == path_impact(net, path, "exact", tree=tree)
+    graphs.clear()
+    assert impact(net, {"A"}, {"F"}, "exact") == (path, bare)
     assert len(graphs) == 1
     graphs.clear()
     monkeypatch.chdir(TESTS_DIR)
