@@ -20,7 +20,7 @@ from .bn_model import (
     descendants_map,
 )
 from .errors import DomainError
-from .exact_oracle import _conditional, _factor_table, state_limit
+from .exact_oracle import _check_mass, _factor_table, state_limit
 from .jtree import (
     CliquePath,
     JunctionTree,
@@ -193,6 +193,8 @@ def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
     tree of the moral graph of ``sub`` with every pair inside each
     priced path clique joined.  ``sub`` is validated, and the size cap
     is checked, before any table is built, even for a one-clique path.
+    A factor sharing a variable of 2+ levels builds no table: the one
+    zero-mass check, ``_check_mass``, gets its marginal summed onto ``given``.
     """
     priced = [spec for spec in specs if spec[0]]
     scopes = [c for c, spec in zip(path.cliques, specs) if spec[0]]
@@ -207,7 +209,9 @@ def _exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
                for n in set(outputs) & set(given)):
             # once every row has mass, rows that disagree on a shared
             # variable of 2+ levels have disjoint supports: diameter 1
-            _conditional(sub, joint, sub.sorted_by_position(set(given)), ())
+            mass = joint.grid().sum(axis=tuple(
+                i for i, n in enumerate(joint.scope) if n not in given))
+            _check_mass(sub, sub.sorted_by_position(set(given)), mass)
             return Factor(name, 1.0, "oracle")
         rows = _factor_table(sub, joint, outputs, given)
         return Factor(name, _pair_scan(rows)[0], "oracle")

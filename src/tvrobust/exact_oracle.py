@@ -5,9 +5,9 @@ array over the mixed-radix product space, first declared variable most
 significant, then marginals and conditional tables are read off it.
 Deliberately no variable elimination and no message passing: this code
 is the trusted oracle the bounds are verified against, so it stays as
-simple as possible.  A state-space cap (default 2^22, moved only by a
-``limit`` argument) guards memory; exceeding it is a hard error, never
-a silent truncation, raised by ``_check_limit`` alone.
+simple as possible.  Exceeding the state-space cap (2^22, or a ``limit``
+argument) is an error, never a silent truncation, from ``_check_limit``;
+a zero-mass conditioning configuration is one from ``_check_mass``.
 """
 
 from __future__ import annotations
@@ -124,23 +124,27 @@ def _ancestral_joint(net: BayesNet, names,
     return joint_mass(_ancestral_subnet(net, names), limit)
 
 
+def _check_mass(net: BayesNet, conds, mass: np.ndarray) -> None:
+    """Raise DomainError naming the first configuration of ``conds`` whose
+    ``mass``, laid along ``conds`` with the first most significant, is <= 0."""
+    zero = mass <= 0.0
+    if zero.any():
+        config = np.unravel_index(zero.argmax(), mass.shape)
+        raise DomainError(
+            "conditioning configuration has zero probability: "
+            + ", ".join(f"{n}={net.variable(n).levels[i]}"
+                        for n, i in zip(conds, config)))
+
+
 def _conditional(net: BayesNet, joint: JointTable, conds, free):
     """P(free | conds) read off ``joint`` as a 2-d array, a row per
     configuration of ``conds`` (the first most significant); a
     configuration of zero probability is an error."""
     m = marginal_of(joint, conds + free)
     grid = m.grid().transpose([m.scope.index(n) for n in conds + free])
-    cond_cards = grid.shape[:len(conds)]
-    block = grid.reshape(math.prod(cond_cards), -1)
-    denom = block.sum(axis=1)
-    zero = np.flatnonzero(denom <= 0.0)
-    if zero.size:
-        config = np.unravel_index(zero[0], cond_cards)
-        raise DomainError(
-            "conditioning configuration has zero probability: "
-            + ", ".join(f"{n}={net.variable(n).levels[i]}"
-                        for n, i in zip(conds, config)))
-    return block / denom[:, None]
+    denom = grid.reshape(grid.shape[:len(conds)] + (-1,)).sum(axis=-1)
+    _check_mass(net, conds, denom)
+    return grid.reshape(denom.size, -1) / denom.reshape(-1, 1)
 
 
 def _factor_table(net: BayesNet, joint: JointTable, outputs,

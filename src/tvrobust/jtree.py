@@ -136,17 +136,18 @@ def _eliminate(adj: dict[str, set[str]], rank: dict[str, int]):
 
     Each step removes the vertex whose neighbours lack the fewest edges
     among themselves, the first in ``adj``'s order on ties, after
-    joining those neighbours.  Its elimination clique is the vertex with
-    its remaining neighbours.  A count stops once the vertex cannot beat
+    joining those neighbours.  A count stops once the vertex cannot beat
     the best so far, and the scan stops at a vertex that needs no fill,
     so each step picks the vertex the full scan picks.  The order is a
-    perfect elimination order of the graph with the fill added, so the
-    elimination cliques that no earlier one contains are that graph's
-    maximal cliques; a graph is chordal exactly when no fill is added
-    (Fulkerson & Gross 1965; Rose, Tarjan & Lueker 1976).
+    perfect elimination order of the graph with the fill added, and a
+    graph is chordal exactly when no fill is added (Fulkerson & Gross
+    1965; Rose, Tarjan & Lueker 1976).  Each vertex with its remaining
+    neighbours is a maximal clique unless it equals an earlier vertex's
+    remaining neighbours (Blair & Peyton 1993): one lookup per step.
     """
     fill: list[tuple[str, str]] = []
     cliques: list[frozenset[str]] = []
+    later: set[frozenset[str]] = set()
     while adj:
         best_v, best_cost = None, None
         for v in adj:
@@ -165,11 +166,10 @@ def _eliminate(adj: dict[str, set[str]], rank: dict[str, int]):
                 adj[a].add(b)
                 adj[b].add(a)
                 fill.append((a, b))
-        c = frozenset(adj[best_v]) | {best_v}
-        # c lacks every earlier eliminated vertex, so it can only sit
-        # inside an earlier clique
-        if not any(c <= k for k in cliques):
+        rest = frozenset(adj[best_v])
+        if (c := rest | {best_v}) not in later:
             cliques.append(c)
+        later.add(rest)
         for u in adj.pop(best_v):
             adj[u].discard(best_v)
     ordered = [tuple(sorted(c, key=rank.__getitem__)) for c in cliques]
@@ -402,10 +402,10 @@ def _clique_marginals(net: BayesNet, jt: JunctionTree, scopes,
     in, each into the first clique that holds its family.  With every
     variable's parents in the tree that product is the tree's joint, and
     ``net``'s other variables drop out as barren (Shachter 1986).
-    Clique members are listed in declaration order, as
-    ``build_junction_tree`` lists them.  One collect
-    pass sends a message from every clique toward the first clique
-    asked for, and one distribute pass sends messages back out along the
+    Clique members, and so each marginal's axes, are in declaration
+    order, as ``build_junction_tree`` lists them.  One collect pass
+    sends a message from every clique toward the first clique asked
+    for, and one distribute pass sends messages back out along the
     branches that lead to the others (Shafer-Shenoy, no division).  No
     table built is larger than the largest clique table, which ``limit``
     caps before any work is done.

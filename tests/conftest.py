@@ -12,9 +12,13 @@ from tvrobust import (BayesNet, CliquePath, Cpt, JunctionTree, ProbVec,
                       parent_diameter, topological_order, tv_distance)
 from tvrobust import bn_model, cli_io
 from tvrobust.advisors import PriorityRecord
+from tvrobust.bounds import Factor, _factor_name
 from tvrobust.cli_io import parse_model
 from tvrobust.errors import DomainError, ParseError
-from tvrobust.exact_oracle import JointTable, joint_mass, marginal_of
+from tvrobust.exact_oracle import (JointTable, _conditional, _factor_table,
+                                   joint_mass, marginal_of)
+from tvrobust.jtree import _clique_marginals, _moral_tree
+from tvrobust.tv_core import _pair_scan
 
 TESTS_DIR = pathlib.Path(__file__).parent
 MODELS_DIR = TESTS_DIR / "models"
@@ -207,6 +211,31 @@ def reference_transition_table(net: BayesNet, outputs, given) -> Cpt:
     return Cpt(",".join(outs), labels, conds,
                tuple(net.variable(n).levels for n in conds),
                tuple(ProbVec(labels, r) for r in rows))
+
+
+def reference_exact_pricer(sub: BayesNet, path: CliquePath, specs, limit,
+                           tree: JunctionTree | None):
+    """``bounds._exact_pricer`` as it checked a factor whose two sets
+    share a variable of two or more levels: by building the table
+    P(() | given) through ``_conditional``, whose rows are the masses of
+    the conditioning configurations.  The tree, the marginals and the
+    order of the checks are the library's."""
+    priced = [spec for spec in specs if spec[0]]
+    scopes = [c for c, spec in zip(path.cliques, specs) if spec[0]]
+    bn_model._require_valid(sub)
+    if tree is None:
+        tree = _moral_tree(sub, scopes)[0]
+    tables = dict(zip(priced, _clique_marginals(sub, tree, scopes, limit)))
+
+    def price(outputs, given) -> Factor:
+        joint, name = tables[outputs, given], _factor_name(outputs, given)
+        if any(len(sub.variable(n).levels) > 1
+               for n in set(outputs) & set(given)):
+            _conditional(sub, joint, sub.sorted_by_position(set(given)), ())
+            return Factor(name, 1.0, "oracle")
+        rows = _factor_table(sub, joint, outputs, given)
+        return Factor(name, _pair_scan(rows)[0], "oracle")
+    return price
 
 
 # Closed-form bounds on diameters and margins; the lemma tests and the
@@ -737,13 +766,14 @@ def subgraph(g: UGraph, keep) -> UGraph:
     return UGraph(verts, edges)
 
 
-def reference_triangulate(g: UGraph) -> UGraph:
+def _full_scan_elimination(g: UGraph):
     """The full-scan min-fill loop ``triangulate`` ran: count the fill of
     every remaining vertex, eliminate the first with the least, and add
-    its fill edges."""
+    its fill edges.  Returns (fill edges, elimination cliques in order)."""
     rank = {v: i for i, v in enumerate(g.vertices)}
     adj = g.neighbors()
     fill: set[tuple[str, str]] = set()
+    steps: list[frozenset[str]] = []
     remaining = sorted(adj, key=rank.get)
     while remaining:
         best_v, best_cost = None, None
@@ -759,11 +789,30 @@ def reference_triangulate(g: UGraph) -> UGraph:
                 adj[a].add(b)
                 adj[b].add(a)
                 fill.add((a, b))
+        steps.append(frozenset(adj[best_v]) | {best_v})
         for u in adj[best_v]:
             adj[u].discard(best_v)
         del adj[best_v]
         remaining.remove(best_v)
-    return UGraph(g.vertices, g.edges + tuple(fill))
+    return fill, steps
+
+
+def reference_triangulate(g: UGraph) -> UGraph:
+    """``g`` with the fill of the full-scan min-fill elimination."""
+    return UGraph(g.vertices, g.edges + tuple(_full_scan_elimination(g)[0]))
+
+
+def reference_elimination_cliques(g: UGraph) -> tuple[tuple[str, ...], ...]:
+    """The cliques ``jtree._eliminate`` kept by the subset scan: each
+    elimination clique of the full-scan min-fill elimination that no
+    clique kept before it contains, each and their list sorted by
+    position in ``g``."""
+    kept: list[frozenset[str]] = []
+    for c in _full_scan_elimination(g)[1]:
+        if not any(c <= k for k in kept):
+            kept.append(c)
+    return tuple(sorted((tuple(sorted(c, key=g.position)) for c in kept),
+                        key=lambda c: [g.position(v) for v in c]))
 
 
 def reference_join_sets(g: UGraph, sets):

@@ -621,7 +621,8 @@ def test_priority_records_are_stable_across_hash_seeds():
     path = [str(TESTS_DIR.parent / "src")] + [p for p in sys.path if p]
     outputs = [subprocess.run(
         [sys.executable, "-c", script], cwd=TESTS_DIR, check=True,
-        env=dict(PYTHONPATH=os.pathsep.join(path), PYTHONHASHSEED=seed),
+        env=dict(PYTHONPATH=os.pathsep.join(path), PYTHONHASHSEED=seed,
+                 PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True).stdout for seed in ("0", "1", "2", "3")]
     assert outputs[1:] == outputs[:1] * 3
     lines = outputs[0].decode().splitlines()

@@ -51,6 +51,7 @@ from conftest import (
     random_net,
     random_vector,
     reference_diameter,
+    reference_exact_pricer,
     reference_transition_table,
     shuffle_parents,
     tree_cpt,
@@ -920,6 +921,86 @@ def test_a_shared_factor_keeps_the_zero_probability_check():
     for exact in _exact_both_ways(net, {"X1"}, {"X5"}):
         with pytest.raises(DomainError, match=message):
             exact()
+
+
+def test_exact_impact_builds_no_table_for_a_shared_factor(monkeypatch):
+    """Of the chain's three factors, only the interior one shares a
+    variable; its zero-mass check sums its marginal onto the
+    conditioning set, so ``_conditional`` runs for the other two alone,
+    wherever the library binds the name."""
+    net = _two_parent_chain()
+    specs = path_factor_specs(donor_target_path(net, {"X1"}, {"X5"})[1])
+    assert [bool(set(o) & set(g)) for o, g in specs] == [False, True, False]
+    calls = []
+    real = exact_oracle._conditional
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "tvrobust"
+                and getattr(module, "_conditional", None) is real):
+            monkeypatch.setattr(module, "_conditional",
+                                lambda *a: calls.append(a[2:]) or real(*a))
+    result = impact(net, {"X1"}, {"X5"}, "exact")[1]
+    assert calls == [(("X1",), ("X2", "X3")), (("X3", "X4"), ("X5",))]
+    assert result.certificate[1].value == 1.0
+
+
+def _one_hot_row(net: BayesNet, rng) -> BayesNet:
+    """``net`` with one random row of one random table putting all its
+    mass on one level, so that the net has a structural zero."""
+    i = int(rng.integers(len(net.cpts)))
+    t = net.cpts[i]
+    rows = t.grid().reshape(-1, len(t.child_levels)).copy()
+    rows[rng.integers(len(rows))] = np.eye(len(t.child_levels))[
+        rng.integers(len(t.child_levels))]
+    cpts = list(net.cpts)
+    cpts[i] = Cpt.of(t.child, t.child_levels, t.parents, t.parent_levels,
+                     rows)
+    return BayesNet.of(net.variables, cpts)
+
+
+def _answer(call):
+    """What ``call()`` returns, or the text of its DomainError."""
+    try:
+        return call()
+    except DomainError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99), st.integers(0, 99))
+# a shared factor's check names a zero-mass configuration of two
+# conditioning variables, and of three
+@example(3, 2, 3)
+@example(25, 3, 25)
+@example(59, 3, 59)
+def test_zero_mass_check_agrees_with_the_conditional_table(seed, a, b):
+    """On a net with a structural zero, exact ``impact`` and exact
+    ``path_impact`` of the bare path give the values, or the error text,
+    that pricing each shared-variable factor through ``_conditional``
+    gives.  The one sum keeps the conditioning names in declaration
+    order, so its check names the same first configuration."""
+    rng = np.random.default_rng(seed)
+    net = _one_hot_row(shuffle_parents(random_net(rng, 5, 9), rng), rng)
+    names = net.names()
+    donor = [names[a % len(names)]]
+    target = [names[(a + 1 + b % (len(names) - 1)) % len(names)]]
+    calls = _exact_both_ways(net, donor, target)
+    checked = []
+    real = exact_oracle._check_mass
+
+    def spy(sub, conds, mass):
+        checked.append((conds, sub.sorted_by_position(set(conds)),
+                        mass.shape,
+                        tuple(len(sub.variable(n).levels) for n in conds)))
+        real(sub, conds, mass)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_check_mass", spy)
+        got = [_answer(call) for call in calls]
+    for conds, ordered, shape, cards in checked:
+        assert conds == ordered and shape == cards
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_exact_pricer", reference_exact_pricer)
+        assert [_answer(call) for call in calls] == got
 
 
 def test_a_shared_variable_of_one_level_is_priced_from_its_table():

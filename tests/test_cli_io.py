@@ -926,11 +926,13 @@ def test_readme_library_example_prints_what_readme_says(capsys,
 def _run_module(argv, **env):
     """(exit code, stdout, stderr) of ``python -m tvrobust`` in a fresh
     process, run in the tests directory on this checkout's source with
-    this interpreter's import path and ``env`` as its whole environment."""
+    this interpreter's import path and ``env`` as its whole environment,
+    writing no byte code into the source tree."""
     path = [str(TESTS_DIR.parent / "src")] + [p for p in sys.path if p]
     proc = subprocess.run(
         [sys.executable, "-m", "tvrobust"] + argv, cwd=TESTS_DIR,
-        env=dict(PYTHONPATH=os.pathsep.join(path), **env),
+        env=dict(PYTHONPATH=os.pathsep.join(path),
+                 PYTHONDONTWRITEBYTECODE="1", **env),
         capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 

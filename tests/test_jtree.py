@@ -40,6 +40,8 @@ from conftest import (
     load_model,
     random_net,
     reference_donor_target_path,
+    reference_elimination_cliques,
+    reference_join_sets,
     reference_junction_tree,
     reference_path_tree,
     reference_rip_order,
@@ -473,6 +475,10 @@ def test_elimination_agrees_with_networkx_and_full_scan(g):
     tri = triangulate(g)
     assert tri == reference_triangulate(g)
     assert set(g.edges) <= set(tri.edges)
+    # the cliques g's own elimination keeps, fill included, are tri's
+    own = jtree._eliminate(g.neighbors(), g._pos)[1]
+    assert {frozenset(c) for c in own} == \
+        set(nx.chordal_graph_cliques(_nx_graph(nx, tri)))
     for h in (g, tri):
         G = _nx_graph(nx, h)
         assert is_chordal(h) == nx.is_chordal(G)
@@ -491,6 +497,31 @@ def test_elimination_agrees_with_networkx_and_full_scan(g):
     assert verify_running_intersection(jt.cliques, jt.rip_order)
     # one elimination of g gives the tree of its triangulation
     assert build_junction_tree(g) == jt
+
+
+@st.composite
+def ancestral_moral_graphs(draw):
+    """The moral graph of the ancestral subnet of a donor and a target
+    set of a ``random_net`` draw, each set's pairs joined, as a query
+    builds it."""
+    net = random_net(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                     4, 16)
+    picks = draw(st.lists(st.sampled_from(net.names()), min_size=2,
+                          max_size=4, unique=True))
+    k = draw(st.integers(1, len(picks) - 1))
+    donor, target = set(picks[:k]), set(picks[k:])
+    keep = ancestral_set(net, donor | target)
+    return reference_join_sets(subgraph(moralize(net), keep),
+                               (donor, target))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(), ancestral_moral_graphs()))
+def test_elimination_keeps_the_cliques_the_subset_scan_keeps(g):
+    """One lookup per step keeps exactly the elimination cliques that
+    no earlier kept clique contains."""
+    assert jtree._eliminate(g.neighbors(), g._pos)[1] == \
+        reference_elimination_cliques(g)
 
 
 def test_triangulate_equals_full_scan_on_ancestral_moral_graphs():
