@@ -304,9 +304,9 @@ def _canonical(value, indent: str) -> str:
     indented by ``indent``.  A list of scalars takes one line, as does an
     object whose fields all fit on one; any other list or object takes a
     line per item.  A list of floats, such as a row, prints them with
-    17 significant digits."""
+    17 significant digits, NaN and infinities as JSON spells them."""
     if isinstance(value, list) and set(map(type, value)) <= {float}:
-        return "[" + ", ".join(map(_f17, value)) + "]"
+        return _json_numbers("[" + ", ".join(map(_f17, value)) + "]")
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f"{json.dumps(k)}: {_canonical(v, inner)}"

@@ -10,11 +10,12 @@ resolve ties to the lowest row indices.
 
 Diameters come from the row-pair scan ``_pair_scan`` and its two
 paths: a block scan of every row pair, and, for finite tables of at
-least _EVENT_ROWS rows and _EVENT_CELLS cells and at most _EVENT_LEVELS
-levels, event sums that pick the rows able to form the widest pair
-(within a rounding slack scaled by the number of levels and the largest
-|entry|) before only their pairs are compared.  Values and witnesses
-are those of the plain scan either way.
+least _EVENT_ROWS rows and at most _EVENT_LEVELS levels, event sums
+that pick the rows able to form the widest pair (within a rounding
+slack scaled by the number of levels and the largest |entry|) before
+only their pairs are compared.  Every row-pair temporary of either path
+stays within _PAIR_BUDGET floats.  Values and witnesses are those of
+the plain scan either way.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ ROW_SUM_TOLERANCE = 1e-9
 # floats per temporary array in the row-pair scan
 _PAIR_BUDGET = 2 ** 15
 # shape rule of the row-pair scan's event-sum path (2 ** 9 events at
-# most); on fewer rows or cells the block scan is the faster one
+# most); the block scan is faster below about 32 rows, and no benchmark
+# workload has tables of 32-63 rows to move the limit on
 _EVENT_ROWS = 64
-_EVENT_CELLS = 256
 _EVENT_LEVELS = 10
-_CANDIDATE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,9 @@ class Cpt:
                     for r in rows):
                 rows = np.array([r.mass for r in rows], dtype=np.float64)
         if isinstance(rows, np.ndarray):
+            if rows.size != self.n_rows * k:
+                raise DomainError(f"{self.child}: {rows.size} masses do not "
+                                  f"fit the table's {self.n_rows} x {k} shape")
             # one copy, made after the reshape, so the grid owns its data
             # and no view of it can be made writeable
             grid = rows.reshape(tuple(map(len, self.parent_levels))
@@ -280,14 +283,15 @@ def _pair_scan(X: np.ndarray, Y: np.ndarray | None = None,
     Two paths give the same value and witness, those of the plain scan
     of every pair.  The block scan (``_block_scan``) compares every
     pair.  The event-sum path serves rows i < j of a finite ``X`` with
-    at least _EVENT_ROWS rows and _EVENT_CELLS cells and at most
-    _EVENT_LEVELS columns: ``_candidate_rows`` finds every row that is
-    in a pair of largest TV, within a rounding slack scaled by the
-    number of levels and the largest |entry|, and only the pairs of
-    those rows are compared, by the same ``_tv``.  Every largest pair is
-    among them, so the same pair wins.  Ties that leave more than
-    _CANDIDATE_ROWS candidates, all-equal rows, NaN or infinite entries,
-    every other shape and the (X row, Y row) scan take the block scan.
+    at least _EVENT_ROWS rows and at most _EVENT_LEVELS columns:
+    ``_candidate_rows`` finds every row that is in a pair of largest TV,
+    within a rounding slack scaled by the number of levels and the
+    largest |entry|, and only the pairs of those rows are compared, by
+    the same ``_tv``.  Every largest pair is among them, so the same
+    pair wins.  Ties that leave so many candidates that their pairs
+    times levels exceed _PAIR_BUDGET, all-equal rows, NaN or infinite
+    entries, every other shape and the (X row, Y row) scan take the
+    block scan.
     """
     rows = None if Y is not None else _candidate_rows(X)
     if rows is None:
@@ -336,7 +340,10 @@ def _events(k: int) -> np.ndarray:
 
 def _candidate_rows(X: np.ndarray) -> np.ndarray | None:
     """Ascending indices of every row of ``X`` in a pair of largest TV,
-    or None where ``_pair_scan`` must compare every pair.
+    or None where ``_pair_scan`` must compare every pair: fewer than
+    _EVENT_ROWS rows, more than _EVENT_LEVELS levels, no finite nonzero
+    scale, all-equal rows, or so many candidates that their pairs times
+    levels exceed _PAIR_BUDGET floats.
 
     For finite rows, sum |x - y| is the largest |(x - y) . s_A| over the
     events of ``_events``, so twice the diameter is the largest spread
@@ -351,7 +358,7 @@ def _candidate_rows(X: np.ndarray) -> np.ndarray | None:
     best columns alone, for the rows near their ends.
     """
     r, k = X.shape
-    if r < _EVENT_ROWS or r * k < _EVENT_CELLS or k > _EVENT_LEVELS:
+    if r < _EVENT_ROWS or k > _EVENT_LEVELS:
         return None
     m = max(X.max(), -X.min())
     # NaN, an infinity, all zeros, or sums that could leave the floats
@@ -374,7 +381,7 @@ def _candidate_rows(X: np.ndarray) -> np.ndarray | None:
         rows.extend(lo + np.flatnonzero(((M >= top[best] - slack)
                                          | (M <= bottom[best] + slack))
                                         .any(axis=1)))
-        if len(rows) > _CANDIDATE_ROWS:
+        if len(rows) ** 2 * k > _PAIR_BUDGET:
             return None
     return np.array(rows, dtype=np.intp)
 

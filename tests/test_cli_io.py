@@ -56,6 +56,18 @@ def test_serialize_is_a_fixed_point(fragment):
     assert again == once
 
 
+@pytest.mark.parametrize("text", [
+    (MODELS_DIR / "nonfinite_model.json").read_text(),
+    _doc().replace("[[0.5, 0.5]]", "[[Infinity, -Infinity]]")],
+    ids=["nan", "inf"])
+def test_serialize_round_trips_a_nonfinite_mass(text):
+    net, problems = parse_model(text, strict=False)
+    once = serialize_model(net)
+    again, problems_again = parse_model(once, strict=False)
+    assert problems and problems_again == problems
+    assert serialize_model(again) == once
+
+
 def test_model_document_shape(fragment):
     doc = model_document(fragment)
     assert doc["format_version"] == "1"

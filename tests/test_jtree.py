@@ -163,6 +163,15 @@ def test_rip_checker_rejects_bad_order():
         assert not verify_running_intersection(cliques, order)
 
 
+def test_a_tree_whose_order_fails_the_checker_is_refused(ten_node,
+                                                        monkeypatch):
+    monkeypatch.setattr(jtree, "verify_running_intersection",
+                        lambda cliques, order: False)
+    with pytest.raises(DomainError,
+                       match="^running intersection verification failed$"):
+        build_junction_tree(moralize(ten_node))
+
+
 def test_subgraph_restricts_vertices_and_edges():
     g = UGraph(("A", "B", "C"), (("A", "B"), ("B", "C")))
     s = subgraph(g, ("A", "B"))
@@ -752,6 +761,17 @@ def test_clique_marginals_skip_the_variables_outside_the_tree():
                                strict=True):
             assert (whole.scope, whole.cards) == (part.scope, part.cards)
             assert whole.mass.tobytes() == part.mass.tobytes()
+
+
+def test_clique_marginals_refuse_a_tree_that_holds_no_family(fragment):
+    """Singleton cliques hold each root's family but not that of
+    TreeCondition, the first child of two parents."""
+    names = [v.name for v in fragment.variables]
+    singletons = JunctionTree(tuple((v,) for v in names),
+                              ((0, 1, ()), (1, 2, ())), (0, 1, 2))
+    with pytest.raises(DomainError, match="^no clique of the tree holds "
+                       "the family of 'TreeCondition'$"):
+        _clique_marginals(fragment, singletons, [("Drought",)])
 
 
 def test_path_tree_holds_every_path_clique(ten_node):

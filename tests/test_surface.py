@@ -15,6 +15,10 @@ The sets below name the exceptions, which are used only by tests today.
 They may only shrink: a new definition that nothing else uses fails
 these tests, and so does a listed name that has since found a use and
 should leave its list.
+
+The library's module-level numeric constants, its tunable settings, are
+exactly those in TUNABLE_CONSTANTS: a new one fails until it is listed,
+and a listed one that has gone must leave the list.
 """
 
 import ast
@@ -36,6 +40,9 @@ TEST_ONLY_METHODS = set()
 UNUSED_DEFINITIONS = set()
 
 TEST_ONLY_KNOBS = set()
+
+TUNABLE_CONSTANTS = {"ROW_SUM_TOLERANCE", "_PAIR_BUDGET", "_EVENT_ROWS",
+                     "_EVENT_LEVELS", "DEFAULT_STATE_LIMIT"}
 
 
 def _identifiers(tree) -> set:
@@ -205,3 +212,25 @@ def test_no_module_reads_the_process_environment():
             for _, ids in statements
             for name in ids & {"environ", "getenv"}}
     assert read == set()
+
+
+def _numeric(node) -> bool:
+    """Whether ``node`` is arithmetic on int or float literals alone."""
+    return all(isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator,
+                              ast.unaryop))
+               or isinstance(n, ast.Constant)
+               and type(n.value) in (int, float)
+               for n in ast.walk(node))
+
+
+def test_module_level_numeric_constants_are_exactly_the_listed_ones():
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                    node.value is not None and _numeric(node.value)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names |= {n.id for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)}
+    assert names == TUNABLE_CONSTANTS

@@ -584,23 +584,52 @@ def test_rounding_ties_between_events_keep_the_witness():
     rng = np.random.default_rng(81)
     for _ in range(300):
         k = int(rng.integers(3, tv_core._EVENT_LEVELS + 1))
-        r = int(rng.integers(max(tv_core._EVENT_ROWS,
-                                 tv_core._EVENT_CELLS // k + 1), 200))
+        r = int(rng.integers(tv_core._EVENT_ROWS, 200))
         X = _with_permuted_far_pairs(rng, rng.dirichlet(np.ones(k), size=r))
         X *= rng.uniform(0.5, 3.0)
         assert tv_core._pair_scan(X) == tv_core._block_scan(X, None, 0.0)
 
 
-@pytest.mark.parametrize("k,cards", [(8, (4, 4, 4, 4)), (10, (4, 4, 8)),
-                                     (10, (4, 4, 4))])
-def test_wide_tables_take_the_event_sum_path(monkeypatch, k, cards):
-    """256 x 8, 128 x 10 and 64 x 10 tables never compare every pair."""
-    t = random_table(np.random.default_rng(80), k, cards)
-    want = scalar_diameter(t)
-
+def _forbid_block_scan(monkeypatch):
     def no_block_scan(*args):
         raise AssertionError("block scan taken")
     monkeypatch.setattr(tv_core, "_block_scan", no_block_scan)
+
+
+@pytest.mark.parametrize("k,cards", [(8, (4, 4, 4, 4)), (10, (4, 4, 8)),
+                                     (10, (4, 4, 4)), (2, (4, 4, 4)),
+                                     (2, (4, 4, 6)), (3, (2,) * 6)])
+def test_wide_tables_take_the_event_sum_path(monkeypatch, k, cards):
+    """256 x 8, 128 x 10, 64 x 10, 64 x 2, 96 x 2 and 64 x 3 tables never
+    compare every pair."""
+    t = random_table(np.random.default_rng(80), k, cards)
+    want = scalar_diameter(t)
+    _forbid_block_scan(monkeypatch)
+    assert (diameter(t), diameter_witness(t)) == want
+
+
+@pytest.mark.parametrize("cards,k,tied", [((8, 25), 4, 40), ((16, 16), 2, 128),
+                                          ((16, 16), 2, 130)])
+def test_tied_extreme_rows_take_the_event_sum_path_within_the_pair_budget(
+        monkeypatch, cards, k, tied):
+    """Rows that copy two far rows are all candidates, and only their
+    pairs are compared while pairs times levels fit _PAIR_BUDGET: 40
+    rows of 4 levels and 128 of 2 do, 130 of 2 do not."""
+    r = math.prod(cards)
+    rng = np.random.default_rng(84)
+    X = rng.dirichlet(np.ones(k), size=r)
+    at = rng.choice(r, tied, replace=False)
+    X[at] = np.eye(k)[[0, 1] * (tied // 2)]
+    t = Cpt("A", tuple(f"l{c}" for c in range(k)), ("P", "Q"),
+            tuple(tuple(f"p{i}" for i in range(n)) for n in cards), X)
+    want = scalar_diameter(t)
+    assert want[0] == 1.0
+    rows = tv_core._candidate_rows(X)
+    if tied ** 2 * k > tv_core._PAIR_BUDGET:
+        assert rows is None
+    else:
+        assert rows.tolist() == sorted(at.tolist())
+        _forbid_block_scan(monkeypatch)
     assert (diameter(t), diameter_witness(t)) == want
 
 
@@ -678,6 +707,18 @@ def test_rows_of_a_grid_table_equal_the_rows_it_was_built_from():
                 (DROUGHT_LEVELS, RAINFALL_LEVELS), rows[:5])
     assert short.rows == tuple(rows[:5])
     assert short.violations() == ["TreeCondition: 5 rows, expected 6"]
+
+
+@pytest.mark.parametrize("build", [Cpt, Cpt.of], ids=["init", "of"])
+@pytest.mark.parametrize("mass,shape", [([0.5, 0.3, 0.2], "1 x 2"),
+                                        ([[0.5, 0.5]] * 3, "2 x 2")])
+def test_an_array_that_does_not_fill_the_table_is_a_domain_error(build, mass,
+                                                                 shape):
+    parents = () if shape == "1 x 2" else ("P",)
+    with pytest.raises(DomainError, match=rf"^A: {np.size(mass)} masses do "
+                       rf"not fit the table's {shape} shape$"):
+        build("A", ("a", "b"), parents, (("x", "y"),) * len(parents),
+              np.array(mass))
 
 
 def test_a_fitting_table_without_child_levels_keeps_a_grid():
