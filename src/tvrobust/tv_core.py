@@ -10,7 +10,7 @@ resolve ties to the lowest row indices.
 
 Diameters come from the row-pair scan ``_pair_scan`` and its two
 paths: a block scan of every row pair, and, for finite tables of at
-least _EVENT_ROWS rows and at most _EVENT_LEVELS levels, event sums
+least _EVENT_ROWS rows and 2 to _EVENT_LEVELS levels, event sums
 that pick the rows able to form the widest pair (within a rounding
 slack scaled by the number of levels and the largest |entry|) before
 only their pairs are compared.  Every row-pair temporary of either path
@@ -283,7 +283,7 @@ def _pair_scan(X: np.ndarray, Y: np.ndarray | None = None,
     Two paths give the same value and witness, those of the plain scan
     of every pair.  The block scan (``_block_scan``) compares every
     pair.  The event-sum path serves rows i < j of a finite ``X`` with
-    at least _EVENT_ROWS rows and at most _EVENT_LEVELS columns:
+    at least _EVENT_ROWS rows and 2 to _EVENT_LEVELS columns:
     ``_candidate_rows`` finds every row that is in a pair of largest TV,
     within a rounding slack scaled by the number of levels and the
     largest |entry|, and only the pairs of those rows are compared, by
@@ -341,9 +341,11 @@ def _events(k: int) -> np.ndarray:
 def _candidate_rows(X: np.ndarray) -> np.ndarray | None:
     """Ascending indices of every row of ``X`` in a pair of largest TV,
     or None where ``_pair_scan`` must compare every pair: fewer than
-    _EVENT_ROWS rows, more than _EVENT_LEVELS levels, no finite nonzero
-    scale, all-equal rows, or so many candidates that their pairs times
-    levels exceed _PAIR_BUDGET floats.
+    _EVENT_ROWS rows, fewer than 2 or more than _EVENT_LEVELS levels (a
+    table of one level has rows that differ only by rounding, all of
+    them candidates, and one of none has no entry to scale by), no
+    finite nonzero scale, all-equal rows, or so many candidates that
+    their pairs times levels exceed _PAIR_BUDGET floats.
 
     For finite rows, sum |x - y| is the largest |(x - y) . s_A| over the
     events of ``_events``, so twice the diameter is the largest spread
@@ -358,7 +360,7 @@ def _candidate_rows(X: np.ndarray) -> np.ndarray | None:
     best columns alone, for the rows near their ends.
     """
     r, k = X.shape
-    if r < _EVENT_ROWS or k > _EVENT_LEVELS:
+    if r < _EVENT_ROWS or not 2 <= k <= _EVENT_LEVELS:
         return None
     m = max(X.max(), -X.min())
     # NaN, an infinity, all zeros, or sums that could leave the floats

@@ -166,6 +166,11 @@ def test_a_table_without_columns_or_rows_has_diameter_zero():
     assert (diameter(t), diameter_witness(t)) == (0.0, (0, 0))
     assert parent_diameter(t, 0) == cpt_tv_plus(t, t) == 0.0
     assert variation_matrix(t).entries == ((0.0,) * 3,) * 3
+    # enough rows for event sums, but no level to sum over
+    wide = Cpt("A", (), ("P", "Q", "R"), (tuple("abcd"),) * 3,
+               np.zeros((64, 0)))
+    assert (diameter(wide), diameter_witness(wide)) == (0.0, (0, 0))
+    assert local_diameter(wide, range(64)) == 0.0
     # a parent with no levels leaves no rows and no pair
     none = Cpt("A", ("a", "b"), ("P",), ((),), np.zeros((0, 2)))
     assert (diameter(none), diameter_witness(none)) == (0.0, (0, 0))
@@ -605,6 +610,22 @@ def test_wide_tables_take_the_event_sum_path(monkeypatch, k, cards):
     t = random_table(np.random.default_rng(80), k, cards)
     want = scalar_diameter(t)
     _forbid_block_scan(monkeypatch)
+    assert (diameter(t), diameter_witness(t)) == want
+
+
+def test_one_level_tables_take_the_block_scan(monkeypatch):
+    """64 rows of one level differ only by rounding, so event sums would
+    make every row a candidate: the block scan compares them at once."""
+    eps = np.finfo(float).eps
+    X = 1.0 + eps * np.random.default_rng(85).integers(-2, 3, (64, 1))
+    t = Cpt("A", ("a",), ("P", "Q"), (tuple("abcdefgh"),) * 2, X)
+    want = scalar_diameter(t)
+    assert want[0] > 0.0
+
+    def no_event_sums(*args):
+        raise AssertionError("event sums taken")
+    monkeypatch.setattr(tv_core, "_event_sums", no_event_sums)
+    assert tv_core._candidate_rows(X) is None
     assert (diameter(t), diameter_witness(t)) == want
 
 
